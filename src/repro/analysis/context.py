@@ -63,7 +63,7 @@ class AnalysisContext:
         *,
         workers: int = 1,
         kernel: str = "bitset",
-        shards: int | str = 1,
+        shards: int | str = "auto",
         cache: CliqueCache | None = None,
         checkpoint: CheckpointStore | None = None,
         resume: bool = False,

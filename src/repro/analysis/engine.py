@@ -108,15 +108,15 @@ class OrderOverlap(NamedTuple):
 # Worker-pool plumbing (workers > 1)
 # ----------------------------------------------------------------------
 #: Per-process shared payload, installed once per worker by the pool
-#: initializer (same idiom as ``repro.core.lightweight``) so the
+#: initializer (same idiom as ``repro.shard.workers``) so the
 #: adjacency bitsets are pickled once per worker, not once per order.
-_POOL_SHARED: dict = {}
+_ENGINE_SHARED: dict = {}
 
 
 def _init_engine_pool(payload: dict) -> None:
     """Pool initializer: stash the shared sweep payload in the worker."""
-    global _POOL_SHARED
-    _POOL_SHARED = payload
+    global _ENGINE_SHARED
+    _ENGINE_SHARED = payload
     # Per-process memo so duplicate member sets assigned to the same
     # worker are still computed once.
     payload.setdefault("memo", {})
@@ -129,7 +129,7 @@ def _sweep_order_task(task: tuple) -> list:
     ``worker.analysis.sweep`` span (order k, community count) in the
     worker's trace, which the supervisor grafts back into the driver's.
     """
-    shared = _POOL_SHARED
+    shared = _ENGINE_SHARED
     k, _main_index, entries = task
     with worker_span("worker.analysis.sweep", k=k, communities=len(entries)):
         result = _sweep_order(task, shared, shared["memo"])

@@ -182,7 +182,7 @@ def run_cpm(
     k_range: tuple[int, int | None] | int = (2, None),
     kernel: str = "bitset",
     workers: int = 1,
-    shards: int | str = 1,
+    shards: int | str = "auto",
     cache: CliqueCache | bool | str | PathLike | None = None,
     checkpoint: CheckpointStore | str | PathLike | None = None,
     resume: bool = False,
@@ -199,10 +199,13 @@ def run_cpm(
     ``"auto"`` (``blocks`` when numpy — the ``[perf]`` extra — is
     importable, degrading to ``bitset`` otherwise); requesting
     ``"blocks"`` explicitly without numpy raises a ``ValueError``
-    subclass with an install hint.  ``shards`` (an int or ``"auto"``,
-    meaning one shard per worker) partitions every phase's data across
-    workers via :mod:`repro.shard` — byte-identical output, built for
-    graphs past the single-process scale.  ``cache``
+    subclass with an install hint.  ``shards`` (an int, or the default
+    ``"auto"`` — one shard per worker) fans the pure-Python phases out
+    across ``workers`` via :mod:`repro.shard`; the blocks kernel's numpy
+    phases always run whole-array in the driver.  Output is
+    byte-identical at every shard count.  The ``"set"`` kernel is the
+    serial reference oracle and rejects ``workers``/``shards`` > 1,
+    ``cache`` and ``checkpoint`` with a ``ValueError``.  ``cache``
     memoises enumeration + overlap on disk; ``checkpoint`` (+
     ``resume=True``) persists phase outputs so an interrupted run
     restarts from the last completed phase; ``runner`` tunes the worker

@@ -113,16 +113,18 @@ def _add_cpm_arguments(parser: argparse.ArgumentParser) -> None:
         "--kernel", choices=[*KERNELS, "auto"], default="bitset",
         help=(
             "CPM kernel: the integer fast path (default), the numpy-vectorized "
-            "blocks kernel ([perf] extra), the set-based reference, or auto "
+            "blocks kernel ([perf] extra), the serial set-based reference oracle "
+            "(no --workers/--shards > 1, --cache or --checkpoint-dir), or auto "
             "(blocks when numpy is installed, else bitset)"
         ),
     )
     parser.add_argument(
-        "--shards", default="1", metavar="N",
+        "--shards", default="auto", metavar="N",
         help=(
-            "partition every CPM phase's data into N shards fanned out across "
-            "--workers ('auto' = one shard per worker); output is byte-identical "
-            "to the serial pipeline"
+            "split the pure-Python CPM work (enumeration; bitset counting and "
+            "percolation reduce) into N shards fanned out across --workers "
+            "(default 'auto' = one shard per worker); the blocks kernel's numpy "
+            "phases run whole-array at any N, and output is byte-identical"
         ),
     )
     parser.add_argument(
@@ -173,7 +175,7 @@ def _make_runner(args: argparse.Namespace) -> dict:
         "checkpoint": CheckpointStore(checkpoint_dir) if checkpoint_dir else None,
         "resume": getattr(args, "resume", False),
         "runner": runner,
-        "shards": getattr(args, "shards", 1),
+        "shards": getattr(args, "shards", "auto"),
     }
 
 

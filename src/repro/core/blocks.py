@@ -34,7 +34,8 @@ wins, and with tighter big-int recursion where it does not:
   :class:`~repro.core.overlap.OverlapWire` content as the bitset
   kernel's (bucket *bytes* differ only in intra-bucket pair order,
   which union-find provably ignores).
-* **Percolation** (:func:`percolate_orders_blocks`) — the serial sweep
+* **Percolation** (:func:`percolate_orders_blocks`, the numpy backend
+  of :func:`~repro.core.percolation.percolate_wire`) — the sweep
   becomes min-label propagation over the packed pair arrays: hook each
   endpoint's *root* label to the pair minimum (``np.minimum.at``),
   then pointer-jump (``labels[labels]``) to a fixed point.  Group
@@ -58,7 +59,7 @@ from __future__ import annotations
 import time
 
 from ..obs.tracing import max_rss_kib
-from ..obs.worker import current_metrics, worker_span
+from ..obs.worker import worker_span
 from ._blocks_compat import HAVE_NUMPY, require_numpy
 from .cliques import CliqueEnumerationStats
 from .overlap import OverlapWire
@@ -328,8 +329,8 @@ def count_overlaps_blocks(
     ``shift`` the pair-packing shift.  Returns ``(wire, n_counted,
     stats)`` where ``n_counted`` is the number of distinct co-occurring
     pairs (the bitset kernel's ``len(counts)``) and ``stats`` is shaped
-    like a :func:`~.overlap.count_overlaps_shard` report so the driver
-    aggregates both kernels identically.
+    like a :func:`~repro.shard.workers.count_shard_words` report so the
+    driver aggregates both kernels identically.
 
     Counting semantics match the reference exactly: pairs are counted
     over the per-node id lists truncated to the eligible prefix, nodes
@@ -437,17 +438,18 @@ def percolate_orders_blocks(
     orders: list[int],
     eligibles: list[int],
     wire: OverlapWire,
-) -> tuple[dict[int, list[list[int]]], dict]:
+) -> tuple[dict[int, list[list[int]]], int, int]:
     """Min-label percolation sweep over a packed wire, vectorized.
 
-    Drop-in twin of
-    :func:`~.lightweight._percolate_orders_packed`: the same
-    descending incremental contract (a bucket at ``k_act`` is applied
-    once, at the first order ``k <= k_act``; chains fold in at k = 2),
-    with the union-find replaced by min-label propagation.  Each batch
-    of pairs hooks both endpoint *roots* to the pair minimum and
-    pointer-jumps to a fixed point — equal labels stay equal under
-    that transformation, so previously contracted components remain
+    Drop-in twin of :func:`~.percolation.sweep_wire` (call it through
+    :func:`~.percolation.percolate_wire`): the same descending
+    incremental contract (a bucket at ``k_act`` is applied once, at
+    the first order ``k <= k_act``; chains fold in at k = 2) and the
+    same ``(groups_by_order, merges, pairs_applied)`` return, with the
+    union-find replaced by min-label propagation.  Each batch of pairs
+    hooks both endpoint *roots* to the pair minimum and pointer-jumps
+    to a fixed point — equal labels stay equal under that
+    transformation, so previously contracted components remain
     contracted and connectivity through them is preserved.
 
     Group snapshots replicate ``IntUnionFind.groups`` ordering exactly:
@@ -455,90 +457,71 @@ def percolate_orders_blocks(
     largest-first with ties broken by smallest member.
     """
     np = require_numpy("the 'blocks' kernel")
-    t0, c0 = time.perf_counter(), time.process_time()
-    with worker_span(
-        "worker.percolate.blocks", orders=len(orders), cliques=wire.n_cliques
-    ) as span:
-        shift = wire.shift
-        labels = np.arange(wire.n_cliques, dtype=np.int64)
-        bucket_orders = sorted(wire.buckets, reverse=True)
-        bi = 0
-        n_buckets = len(bucket_orders)
-        applied = 0
-        result: dict[int, list[list[int]]] = {}
+    shift = wire.shift
+    labels = np.arange(wire.n_cliques, dtype=np.int64)
+    bucket_orders = sorted(wire.buckets, reverse=True)
+    bi = 0
+    n_buckets = len(bucket_orders)
+    applied = 0
+    result: dict[int, list[list[int]]] = {}
 
-        def apply_pairs(words) -> None:
-            nonlocal labels
-            i = words >> shift
-            j = words & ((1 << shift) - 1)
+    def apply_pairs(words) -> None:
+        nonlocal labels
+        i = words >> shift
+        j = words & ((1 << shift) - 1)
+        while True:
+            li = labels[i]
+            lj = labels[j]
+            if np.array_equal(li, lj):
+                break
+            lo = np.minimum(li, lj)
+            np.minimum.at(labels, li, lo)
+            np.minimum.at(labels, lj, lo)
             while True:
-                li = labels[i]
-                lj = labels[j]
-                if np.array_equal(li, lj):
+                jumped = labels[labels]
+                if np.array_equal(jumped, labels):
                     break
-                lo = np.minimum(li, lj)
-                np.minimum.at(labels, li, lo)
-                np.minimum.at(labels, lj, lo)
-                while True:
-                    jumped = labels[labels]
-                    if np.array_equal(jumped, labels):
-                        break
-                    labels = jumped
+                labels = jumped
 
-        for idx, k in enumerate(orders):
-            while bi < n_buckets and bucket_orders[bi] >= k:
-                words = np.frombuffer(wire.buckets[bucket_orders[bi]], dtype="<i8")
-                applied += len(words)
-                apply_pairs(words)
-                bi += 1
-            if k == 2 and wire.chains:
-                words = np.frombuffer(wire.chains, dtype="<i8")
-                applied += len(words)
-                apply_pairs(words)
-            eligible = eligibles[idx]
-            if isinstance(eligible, (int, np.integer)):
-                # Prefix form: the first ``eligible`` clique ids.
-                if eligible == 0:
-                    result[k] = []
-                    continue
-                members = None
-                snapshot = labels[:eligible]
-            else:
-                # Explicit-id form (``sweep_wire``'s groups_of twin):
-                # the incremental session passes stable ids that are
-                # not a prefix of the label array.
-                if len(eligible) == 0:
-                    result[k] = []
-                    continue
-                members = np.asarray(eligible, dtype=np.int64)
-                snapshot = labels[members]
-            _uniq, inverse = np.unique(snapshot, return_inverse=True)
-            by_label = np.argsort(inverse, kind="stable")
-            cuts = np.flatnonzero(np.diff(inverse[by_label])) + 1
-            # Positions ascend within each split, so g[0] is both the
-            # smallest member (prefix form) and the first-listed member
-            # (explicit form) — the exact tie-break of
-            # ``IntUnionFind.groups`` / ``groups_of``.
-            groups = list(np.split(by_label, cuts))
-            groups.sort(key=lambda g: (-len(g), g[0]))
-            if members is None:
-                result[k] = [g.tolist() for g in groups]
-            else:
-                result[k] = [members[g].tolist() for g in groups]
-        merges = wire.n_cliques - len(np.unique(labels))
-        span.set("union_merges", merges)
-        registry = current_metrics()
-        if registry is not None:
-            registry.inc("worker.percolate.union_merges", merges)
-            registry.inc("worker.percolate.orders_done", len(orders))
-    pairs_in = wire.n_pairs + wire.n_chain_pairs
-    stats = {
-        "orders": len(orders),
-        "pairs_in": pairs_in,
-        "skipped_pairs": max(0, pairs_in - applied),
-        "union_merges": merges,
-        "wall_seconds": time.perf_counter() - t0,
-        "cpu_seconds": time.process_time() - c0,
-        "max_rss_kib": max_rss_kib(),
-    }
-    return result, stats
+    for idx, k in enumerate(orders):
+        while bi < n_buckets and bucket_orders[bi] >= k:
+            words = np.frombuffer(wire.buckets[bucket_orders[bi]], dtype="<i8")
+            applied += len(words)
+            apply_pairs(words)
+            bi += 1
+        if k == 2 and wire.chains:
+            words = np.frombuffer(wire.chains, dtype="<i8")
+            applied += len(words)
+            apply_pairs(words)
+        eligible = eligibles[idx]
+        if isinstance(eligible, (int, np.integer)):
+            # Prefix form: the first ``eligible`` clique ids.
+            if eligible == 0:
+                result[k] = []
+                continue
+            members = None
+            snapshot = labels[:eligible]
+        else:
+            # Explicit-id form (``sweep_wire``'s groups_of twin):
+            # the incremental session passes stable ids that are
+            # not a prefix of the label array.
+            if len(eligible) == 0:
+                result[k] = []
+                continue
+            members = np.asarray(eligible, dtype=np.int64)
+            snapshot = labels[members]
+        _uniq, inverse = np.unique(snapshot, return_inverse=True)
+        by_label = np.argsort(inverse, kind="stable")
+        cuts = np.flatnonzero(np.diff(inverse[by_label])) + 1
+        # Positions ascend within each split, so g[0] is both the
+        # smallest member (prefix form) and the first-listed member
+        # (explicit form) — the exact tie-break of
+        # ``IntUnionFind.groups`` / ``groups_of``.
+        groups = list(np.split(by_label, cuts))
+        groups.sort(key=lambda g: (-len(g), g[0]))
+        if members is None:
+            result[k] = [g.tolist() for g in groups]
+        else:
+            result[k] = [members[g].tolist() for g in groups]
+    merges = wire.n_cliques - len(np.unique(labels))
+    return result, merges, applied

@@ -4,50 +4,44 @@ The paper's communities were extracted with the Lightweight Parallel
 CPM of Gregori, Lenzini, Mainardi & Orsini — the only algorithm able to
 process the 2.7M maximal cliques of the AS graph (93 hours on 48
 cores).  The 'lightweight' idea is to never materialise the CFinder
-all-pairs clique overlap matrix; the 'parallel' idea is that both the
-overlap computation and the per-order percolation decompose into
-independent shards.
+all-pairs clique overlap matrix; the 'parallel' idea is that every
+phase decomposes into independent shards.
 
-This implementation reproduces that architecture with three kernels:
+:meth:`LightweightParallelCPM.run` is one orchestration of the three
+phases — **enumerate** maximal cliques, count their truncated
+**overlaps** into a packed :class:`~.overlap.OverlapWire`, and
+**percolate** every order k over that wire — followed by hierarchy
+assembly.  Each phase takes its implementation from the kernel; the
+``shards`` count only decides whether the pure-Python work fans out
+through :mod:`repro.shard.pipeline`.  The rule is: *shards fan out
+Python work; numpy phases run whole-array.*
 
-* ``kernel="bitset"`` (default) — the integer fast path.  The graph is
-  snapshotted into a :class:`~repro.graph.csr.CSRGraph` (dense ids in
-  degeneracy order), cliques come from the bitset Bron–Kerbosch, the
-  overlap phase counts only cliques of size >= 3 (2-cliques cannot
-  overlap anything by 2+ nodes) via C-speed ``Counter.update``, order-2
-  connectivity is recovered by chaining each node's clique list, and
-  percolation is one *incremental* :class:`~.unionfind.IntUnionFind`
-  sweep per worker over pair buckets keyed by activation order (see
-  :mod:`.overlap`).  Workers receive one packed ``bytes`` buffer via
-  the pool initializer instead of a per-batch re-pickle.
-* ``kernel="blocks"`` — the vectorized fast path (requires the
-  ``[perf]`` numpy extra; see :mod:`.blocks`).  Same CSR snapshot and
-  wire format as the bitset kernel, but clique enumeration resolves
-  leaf subproblems inline, overlap counting is batched numpy array
-  sweeps instead of sharded ``Counter`` updates, and the serial
-  percolation sweep is min-label propagation.  ``--kernel auto``
-  selects it when numpy is importable and degrades to ``bitset``
-  otherwise (:func:`resolve_kernel`).
-* ``kernel="set"`` — the original set-based pipeline, kept as the
-  tested reference oracle: per-order independent union-find over the
-  full (i, j, overlap) list.  All kernels produce bit-identical
-  hierarchies (same covers, same parent labels), which
-  ``tests/test_kernels_equivalence.py`` asserts three ways.
+* ``kernel="bitset"`` (default) — the pure-Python integer path over a
+  :class:`~repro.graph.csr.CSRGraph` snapshot (dense ids in degeneracy
+  order).  Enumeration is the bitset Bron–Kerbosch; overlap counting
+  (size >= 3 cliques only, see :mod:`.overlap`) is a shard task, run
+  as one in-driver chunk when ``shards=1``.  With ``shards > 1`` the
+  percolation buckets are first contracted per shard slice, then one
+  union-find sweep over the wire stitches the components.
+* ``kernel="blocks"`` — the vectorized path (requires the ``[perf]``
+  numpy extra; see :mod:`.blocks`).  Same CSR snapshot and wire, with
+  leaf-inlined enumeration; overlap counting and the min-label
+  percolation sweep are whole-array numpy passes that stay in the
+  driver at any shard count.  ``--kernel auto`` selects it when numpy
+  is importable and degrades to ``bitset`` otherwise
+  (:func:`resolve_kernel`).
+* ``kernel="set"`` — the serial reference oracle:
+  :func:`~.percolation.extract_hierarchy` over a
+  :class:`~.percolation.CliqueOverlapIndex`, with the same
+  ``cpm.*`` spans and :class:`CPMRunStats`.  It takes no workers,
+  shards, cache or checkpoint (:func:`check_oracle_options`).  All
+  kernels produce byte-identical hierarchies (same covers, same parent
+  labels), which ``tests/test_kernels_equivalence.py`` asserts.
 
-Phases (either kernel):
-
-1. **Enumerate** maximal cliques (Bron–Kerbosch, sequential).
-2. **Overlap phase** — the inverted node→cliques index is sharded
-   across workers; each worker counts clique-pair co-occurrences over
-   its shard of nodes, and shard counters are summed (a pair's total
-   co-occurrence count across all nodes *is* its overlap).
-3. **Percolation phase** — orders k are distributed across workers;
-   union-find per order (set kernel) or one incremental descending
-   sweep (bitset kernel).
-
-``workers=1`` runs everything in-process (no pickling, fully
-deterministic); ``workers>1`` uses ``ProcessPoolExecutor``.  Results
-are identical by construction, which the test-suite asserts.
+With ``shards > 1`` enumeration fans out for every kernel (degeneracy-
+partitioned Bron–Kerbosch subtrees, reassembled in the serial emission
+order).  ``shards`` defaults to ``"auto"`` — one shard per worker — so
+``workers=N`` alone runs the shard tasks on a pool of N processes.
 
 Passing a :class:`~.cache.CliqueCache` memoises the enumerate +
 overlap phases on disk, keyed by the graph fingerprint: a second run
@@ -56,15 +50,15 @@ the metrics, ``cache="hit"`` on the ``cpm.run`` span).
 
 Fault tolerance (:mod:`repro.runner`): passing a
 :class:`~repro.runner.checkpoint.CheckpointStore` persists each
-phase's output as it completes (and, during percolation, the
-accumulated per-order groups), so a run interrupted by a crash —
-of a worker or of the driver — restarts with ``resume=True`` from the
-last completed phase and produces a hierarchy identical to an
-uninterrupted run.  With ``workers > 1`` the process pools run under a
+phase's output as it completes (shard tasks individually, and during
+percolation the accumulated per-order groups), so a run interrupted by
+a crash — of a worker or of the driver — restarts with ``resume=True``
+from the last completed phase and produces a hierarchy identical to an
+uninterrupted run.  Shard fan-outs run under a
 :class:`~repro.runner.supervise.PoolSupervisor`: per-round timeouts,
 bounded exponential-backoff retry, pool resurrection after worker
 death, and graceful degradation to serial in-driver execution when a
-batch fails permanently (``runner.degraded`` gauge).  A
+task fails permanently (``runner.degraded`` gauge).  A
 :class:`~repro.runner.faults.FaultPlan` (or ``$REPRO_FAULT_PLAN``)
 injects deterministic worker/driver faults so those paths stay
 testable; see ``docs/robustness.md``.
@@ -79,41 +73,31 @@ defaults (no-op tracer, private registry) add no measurable overhead.
 from __future__ import annotations
 
 import time
-from collections import Counter
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from ..graph.csr import CSRGraph
 from ..graph.undirected import Graph
 from ..obs.manifest import graph_fingerprint
 from ..obs.metrics import MetricsRegistry
-from ..obs.tracing import NULL_TRACER, Tracer, max_rss_kib
-from ..obs.worker import current_metrics, worker_span
+from ..obs.tracing import NULL_TRACER, Tracer
 from ..runner.checkpoint import CheckpointStore
 from ..runner.faults import FaultPlan
 from ..runner.supervise import PoolSupervisor, RunnerConfig
+from ..shard.pipeline import sharded_enumerate_dense, sharded_overlap_dense, sharded_reduce_wire
+from ..shard.plan import prefix_count, resolve_shards
 from .cache import CliqueCache
-from .cliques import (
-    CliqueCensus,
-    CliqueEnumerationStats,
-    maximal_cliques,
-    maximal_cliques_bitset,
-)
+from .cliques import CliqueCensus, CliqueEnumerationStats, maximal_cliques_bitset
 from .communities import CommunityHierarchy
-from .overlap import (
-    OverlapWire,
-    build_node_index,
-    bucketize,
-    chain_pairs,
-    count_overlaps_shard,
-    pack_triples,
-    truncate_index,
-    unpack_triples,
-)
-from .percolation import CliqueOverlapIndex, build_hierarchy, sweep_wire
-from .unionfind import UnionFind
+from .overlap import OverlapWire
+from .percolation import CliqueOverlapIndex, build_hierarchy, extract_hierarchy, percolate_wire
 
-__all__ = ["LightweightParallelCPM", "CPMRunStats", "KERNELS", "resolve_kernel"]
+__all__ = [
+    "LightweightParallelCPM",
+    "CPMRunStats",
+    "KERNELS",
+    "check_oracle_options",
+    "resolve_kernel",
+]
 
 KERNELS = ("bitset", "blocks", "set")
 
@@ -176,204 +160,51 @@ class CPMRunStats:
         return self.enumerate_seconds + self.overlap_seconds + self.percolate_seconds
 
 
-def _count_pairs_shard(shard: list[list[int]]) -> tuple[Counter, dict]:
-    """Worker: co-occurrence counts over one shard of the inverted index.
+def check_oracle_options(
+    kernel: str,
+    *,
+    workers: int = 1,
+    shards: int = 1,
+    cache: object | None = None,
+    checkpoint: object | None = None,
+) -> None:
+    """Reject the pipeline options the serial ``set`` oracle does not take.
 
-    Returns the pair counter plus a self-timed statistics dict — worker
-    processes cannot share the parent's tracer, so each shard reports
-    its own wall/CPU time, sizes and peak RSS back for aggregation.
-    Under a supervised telemetry capture the shard additionally records
-    a ``worker.overlap.count`` span and ``worker.overlap.*`` counters
-    (a namespace disjoint from the stats-dict aggregation, so merged
-    worker registries never double-count the ``overlap.*`` family).
+    The set kernel is a small reference implementation with no pool,
+    shard, cache or checkpoint plumbing; asking it for any of those is
+    a configuration error, reported by name instead of being ignored.
     """
-    t0, c0 = time.perf_counter(), time.process_time()
-    with worker_span("worker.overlap.count", nodes=len(shard)) as span:
-        counter: Counter[tuple[int, int]] = Counter()
-        incidences = 0
-        pair_updates = 0
-        for cids in shard:
-            n = len(cids)
-            incidences += n
-            pair_updates += n * (n - 1) // 2
-            for a in range(n):
-                ca = cids[a]
-                for b in range(a + 1, n):
-                    counter[(ca, cids[b])] += 1
-        span.set("pairs", len(counter))
-        registry = current_metrics()
-        if registry is not None:
-            registry.inc("worker.overlap.pair_updates", pair_updates)
-            registry.inc("worker.overlap.distinct_pairs", len(counter))
-            registry.observe("worker.overlap.shard_nodes", len(shard))
-    stats = {
-        "nodes": len(shard),
-        "incidences": incidences,
-        "pair_updates": pair_updates,
-        "distinct_pairs": len(counter),
-        "wall_seconds": time.perf_counter() - t0,
-        "cpu_seconds": time.process_time() - c0,
-        "max_rss_kib": max_rss_kib(),
-    }
-    return counter, stats
-
-
-def _percolate_orders(
-    orders: list[int],
-    sizes: list[int],
-    pairs: list[tuple[int, int, int]],
-) -> tuple[dict[int, list[list[int]]], dict]:
-    """Worker: percolate each order in ``orders`` independently.
-
-    ``sizes`` is the clique-size list sorted descending; ``pairs`` is
-    the (i, j, overlap) list.  Pairs below the batch's smallest
-    threshold (``min(orders) - 1``) can never merge anything at any
-    order of the batch, so they are filtered out once up front instead
-    of being rescanned for every k; the skipped count is reported in
-    the statistics dict alongside the batch's self-timed wall/CPU time.
-
-    Returns, per order, groups of clique ids (node materialisation
-    happens in the parent, which owns the actual clique sets — shipping
-    only integer ids keeps the workers light), plus the statistics dict.
-    """
-    t0, c0 = time.perf_counter(), time.process_time()
-    with worker_span(
-        "worker.percolate.orders", orders=len(orders), pairs=len(pairs)
-    ) as span:
-        min_threshold = min(orders) - 1
-        if min_threshold > 1:
-            active = [p for p in pairs if p[2] >= min_threshold]
-        else:
-            active = pairs
-        result: dict[int, list[list[int]]] = {}
-        merges = 0
-        for k in orders:
-            eligible = _prefix_count(sizes, k)
-            if eligible == 0:
-                result[k] = []
-                continue
-            uf = UnionFind(range(eligible))
-            threshold = k - 1
-            for i, j, overlap in active:
-                if overlap >= threshold and i < eligible and j < eligible:
-                    uf.union(i, j)
-            groups = [sorted(group) for group in uf.groups()]
-            result[k] = groups
-            merges += eligible - len(groups)
-        span.set("union_merges", merges)
-        registry = current_metrics()
-        if registry is not None:
-            registry.inc("worker.percolate.union_merges", merges)
-            registry.inc("worker.percolate.orders_done", len(orders))
-    stats = {
-        "orders": len(orders),
-        "pairs_in": len(pairs),
-        "skipped_pairs": len(pairs) - len(active),
-        "union_merges": merges,
-        "wall_seconds": time.perf_counter() - t0,
-        "cpu_seconds": time.process_time() - c0,
-        "max_rss_kib": max_rss_kib(),
-    }
-    return result, stats
-
-
-def _percolate_orders_packed(
-    orders: list[int],
-    eligibles: list[int],
-    wire: OverlapWire,
-) -> tuple[dict[int, list[list[int]]], dict]:
-    """Worker: one incremental union-find sweep over a packed wire.
-
-    ``orders`` must be strictly descending (``eligibles`` aligned, each
-    the count of cliques of size >= that order).  A pair bucketed at
-    activation order ``k_act`` is usable at every k <= k_act, so one
-    :class:`IntUnionFind` serves the whole batch: walking orders
-    downward, each bucket with ``k_act >= k`` is merged exactly once
-    and groups are snapshotted over the eligible prefix.  At k = 2 the
-    chain buffer is folded in (order-2 connectivity over *all* cliques,
-    including the 2-cliques the counting phase excludes).
-
-    Unions only ever touch cliques eligible at the current order: a
-    bucket applied at k has ``sizes[j] >= k_act >= k`` for both ids, so
-    prefix snapshots see exactly the components the per-order reference
-    builds.
-    """
-    t0, c0 = time.perf_counter(), time.process_time()
-    with worker_span(
-        "worker.percolate.packed", orders=len(orders), cliques=wire.n_cliques
-    ) as span:
-        result, merges, applied = sweep_wire(orders, eligibles, wire)
-        span.set("union_merges", merges)
-        registry = current_metrics()
-        if registry is not None:
-            registry.inc("worker.percolate.union_merges", merges)
-            registry.inc("worker.percolate.orders_done", len(orders))
-    pairs_in = wire.n_pairs + wire.n_chain_pairs
-    stats = {
-        "orders": len(orders),
-        "pairs_in": pairs_in,
-        "skipped_pairs": max(0, pairs_in - applied),
-        "union_merges": merges,
-        "wall_seconds": time.perf_counter() - t0,
-        "cpu_seconds": time.process_time() - c0,
-        "max_rss_kib": max_rss_kib(),
-    }
-    return result, stats
-
-
-# Shared payload installed once per worker process by the pool
-# initializer — the fix for the old O(workers x pairs) fan-out, where
-# every percolation batch re-pickled the full overlap list.
-_POOL_SHARED: dict = {}
-
-
-def _init_pool_shared(payload: dict) -> None:
-    global _POOL_SHARED
-    _POOL_SHARED = payload
-
-
-def _percolate_batch_set(orders: list[int]) -> tuple[dict[int, list[list[int]]], dict]:
-    """Worker: set-kernel batch against the process-shared triples."""
-    shared = _POOL_SHARED
-    pairs = shared.get("pairs")
-    if pairs is None:
-        pairs = shared["pairs"] = unpack_triples(shared["triples"])
-    return _percolate_orders(orders, shared["sizes"], pairs)
-
-
-def _percolate_batch_packed(
-    task: tuple[list[int], list[int]],
-) -> tuple[dict[int, list[list[int]]], dict]:
-    """Worker: bitset-kernel batch against the process-shared wire."""
-    orders, eligibles = task
-    return _percolate_orders_packed(orders, eligibles, _POOL_SHARED["wire"])
-
-
-def _prefix_count(sorted_desc: Sequence[int], k: int) -> int:
-    """How many leading entries of a descending sequence are >= k."""
-    lo, hi = 0, len(sorted_desc)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if sorted_desc[mid] >= k:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
+    if kernel != "set":
+        return
+    refused = []
+    if workers > 1:
+        refused.append(f"workers={workers}")
+    if shards > 1:
+        refused.append(f"shards={shards}")
+    if cache is not None:
+        refused.append("a cache")
+    if checkpoint is not None:
+        refused.append("a checkpoint")
+    if refused:
+        raise ValueError(
+            "kernel 'set' is the serial reference oracle and does not take "
+            f"{', '.join(refused)}; use kernel 'bitset' or 'blocks' for those"
+        )
 
 
 class LightweightParallelCPM:
     """Extract the full k-clique community hierarchy of a graph.
 
-    ``kernel`` selects the integer fast path (``"bitset"``, default),
-    the numpy-vectorized fast path (``"blocks"``, needs the ``[perf]``
-    extra), the set-based reference (``"set"``), or ``"auto"`` (blocks
-    when numpy is importable, else bitset); all produce identical
-    hierarchies.  ``shards`` (a count or ``"auto"``, one shard per
-    worker) routes every phase through the partitioned pipeline of
-    :mod:`repro.shard` — byte-identical output, built for graphs past
-    the single-process scale.  ``cache`` (a
-    :class:`~.cache.CliqueCache`) memoises enumeration + overlap on
-    disk keyed by the graph fingerprint.
+    ``kernel`` selects the pure-Python integer path (``"bitset"``,
+    default), the numpy-vectorized path (``"blocks"``, needs the
+    ``[perf]`` extra), the serial set-based reference oracle
+    (``"set"``), or ``"auto"`` (blocks when numpy is importable, else
+    bitset); all produce identical hierarchies.  ``shards`` (a count,
+    or ``"auto"`` — the default — for one shard per worker) decides
+    how the pure-Python phases fan out across ``workers`` through
+    :mod:`repro.shard`; output is byte-identical at every count.
+    ``cache`` (a :class:`~.cache.CliqueCache`) memoises enumeration +
+    overlap on disk keyed by the graph fingerprint.
     ``tracer``/``metrics`` (both optional) switch on observability: the
     run then emits ``cpm.run`` → ``cpm.enumerate`` / ``cpm.overlap`` /
     ``cpm.percolate`` / ``cpm.hierarchy`` spans and populates the
@@ -392,7 +223,7 @@ class LightweightParallelCPM:
         *,
         workers: int = 1,
         kernel: str = "bitset",
-        shards: int | str = 1,
+        shards: int | str = "auto",
         cache: CliqueCache | None = None,
         checkpoint: CheckpointStore | None = None,
         resume: bool = False,
@@ -404,16 +235,14 @@ class LightweightParallelCPM:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         kernel = resolve_kernel(kernel)
-        from ..shard.plan import resolve_shards
-
         self.graph = graph
         self.workers = workers
         self.kernel = kernel
         #: Resolved shard count (``"auto"`` -> one shard per worker).
-        #: ``shards > 1`` routes every phase through the sharded
-        #: pipeline (:mod:`repro.shard`), which is byte-identical to
-        #: the serial path but partitions data across workers.
         self.shards = resolve_shards(shards, workers)
+        check_oracle_options(
+            kernel, workers=workers, shards=self.shards, cache=cache, checkpoint=checkpoint
+        )
         self.cache = cache
         self.checkpoint = checkpoint
         self.resume = resume
@@ -423,7 +252,7 @@ class LightweightParallelCPM:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._observing = self.tracer.enabled or metrics is not None
-        #: The CSR snapshot the bitset kernel built, kept so downstream
+        #: The CSR snapshot enumeration built, kept so downstream
         #: consumers (the analysis engine) can reuse it instead of
         #: re-deriving the degeneracy order.  None for the set kernel
         #: and for cache-hit runs that never touched the graph.
@@ -442,6 +271,8 @@ class LightweightParallelCPM:
             kernel=self.kernel,
             shards=self.shards,
         ) as run_span:
+            if self.kernel == "set":
+                return self._run_oracle(min_k, max_k)
             checksum = self._graph_checksum()
             payload = self._cache_lookup(checksum)
             if payload is not None:
@@ -452,10 +283,7 @@ class LightweightParallelCPM:
             if ckpt is not None:
                 run_span.set("checkpoint", str(ckpt.root))
                 run_span.set("resume", self.resume)
-            if self.kernel == "set":
-                hierarchy = self._run_set(min_k, max_k, checksum, payload, ckpt)
-            else:  # bitset and blocks share the packed pipeline
-                hierarchy = self._run_bitset(min_k, max_k, checksum, payload, ckpt)
+            hierarchy = self._run_pipeline(min_k, max_k, checksum, payload, ckpt)
             if self.stats.resumed_phases:
                 run_span.set("resumed_phases", list(self.stats.resumed_phases))
             if self.stats.degraded:
@@ -505,7 +333,7 @@ class LightweightParallelCPM:
         if self.fault_plan is not None:
             self.fault_plan.fire_boundary(phase)
 
-    def _supervisor(self, phase: str, initializer=None, initargs=()) -> PoolSupervisor:
+    def _supervisor(self, phase: str, initializer, initargs: tuple) -> PoolSupervisor:
         """A supervised pool for one phase's parallel dispatch."""
         return PoolSupervisor(
             workers=self.workers,
@@ -529,43 +357,37 @@ class LightweightParallelCPM:
         self.metrics.inc("cache.writes")
 
     # ------------------------------------------------------------------
-    # Bitset kernel (integer fast path)
+    # The pipeline (bitset and blocks)
     # ------------------------------------------------------------------
-    def _run_bitset(
+    def _run_pipeline(
         self,
         min_k: int,
         max_k: int | None,
         checksum: str | None,
         payload: dict | None,
-        ckpt: CheckpointStore | None = None,
+        ckpt: CheckpointStore | None,
     ) -> CommunityHierarchy:
         t0 = time.perf_counter()
         dense: list[tuple[int, ...]] | None = None
         n_nodes = 0
+        wire: OverlapWire | None = None
+        n_counted = 0
         if payload is not None:
             cliques = payload["cliques"]
-            wire: OverlapWire | None = payload["wire"]
+            wire = payload["wire"]
             n_counted = payload["counted_pairs"]
         else:
-            wire = None
-            n_counted = 0
             enum_ck = self._load_checkpoint_phase(ckpt, "enumerate")
             if enum_ck is not None:
                 dense = enum_ck["dense"]
                 cliques = enum_ck["cliques"]
                 n_nodes = enum_ck["n_nodes"]
                 self._mark_resumed("enumerate")
-            elif self.shards > 1:
-                from ..shard.pipeline import sharded_enumerate_dense
-
-                dense, cliques, n_nodes = sharded_enumerate_dense(self, ckpt)
-                if ckpt is not None:
-                    ckpt.store_phase(
-                        "enumerate",
-                        {"dense": dense, "cliques": cliques, "n_nodes": n_nodes},
-                    )
             else:
-                dense, cliques, n_nodes = self._enumerate_phase_bitset()
+                if self.shards > 1:
+                    dense, cliques, n_nodes = sharded_enumerate_dense(self, ckpt)
+                else:
+                    dense, cliques, n_nodes = self._enumerate()
                 if ckpt is not None:
                     ckpt.store_phase(
                         "enumerate",
@@ -573,16 +395,8 @@ class LightweightParallelCPM:
                     )
         self._boundary("enumerate")
         t1 = time.perf_counter()
-
-        census = CliqueCensus(cliques)
-        self.stats.n_cliques = len(cliques)
-        self.stats.max_clique_size = census.max_size
-        self.stats.size_histogram = census.histogram
         self.stats.enumerate_seconds = t1 - t0
-        self.metrics.set_gauge("cliques.max_size", census.max_size)
-        top = census.max_size if max_k is None else min(max_k, census.max_size)
-        if top < min_k:
-            raise ValueError(f"graph has no clique of size >= {min_k}; nothing to extract")
+        top = self._record_census(cliques, min_k, max_k)
 
         sizes = [len(c) for c in cliques]
         if wire is None:
@@ -595,16 +409,10 @@ class LightweightParallelCPM:
                 n_counted = over_ck["counted_pairs"]
                 self._mark_resumed("overlap")
             else:
-                if self.shards > 1:
-                    from ..shard.pipeline import sharded_overlap_dense
-
-                    wire, n_counted = sharded_overlap_dense(
-                        self, dense, sizes, n_nodes, ckpt
-                    )
-                elif self.kernel == "blocks":
-                    wire, n_counted = self._overlap_phase_blocks(dense, sizes)
+                if self.kernel == "blocks":
+                    wire, n_counted = self._overlap_blocks(dense, sizes)
                 else:
-                    wire, n_counted = self._overlap_phase_bitset(dense, sizes, n_nodes)
+                    wire, n_counted = sharded_overlap_dense(self, dense, sizes, n_nodes, ckpt)
                 self._cache_store(
                     checksum, {"cliques": cliques, "wire": wire, "counted_pairs": n_counted}
                 )
@@ -622,12 +430,29 @@ class LightweightParallelCPM:
         self.stats.overlap_seconds = t2 - t1
         self.stats.n_overlap_pairs = n_counted
 
-        hierarchy = self._percolation_phase_packed(cliques, sizes, wire, min_k, top, ckpt)
+        hierarchy = self._percolate(cliques, sizes, wire, min_k, top, ckpt)
         self.stats.percolate_seconds = time.perf_counter() - t2
         return hierarchy
 
-    def _enumerate_phase_bitset(self) -> tuple[list[tuple[int, ...]], list[tuple], int]:
-        """Enumerate via the bitset/blocks kernel; returns (dense, labelled, n_nodes)."""
+    def _record_census(self, cliques: list, min_k: int, max_k: int | None) -> int:
+        """Fill the clique census stats; returns the top order to extract."""
+        census = CliqueCensus(cliques)
+        self.stats.n_cliques = len(cliques)
+        self.stats.max_clique_size = census.max_size
+        self.stats.size_histogram = census.histogram
+        self.metrics.set_gauge("cliques.max_size", census.max_size)
+        top = census.max_size if max_k is None else min(max_k, census.max_size)
+        if top < min_k:
+            raise ValueError(f"graph has no clique of size >= {min_k}; nothing to extract")
+        return top
+
+    def _enumerate(self) -> tuple[list[tuple[int, ...]], list[tuple], int]:
+        """One-shard enumeration with the kernel's own Bron–Kerbosch.
+
+        Returns ``(dense, labelled, n_nodes)``: dense-id cliques sorted
+        by size descending, the same cliques over node labels, and the
+        CSR node count.
+        """
         with self.tracer.span("cpm.enumerate") as span:
             enum_stats = CliqueEnumerationStats() if self._observing else None
             csr = CSRGraph.from_graph(self.graph)
@@ -659,66 +484,17 @@ class LightweightParallelCPM:
                 self.metrics.inc("cliques.bk_pivot_candidates", enum_stats.pivot_candidates)
         return dense, cliques, csr.n
 
-    def _overlap_phase_bitset(
-        self,
-        dense: list[tuple[int, ...]],
-        sizes: list[int],
-        n_nodes: int,
-    ) -> tuple[OverlapWire, int]:
-        """Count overlaps among size>=3 cliques and pack the wire."""
-        with self.tracer.span("cpm.overlap") as span:
-            t0 = time.perf_counter()
-            with self.tracer.span("cpm.overlap.index"):
-                index = build_node_index(dense, n_nodes)
-                counting = truncate_index(index, _prefix_count(sizes, 3))
-            shards = self._shard(counting, self.workers)
-            span.set("shards", len(shards))
-            if self.workers == 1 or len(shards) == 1:
-                counts, shard_stats = count_overlaps_shard(shards[0])
-                shard_reports = [shard_stats]
-            else:
-                counts = Counter()
-                shard_reports = []
-                supervisor = self._supervisor("overlap")
-                for partial, shard_stats in supervisor.run(
-                    count_overlaps_shard, shards, fallback=count_overlaps_shard
-                ):
-                    counts.update(partial)
-                    shard_reports.append(shard_stats)
-                self.stats.degraded = self.stats.degraded or supervisor.degraded
-            self._aggregate_shard_reports(shard_reports, time.perf_counter() - t0)
-
-            n_cliques = len(sizes)
-            shift = max(1, n_cliques.bit_length())
-            buckets = bucketize(counts, sizes, shift)
-            chains = chain_pairs(index, shift)
-            wire = OverlapWire(
-                n_cliques=n_cliques,
-                shift=shift,
-                n_pairs=sum(len(b) for b in buckets.values()),
-                n_chain_pairs=len(chains),
-                buckets={k: arr.tobytes() for k, arr in buckets.items()},
-                chains=chains.tobytes(),
-            )
-            self.metrics.inc("overlap.pairs", len(counts))
-            self.metrics.inc("overlap.chain_pairs", len(chains))
-            span.set("pairs", len(counts))
-            span.set("chain_pairs", len(chains))
-            span.set("bucketed_pairs", wire.n_pairs)
-            return wire, len(counts)
-
-    def _overlap_phase_blocks(
+    def _overlap_blocks(
         self,
         dense: list[tuple[int, ...]],
         sizes: list[int],
     ) -> tuple[OverlapWire, int]:
         """Vectorized overlap counting (blocks kernel), same wire out.
 
-        One batched numpy sweep replaces the inverted index + sharded
-        ``Counter`` pipeline — counting is already data-parallel inside
-        numpy, so the phase runs in-driver regardless of ``workers``
-        (the shard report below keeps the ``overlap.*`` aggregation
-        identical across kernels).
+        One whole-array numpy pass replaces the sharded counting tasks —
+        counting is already data-parallel inside numpy, so the phase
+        runs in the driver at any shard count (the report below keeps
+        the ``overlap.*`` aggregation identical across kernels).
         """
         from .blocks import count_overlaps_blocks
 
@@ -728,7 +504,7 @@ class LightweightParallelCPM:
             shift = max(1, n_cliques.bit_length())
             with self.tracer.span("cpm.blocks.count") as count_span:
                 wire, n_counted, shard_stats = count_overlaps_blocks(
-                    dense, sizes, _prefix_count(sizes, 3), shift
+                    dense, sizes, prefix_count(sizes, 3), shift
                 )
                 count_span.set("batches", shard_stats["batches"])
             span.set("shards", 1)
@@ -742,68 +518,35 @@ class LightweightParallelCPM:
             span.set("bucketed_pairs", wire.n_pairs)
             return wire, n_counted
 
-    def _percolation_phase_packed(
+    def _percolate(
         self,
         cliques: list,
         sizes: list[int],
         wire: OverlapWire,
         min_k: int,
         max_k: int,
-        ckpt: CheckpointStore | None = None,
+        ckpt: CheckpointStore | None,
     ) -> CommunityHierarchy:
         orders = list(range(max_k, min_k - 1, -1))  # descending: incremental sweep
         grouped, todo = self._percolation_resume_state(orders, min_k, max_k, ckpt)
         with self.tracer.span("cpm.percolate", orders=len(orders), pairs=wire.n_pairs):
-            t0 = time.perf_counter()
-            batch_reports: list[dict] = []
-
-            def absorb(index: int, part_and_stats: tuple) -> None:
-                part, batch_stats = part_and_stats
+            if todo and self.kernel == "bitset" and self.shards > 1:
+                # Contract each bucket slice to spanning chains (shard
+                # tasks); the sweep below stitches the global components.
+                # One shard has nothing to stitch, so it sweeps directly.
+                wire = sharded_reduce_wire(self, wire, ckpt)
+            else:
+                self.metrics.inc("overlap.bytes_shipped", 0)
+            for chunk in self._order_chunks(todo, ckpt):
+                eligibles = [prefix_count(sizes, k) for k in chunk]
+                part, batch = percolate_wire(self.kernel, chunk, eligibles, wire)
                 grouped.update(part)
-                batch_reports.append(batch_stats)
+                self.metrics.inc("percolate.skipped_pairs", batch["skipped_pairs"])
+                self.metrics.inc("percolate.union_merges", batch["union_merges"])
+                self.metrics.observe("percolate.batch_seconds", batch["wall_seconds"])
+                self.metrics.observe("percolate.batch_orders", batch["orders"])
                 if ckpt is not None:
                     ckpt.store_phase("percolate", grouped)
-
-            if not todo:
-                self.metrics.inc("overlap.bytes_shipped", 0)
-            elif self.shards > 1:
-                # Sharded boundary stitching: per-bucket slices are
-                # contracted to spanning chains worker-side, then one
-                # in-driver sweep over the reduced wire stitches the
-                # global components (identical partitions, so identical
-                # groups).
-                from ..shard.pipeline import sharded_reduce_wire
-
-                reduced = sharded_reduce_wire(self, wire, ckpt)
-                eligibles = [_prefix_count(sizes, k) for k in todo]
-                absorb(0, _percolate_orders_packed(todo, eligibles, reduced))
-            elif self.workers == 1:
-                if self.kernel == "blocks":
-                    from .blocks import percolate_orders_blocks as sweep
-                else:
-                    sweep = _percolate_orders_packed
-                for chunk in self._serial_chunks(todo, ckpt):
-                    eligibles = [_prefix_count(sizes, k) for k in chunk]
-                    absorb(0, sweep(chunk, eligibles, wire))
-                self.metrics.inc("overlap.bytes_shipped", 0)
-            else:
-                # Interleave orders across workers: low orders see more
-                # eligible cliques (more work), so round-robin balances load.
-                batches = [todo[w :: self.workers] for w in range(self.workers)]
-                batches = [b for b in batches if b]
-                tasks = [(b, [_prefix_count(sizes, k) for k in b]) for b in batches]
-                supervisor = self._supervisor(
-                    "percolate", initializer=_init_pool_shared, initargs=({"wire": wire},)
-                )
-                supervisor.run(
-                    _percolate_batch_packed,
-                    tasks,
-                    fallback=lambda task: _percolate_orders_packed(task[0], task[1], wire),
-                    on_result=absorb,
-                )
-                self.stats.degraded = self.stats.degraded or supervisor.degraded
-                self.metrics.inc("overlap.bytes_shipped", wire.n_bytes)
-            self._aggregate_batch_reports(batch_reports, time.perf_counter() - t0)
         self._boundary("percolate")
         with self.tracer.span("cpm.hierarchy"):
             return build_hierarchy(cliques, grouped, tracer=self.tracer, metrics=self.metrics)
@@ -826,219 +569,17 @@ class LightweightParallelCPM:
         todo = [k for k in orders if k not in grouped]
         return grouped, todo
 
-    def _serial_chunks(self, todo: list[int], ckpt: CheckpointStore | None) -> list[list[int]]:
-        """Order chunks for the serial path: one big chunk, or a few when
-        checkpointing (progress is persisted per chunk, at the cost of
-        re-scanning the pair buckets once per extra chunk)."""
+    @staticmethod
+    def _order_chunks(todo: list[int], ckpt: CheckpointStore | None) -> list[list[int]]:
+        """Order chunks for the percolation sweep: one big chunk, or a few
+        when checkpointing (progress is persisted per chunk, at the cost
+        of re-scanning the pair buckets once per extra chunk)."""
         if ckpt is None or len(todo) <= 1:
-            return [todo]
+            return [todo] if todo else []
         n_chunks = min(4, len(todo))
         size = -(-len(todo) // n_chunks)
         return [todo[i : i + size] for i in range(0, len(todo), size)]
 
-    # ------------------------------------------------------------------
-    # Set kernel (reference)
-    # ------------------------------------------------------------------
-    def _run_set(
-        self,
-        min_k: int,
-        max_k: int | None,
-        checksum: str | None,
-        payload: dict | None,
-        ckpt: CheckpointStore | None = None,
-    ) -> CommunityHierarchy:
-        t0 = time.perf_counter()
-        if payload is not None:
-            cliques = payload["cliques"]
-        else:
-            enum_ck = self._load_checkpoint_phase(ckpt, "enumerate")
-            if enum_ck is not None:
-                cliques = enum_ck["cliques"]
-                self._mark_resumed("enumerate")
-            else:
-                if self.shards > 1:
-                    from ..shard.pipeline import sharded_enumerate_set
-
-                    cliques = sharded_enumerate_set(self, ckpt)
-                else:
-                    cliques = self._enumerate_phase()
-                if ckpt is not None:
-                    ckpt.store_phase("enumerate", {"cliques": cliques})
-        self._boundary("enumerate")
-        t1 = time.perf_counter()
-        census = CliqueCensus(cliques)
-        self.stats.n_cliques = len(cliques)
-        self.stats.max_clique_size = census.max_size
-        self.stats.size_histogram = census.histogram
-        self.stats.enumerate_seconds = t1 - t0
-        self.metrics.set_gauge("cliques.max_size", census.max_size)
-        top = census.max_size if max_k is None else min(max_k, census.max_size)
-        if top < min_k:
-            raise ValueError(f"graph has no clique of size >= {min_k}; nothing to extract")
-
-        sizes = [len(c) for c in cliques]
-        overlaps: dict | None = None
-        wire: OverlapWire | None = None
-        n_counted = 0
-        if payload is not None:
-            overlaps = payload["overlaps"]
-        else:
-            over_ck = self._load_checkpoint_phase(ckpt, "overlap")
-            if over_ck is not None and "overlaps" in over_ck:
-                overlaps = over_ck["overlaps"]
-                self._mark_resumed("overlap")
-            elif (
-                over_ck is not None
-                and "wire" in over_ck
-                and over_ck.get("wire_checksum") == over_ck["wire"].checksum()
-            ):
-                # A sharded set run checkpointed its overlap phase in
-                # wire form; resume it the same way.
-                wire = over_ck["wire"]
-                n_counted = over_ck["counted_pairs"]
-                self._mark_resumed("overlap")
-            elif self.shards > 1:
-                from ..shard.pipeline import sharded_overlap_set
-
-                wire, n_counted = sharded_overlap_set(self, cliques, sizes, ckpt)
-                if ckpt is not None:
-                    ckpt.store_phase(
-                        "overlap",
-                        {
-                            "wire": wire,
-                            "counted_pairs": n_counted,
-                            "wire_checksum": wire.checksum(),
-                        },
-                    )
-            else:
-                overlaps = self._overlap_phase(cliques)
-                self._cache_store(checksum, {"cliques": cliques, "overlaps": overlaps})
-                if ckpt is not None:
-                    ckpt.store_phase("overlap", {"overlaps": overlaps})
-        self._boundary("overlap")
-        t2 = time.perf_counter()
-        self.stats.overlap_seconds = t2 - t1
-        self.stats.n_overlap_pairs = n_counted if overlaps is None else len(overlaps)
-
-        if overlaps is None:
-            # Sharded set runs percolate over the packed wire (the same
-            # Baudin-truncated representation the dense kernels use).
-            hierarchy = self._percolation_phase_packed(
-                cliques, sizes, wire, min_k, top, ckpt
-            )
-        else:
-            hierarchy = self._percolation_phase(cliques, sizes, overlaps, min_k, top, ckpt)
-        self.stats.percolate_seconds = time.perf_counter() - t2
-        return hierarchy
-
-    def _enumerate_phase(self) -> list[frozenset]:
-        with self.tracer.span("cpm.enumerate") as span:
-            enum_stats = CliqueEnumerationStats() if self._observing else None
-            cliques = sorted(
-                maximal_cliques(self.graph, min_size=2, stats=enum_stats),
-                key=len,
-                reverse=True,
-            )
-            span.set("n_cliques", len(cliques))
-            span.set("kernel", "set")
-            self.metrics.inc("cliques.enumerated", len(cliques))
-            if enum_stats is not None:
-                span.set("recursive_calls", enum_stats.calls)
-                self.metrics.inc("cliques.bk_calls", enum_stats.calls)
-                self.metrics.inc("cliques.bk_branches", enum_stats.branches)
-                self.metrics.inc("cliques.bk_pivot_candidates", enum_stats.pivot_candidates)
-        return cliques
-
-    def _overlap_phase(self, cliques: list[frozenset]) -> dict[tuple[int, int], int]:
-        with self.tracer.span("cpm.overlap") as span:
-            t0 = time.perf_counter()
-            with self.tracer.span("cpm.overlap.index"):
-                index: dict[object, list[int]] = {}
-                for cid, clique in enumerate(cliques):
-                    for node in clique:
-                        index.setdefault(node, []).append(cid)
-            shards = self._shard(list(index.values()), self.workers)
-            span.set("shards", len(shards))
-            shard_reports: list[dict]
-            if self.workers == 1 or len(shards) == 1:
-                counts, shard_stats = _count_pairs_shard(shards[0])
-                total = dict(counts)
-                shard_reports = [shard_stats]
-            else:
-                merged: Counter[tuple[int, int]] = Counter()
-                shard_reports = []
-                supervisor = self._supervisor("overlap")
-                for partial, shard_stats in supervisor.run(
-                    _count_pairs_shard, shards, fallback=_count_pairs_shard
-                ):
-                    merged.update(partial)
-                    shard_reports.append(shard_stats)
-                self.stats.degraded = self.stats.degraded or supervisor.degraded
-                total = dict(merged)
-            self._aggregate_shard_reports(shard_reports, time.perf_counter() - t0)
-            self.metrics.inc("overlap.pairs", len(total))
-            span.set("pairs", len(total))
-            return total
-
-    def _percolation_phase(
-        self,
-        cliques: list[frozenset],
-        sizes: list[int],
-        overlaps: dict[tuple[int, int], int],
-        min_k: int,
-        max_k: int,
-        ckpt: CheckpointStore | None = None,
-    ) -> CommunityHierarchy:
-        orders = list(range(min_k, max_k + 1))
-        pairs = [(i, j, o) for (i, j), o in overlaps.items()]
-        grouped, todo = self._percolation_resume_state(orders, min_k, max_k, ckpt)
-        with self.tracer.span("cpm.percolate", orders=len(orders), pairs=len(pairs)):
-            t0 = time.perf_counter()
-            batch_reports: list[dict] = []
-
-            def absorb(index: int, part_and_stats: tuple) -> None:
-                part, batch_stats = part_and_stats
-                grouped.update(part)
-                batch_reports.append(batch_stats)
-                if ckpt is not None:
-                    ckpt.store_phase("percolate", grouped)
-
-            if not todo:
-                self.metrics.inc("overlap.bytes_shipped", 0)
-            elif self.workers == 1:
-                for chunk in self._serial_chunks(todo, ckpt):
-                    absorb(0, _percolate_orders(chunk, sizes, pairs))
-                self.metrics.inc("overlap.bytes_shipped", 0)
-            else:
-                # Interleave orders across workers: low orders see more
-                # eligible cliques (more work), so round-robin balances load.
-                batches = [todo[w :: self.workers] for w in range(self.workers)]
-                batches = [b for b in batches if b]
-                # Pack the triples once and install them per worker process
-                # via the pool initializer — the old path re-pickled the
-                # whole pair list for every batch (O(workers x pairs)).
-                blob = pack_triples(pairs).tobytes()
-                supervisor = self._supervisor(
-                    "percolate",
-                    initializer=_init_pool_shared,
-                    initargs=({"sizes": sizes, "triples": blob},),
-                )
-                supervisor.run(
-                    _percolate_batch_set,
-                    batches,
-                    fallback=lambda orders: _percolate_orders(orders, sizes, pairs),
-                    on_result=absorb,
-                )
-                self.stats.degraded = self.stats.degraded or supervisor.degraded
-                self.metrics.inc("overlap.bytes_shipped", len(blob))
-            self._aggregate_batch_reports(batch_reports, time.perf_counter() - t0)
-        self._boundary("percolate")
-        with self.tracer.span("cpm.hierarchy"):
-            return build_hierarchy(cliques, grouped, tracer=self.tracer, metrics=self.metrics)
-
-    # ------------------------------------------------------------------
-    # Shared plumbing
-    # ------------------------------------------------------------------
     def _aggregate_shard_reports(self, shard_reports: list[dict], elapsed: float) -> None:
         busy = 0.0
         for shard_stats in shard_reports:
@@ -1053,34 +594,28 @@ class LightweightParallelCPM:
                 "overlap.worker_utilisation", min(1.0, busy / (elapsed * self.workers))
             )
 
-    def _aggregate_batch_reports(self, batch_reports: list[dict], elapsed: float) -> None:
-        busy = 0.0
-        for batch_stats in batch_reports:
-            busy += batch_stats["wall_seconds"]
-            self.metrics.inc("percolate.skipped_pairs", batch_stats["skipped_pairs"])
-            self.metrics.inc("percolate.union_merges", batch_stats["union_merges"])
-            self.metrics.observe("percolate.batch_seconds", batch_stats["wall_seconds"])
-            self.metrics.observe("percolate.batch_orders", batch_stats["orders"])
-            self.metrics.observe("worker.max_rss_kib", batch_stats["max_rss_kib"])
-        if elapsed > 0:
-            self.metrics.set_gauge(
-                "percolate.worker_utilisation", min(1.0, busy / (elapsed * self.workers))
-            )
-
-    @staticmethod
-    def _shard(items: list, n: int) -> list[list]:
-        """Split ``items`` into up to ``n`` contiguous shards (never empty)."""
-        if not items:
-            return [[]]
-        n = min(n, len(items))
-        size, extra = divmod(len(items), n)
-        shards, start = [], 0
-        for w in range(n):
-            end = start + size + (1 if w < extra else 0)
-            shards.append(items[start:end])
-            start = end
-        return shards
-
-    def overlap_index(self) -> CliqueOverlapIndex:
-        """Expose the sequential index (shared API with repro.core.percolation)."""
-        return CliqueOverlapIndex.from_graph(self.graph)
+    # ------------------------------------------------------------------
+    # The set kernel: the serial reference oracle
+    # ------------------------------------------------------------------
+    def _run_oracle(self, min_k: int, max_k: int | None) -> CommunityHierarchy:
+        """:func:`extract_hierarchy` over a :class:`CliqueOverlapIndex`."""
+        t0 = time.perf_counter()
+        index = CliqueOverlapIndex.from_graph(
+            self.graph, tracer=self.tracer, metrics=self.metrics
+        )
+        t1 = time.perf_counter()
+        self.stats.enumerate_seconds = t1 - t0
+        self._record_census(index.cliques, min_k, max_k)
+        self.stats.n_overlap_pairs = len(index.overlaps())
+        t2 = time.perf_counter()
+        self.stats.overlap_seconds = t2 - t1
+        hierarchy = extract_hierarchy(
+            self.graph,
+            min_k=min_k,
+            max_k=max_k,
+            index=index,
+            tracer=self.tracer,
+            metrics=self.metrics,
+        )
+        self.stats.percolate_seconds = time.perf_counter() - t2
+        return hierarchy

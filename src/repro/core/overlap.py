@@ -19,7 +19,7 @@ three observations:
   ``sizes[j] <= sizes[i]``) participates exactly at orders
   ``k <= k_act = min(sizes[j], o + 1)``.  Bucketing pairs by ``k_act``
   lets one union-find sweep orders descending, applying each pair once
-  (see ``_percolate_orders_packed`` in :mod:`.lightweight`).
+  (see :func:`~.percolation.percolate_wire`).
 
 Pairs are packed as ``(i << shift) | j`` words in ``array('q')``
 buffers whose ``bytes`` form ships to worker processes (and into the
@@ -29,24 +29,15 @@ list of tuples.  :class:`OverlapWire` is that shippable bundle.
 
 from __future__ import annotations
 
-import time
 from array import array
 from bisect import bisect_left
-from collections import Counter
 from dataclasses import dataclass, field
-from itertools import combinations
-
-from ..obs.tracing import max_rss_kib
-from ..obs.worker import current_metrics, worker_span
 
 __all__ = [
     "OverlapWire",
     "build_node_index",
-    "count_overlaps_shard",
     "chain_pairs",
-    "bucketize",
-    "pack_triples",
-    "unpack_triples",
+    "truncate_index",
 ]
 
 
@@ -113,44 +104,6 @@ def build_node_index(cliques: list[tuple[int, ...]], n_nodes: int) -> list[list[
     return index
 
 
-def count_overlaps_shard(shard: list[list[int]]) -> tuple[Counter, dict]:
-    """Worker: co-occurrence counts over one shard of the inverted index.
-
-    Each list in ``shard`` is one node's clique ids, already truncated
-    to counting-eligible cliques (size >= 3).  ``Counter.update`` over
-    ``itertools.combinations`` keeps the quadratic inner loop in C.
-    Returns the pair counter plus a self-timed statistics dict shaped
-    like the set kernel's, so the parent aggregates both identically.
-    """
-    t0, c0 = time.perf_counter(), time.process_time()
-    with worker_span("worker.overlap.count", nodes=len(shard)) as span:
-        counter: Counter[tuple[int, int]] = Counter()
-        update = counter.update
-        incidences = 0
-        pair_updates = 0
-        for cids in shard:
-            n = len(cids)
-            incidences += n
-            pair_updates += n * (n - 1) // 2
-            update(combinations(cids, 2))
-        span.set("pairs", len(counter))
-        registry = current_metrics()
-        if registry is not None:
-            registry.inc("worker.overlap.pair_updates", pair_updates)
-            registry.inc("worker.overlap.distinct_pairs", len(counter))
-            registry.observe("worker.overlap.shard_nodes", len(shard))
-    stats = {
-        "nodes": len(shard),
-        "incidences": incidences,
-        "pair_updates": pair_updates,
-        "distinct_pairs": len(counter),
-        "wall_seconds": time.perf_counter() - t0,
-        "cpu_seconds": time.process_time() - c0,
-        "max_rss_kib": max_rss_kib(),
-    }
-    return counter, stats
-
-
 def truncate_index(index: list[list[int]], n_counting: int) -> list[list[int]]:
     """Per-node id lists restricted to the counting-eligible prefix.
 
@@ -184,49 +137,3 @@ def chain_pairs(index: list[list[int]], shift: int) -> array:
                 append((prev << shift) | cid)
             prev = cid
     return out
-
-
-def bucketize(
-    counts: Counter, sizes: list[int], shift: int
-) -> dict[int, array]:
-    """Group counted pairs by activation order, packed.
-
-    A pair's activation order is ``k_act = min(sizes[j], o + 1)`` (with
-    j > i and sizes descending, ``sizes[j]`` is the smaller clique):
-    the largest k at which both cliques are eligible and the overlap
-    meets the k - 1 threshold.  Overlap-1 pairs are dropped entirely —
-    they only matter at k = 2, where the chain pairs already cover
-    them.
-    """
-    buckets: dict[int, array] = {}
-    get = buckets.get
-    for (i, j), o in counts.items():
-        if o <= 1:
-            continue
-        sj = sizes[j]
-        k_act = sj if sj < o + 1 else o + 1
-        arr = get(k_act)
-        if arr is None:
-            arr = buckets[k_act] = array("q")
-        arr.append((i << shift) | j)
-    return buckets
-
-
-def pack_triples(pairs: list[tuple[int, int, int]]) -> array:
-    """Flatten (i, j, overlap) triples into a stride-3 ``array('q')``.
-
-    The set kernel's percolation pairs, in shippable form: the bytes of
-    this array replace the old per-batch re-pickle of the whole list of
-    tuples (the O(workers x pairs) fan-out this PR removes).
-    """
-    out = array("q")
-    for triple in pairs:
-        out.extend(triple)
-    return out
-
-
-def unpack_triples(blob: bytes) -> list[tuple[int, int, int]]:
-    """Rebuild the (i, j, overlap) list from a stride-3 buffer."""
-    arr = array("q")
-    arr.frombytes(blob)
-    return list(zip(arr[0::3], arr[1::3], arr[2::3]))

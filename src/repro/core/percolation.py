@@ -32,6 +32,7 @@ order — the structure the Lightweight Parallel CPM [11] parallelises.
 
 from __future__ import annotations
 
+import time
 from array import array
 from collections import Counter
 from collections.abc import Hashable, Sequence
@@ -39,7 +40,7 @@ from collections.abc import Hashable, Sequence
 from ..graph.undirected import Graph
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracing import NULL_TRACER, Tracer
-from .cliques import k_cliques, maximal_cliques
+from .cliques import CliqueEnumerationStats, k_cliques, maximal_cliques
 from .communities import CommunityCover, CommunityHierarchy, rank_member_sets
 from .overlap import OverlapWire
 from .unionfind import IntUnionFind, UnionFind
@@ -50,8 +51,47 @@ __all__ = [
     "k_clique_communities_direct",
     "extract_hierarchy",
     "build_hierarchy",
+    "percolate_wire",
     "sweep_wire",
 ]
+
+
+def percolate_wire(
+    kernel: str,
+    orders: Sequence[int],
+    eligibles: Sequence[int | Sequence[int]],
+    wire: OverlapWire,
+) -> tuple[dict[int, list[list[int]]], dict]:
+    """Percolate every order in ``orders`` over one packed overlap wire.
+
+    The single percolation entry point of the batch pipeline and of the
+    incremental :class:`~repro.incremental.CPMSession`: the truncated
+    wire (Baudin et al.) is the only state percolation needs, so the
+    kernel only picks the backend — the numpy min-label sweep
+    (:func:`~.blocks.percolate_orders_blocks`) for ``"blocks"``, the
+    pure-Python union-find sweep (:func:`sweep_wire`) otherwise.  Both
+    honour the same contract (``orders`` strictly descending,
+    ``eligibles`` aligned as prefix counts or explicit id lists) and
+    return identically ordered groups.
+
+    Returns ``(groups_by_order, stats)``; ``stats`` is the self-timed
+    report the pipeline aggregates into the ``percolate.*`` metrics.
+    """
+    t0 = time.perf_counter()
+    if kernel == "blocks":
+        from .blocks import percolate_orders_blocks as sweep
+    else:
+        sweep = sweep_wire
+    result, merges, applied = sweep(orders, eligibles, wire)
+    pairs_in = wire.n_pairs + wire.n_chain_pairs
+    stats = {
+        "orders": len(orders),
+        "pairs_in": pairs_in,
+        "skipped_pairs": max(0, pairs_in - applied),
+        "union_merges": merges,
+        "wall_seconds": time.perf_counter() - t0,
+    }
+    return result, stats
 
 
 def sweep_wire(
@@ -63,7 +103,7 @@ def sweep_wire(
 
     ``orders`` must be strictly descending, with ``eligibles`` aligned:
     each entry is either the *count* of cliques of size >= that order
-    (a prefix, for the batch kernels whose clique ids are assigned in
+    (a prefix, for the batch pipeline whose clique ids are assigned in
     size-descending order) or an explicit *list* of the eligible
     clique ids (for the incremental session, whose stable lifetime ids
     are not size-sorted).  A pair bucketed at activation order
@@ -73,14 +113,8 @@ def sweep_wire(
     once and groups are snapshotted over the eligible cliques.  At
     k = 2 the chain buffer is folded in (order-2 connectivity over
     *all* cliques, including the 2-cliques the counting phase
-    excludes).
-
-    This is the percolation core shared by the parallel kernels (via
-    ``_percolate_orders_packed`` in :mod:`.lightweight`, which adds
-    worker spans and self-timing) and by the incremental
-    :class:`~repro.incremental.CPMSession`, which re-sweeps only the
-    orders a delta affected over its persistent pair wire.  Returns
-    ``(groups_by_order, merges, pairs_applied)``.
+    excludes).  Returns ``(groups_by_order, merges, pairs_applied)``;
+    call it through :func:`percolate_wire`.
     """
     uf = IntUnionFind(wire.n_cliques)
     shift = wire.shift
@@ -143,10 +177,17 @@ class CliqueOverlapIndex:
     ) -> "CliqueOverlapIndex":
         """Enumerate the maximal cliques of ``graph`` and index them."""
         tracer = tracer if tracer is not None else NULL_TRACER
-        with tracer.span("cpm.enumerate"):
-            cliques = maximal_cliques(graph, min_size=2)
+        observing = tracer.enabled or metrics is not None
+        enum_stats = CliqueEnumerationStats() if observing else None
+        with tracer.span("cpm.enumerate", kernel="set") as span:
+            cliques = maximal_cliques(graph, min_size=2, stats=enum_stats)
+            span.set("n_cliques", len(cliques))
         index = cls(cliques, tracer=tracer, metrics=metrics)
         index.metrics.inc("cliques.enumerated", len(cliques))
+        if enum_stats is not None:
+            index.metrics.inc("cliques.bk_calls", enum_stats.calls)
+            index.metrics.inc("cliques.bk_branches", enum_stats.branches)
+            index.metrics.inc("cliques.bk_pivot_candidates", enum_stats.pivot_candidates)
         return index
 
     @property
@@ -170,8 +211,10 @@ class CliqueOverlapIndex:
         """
         if self._overlaps is None:
             with self.tracer.span("cpm.overlap") as span:
+                with self.tracer.span("cpm.overlap.index"):
+                    node_index = self.node_index()
                 counter: Counter[tuple[int, int]] = Counter()
-                for cids in self.node_index().values():
+                for cids in node_index.values():
                     for a in range(len(cids)):
                         ca = cids[a]
                         for b in range(a + 1, len(cids)):
@@ -304,8 +347,10 @@ def extract_hierarchy(
     may be supplied to share the enumeration/overlap work.  The result
     carries exact parent provenance (``hierarchy.parent_labels``).
     ``tracer``/``metrics`` instrument the run like the parallel
-    extractor does (``docs/observability.md``).
+    extractor does (``docs/observability.md``).  This is the serial
+    reference oracle behind ``kernel="set"``.
     """
+    tracer = tracer if tracer is not None else NULL_TRACER
     if index is None:
         index = CliqueOverlapIndex.from_graph(graph, tracer=tracer, metrics=metrics)
     top = index.max_clique_size if max_k is None else min(max_k, index.max_clique_size)
@@ -313,8 +358,11 @@ def extract_hierarchy(
         raise ValueError(f"min_k must be >= 2, got {min_k}")
     if top < min_k:
         raise ValueError(f"graph has no clique of size >= {min_k}; nothing to extract")
-    groups_by_k = {k: index.percolate_groups(k) for k in range(min_k, top + 1)}
-    return build_hierarchy(index.cliques, groups_by_k, tracer=tracer, metrics=metrics)
+    index.overlaps()  # its cpm.overlap span sits beside cpm.percolate, not under it
+    with tracer.span("cpm.percolate", orders=top - min_k + 1):
+        groups_by_k = {k: index.percolate_groups(k) for k in range(min_k, top + 1)}
+    with tracer.span("cpm.hierarchy"):
+        return build_hierarchy(index.cliques, groups_by_k, tracer=tracer, metrics=metrics)
 
 
 def k_clique_communities_direct(graph: Graph, k: int) -> CommunityCover:

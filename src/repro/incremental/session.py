@@ -60,9 +60,9 @@ from pathlib import Path
 from ..core.cache import CliqueCache
 from ..core.cliques import local_maximal_cliques, maximal_cliques, maximal_cliques_bitset
 from ..core.communities import CommunityHierarchy
-from ..core.lightweight import resolve_kernel
+from ..core.lightweight import check_oracle_options, resolve_kernel
 from ..core.overlap import OverlapWire
-from ..core.percolation import build_hierarchy, sweep_wire
+from ..core.percolation import build_hierarchy, percolate_wire
 from ..graph.csr import CSRGraph
 from ..graph.undirected import Graph
 from ..obs.logging import get_logger
@@ -74,6 +74,7 @@ from ..runner.checkpoint import (
     CheckpointMismatchError,
     CheckpointStore,
 )
+from ..shard.plan import prefix_count
 from .delta import CPMUpdate, EdgeDelta, diff_covers
 
 #: Structured-log handle (no-op until ``--log-json`` configures one).
@@ -94,18 +95,6 @@ _KERNEL_TAG = "session:"
 #: Fixed for the session's lifetime (stable clique ids only grow), so
 #: packed words never need re-encoding; supports ids up to 2^31.
 _WIRE_SHIFT = 32
-
-
-def _prefix_ge(sizes_desc: list[int], k: int) -> int:
-    """How many leading entries of a descending size list are >= k."""
-    lo, hi = 0, len(sizes_desc)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if sizes_desc[mid] >= k:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
 
 
 def _graph_from_csr(csr: CSRGraph) -> Graph:
@@ -138,7 +127,8 @@ class CPMSession:
     semantics as :func:`repro.run_cpm`).  ``cache`` (a
     :class:`~repro.core.cache.CliqueCache`) is probed read-only for
     the initial clique/overlap payload a previous ``run_cpm`` may have
-    left behind.  ``tracer``/``metrics`` instrument the session with
+    left behind (the ``set`` oracle takes no cache, as in
+    :func:`repro.run_cpm`).  ``tracer``/``metrics`` instrument the session with
     the ``incr.*`` spans and counters of ``docs/observability.md``.
 
     >>> from repro.graph import ring_of_cliques
@@ -158,6 +148,7 @@ class CPMSession:
         metrics: MetricsRegistry | None = None,
     ) -> None:
         self.kernel = resolve_kernel(kernel)
+        check_oracle_options(self.kernel, cache=cache)
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.graph = graph.copy()
@@ -199,36 +190,26 @@ class CPMSession:
         """Enumerate (or cache-load) the maximal cliques, size-descending.
 
         On a cache hit the counted pairs are installed directly from
-        the stored payload too (the wire's activation buckets for the
-        integer kernels, the raw overlap dict for the set kernel) —
-        the cache is read-only here: a scratch build never writes it,
-        because the session does not materialise the exact payload
-        layout ``run_cpm`` persists.
+        the stored payload's wire activation buckets too — the cache
+        is read-only here: a scratch build never writes it, because the
+        session does not materialise the exact payload layout
+        ``run_cpm`` persists.
         """
         checksum = graph_fingerprint(self.graph)["checksum"]
         payload = cache.load(checksum, self.kernel) if cache is not None else None
         if payload is not None:
             self.cache_hit = True
             self.metrics.inc("cache.hits")
-            if self.kernel == "set":
-                cliques = [frozenset(c) for c in payload["cliques"]]
-                sizes = [len(c) for c in cliques]
-                self._pair_kact = {
-                    (i, j): min(sizes[j], o + 1)
-                    for (i, j), o in payload["overlaps"].items()
-                    if o >= 2
-                }
-            else:
-                cliques = [frozenset(c) for c in payload["cliques"]]
-                wire = payload["wire"]
-                mask = (1 << wire.shift) - 1
-                pairs: dict[tuple[int, int], int] = {}
-                for k_act, blob in wire.buckets.items():
-                    buf = array("q")
-                    buf.frombytes(blob)
-                    for word in buf:
-                        pairs[(word >> wire.shift, word & mask)] = k_act
-                self._pair_kact = pairs
+            cliques = [frozenset(c) for c in payload["cliques"]]
+            wire = payload["wire"]
+            mask = (1 << wire.shift) - 1
+            pairs: dict[tuple[int, int], int] = {}
+            for k_act, blob in wire.buckets.items():
+                buf = array("q")
+                buf.frombytes(blob)
+                for word in buf:
+                    pairs[(word >> wire.shift, word & mask)] = k_act
+            self._pair_kact = pairs
             return cliques
         if cache is not None:
             self.metrics.inc("cache.misses")
@@ -266,7 +247,7 @@ class CPMSession:
         already provide connectivity.  This is what bounds session
         memory below the full clique-adjacency graph.
         """
-        n3 = _prefix_ge([len(self._members[c]) for c in range(self._next_id)], 3)
+        n3 = prefix_count([len(self._members[c]) for c in range(self._next_id)], 3)
         counts: Counter[tuple[int, int]] = Counter()
         update = counts.update
         for cids in self._index.values():
@@ -626,10 +607,9 @@ class CPMSession:
         positions, so no per-apply remapping or re-packing of the
         ~10^5 retained pairs happens; only the order-2 chains (which
         depend on the mutable node index) are rebuilt.  The sweep is
-        the same descending :func:`~repro.core.percolation.sweep_wire`
-        the batch pipeline uses, with explicit per-order eligible-id
-        lists instead of prefix counts (stable ids are not
-        size-sorted).
+        the same :func:`~repro.core.percolation.percolate_wire` the
+        batch pipeline uses, with explicit per-order eligible-id lists
+        instead of prefix counts (stable ids are not size-sorted).
         """
         for k in [k for k in self._groups if k > new_max]:
             del self._groups[k]
@@ -660,17 +640,8 @@ class CPMSession:
             },
             chains=chains.tobytes(),
         )
-        eligibles = [ids[: _prefix_ge(sizes, k)] for k in orders]
-        if self.kernel == "blocks":
-            # The vectorised sweep twin: identical descending-bucket
-            # contract and group ordering (parity-fuzzed against
-            # sweep_wire in tests/test_incremental.py), min-label
-            # propagation instead of union-find.
-            from ..core.blocks import percolate_orders_blocks
-
-            groups_by_order, _stats = percolate_orders_blocks(orders, eligibles, wire)
-        else:
-            groups_by_order, _merges, _applied = sweep_wire(orders, eligibles, wire)
+        eligibles = [ids[: prefix_count(sizes, k)] for k in orders]
+        groups_by_order, _stats = percolate_wire(self.kernel, orders, eligibles, wire)
         for k, groups in groups_by_order.items():
             self._groups[k] = [sorted(group) for group in groups]
 

@@ -42,7 +42,7 @@ class PaperRun:
         *,
         workers: int = 1,
         kernel: str = "bitset",
-        shards: int | str = 1,
+        shards: int | str = "auto",
         analysis_engine: str = "bitset",
         cache=None,
         checkpoint=None,

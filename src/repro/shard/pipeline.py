@@ -1,25 +1,31 @@
-"""Driver-side orchestration of the sharded CPM pipeline.
+"""Driver-side orchestration of the CPM pipeline's pure-Python phases.
 
-Turns each LP-CPM phase into a shard-task fan-out through the owning
-:class:`~repro.core.lightweight.LightweightParallelCPM` instance's
-:class:`~repro.runner.supervise.PoolSupervisor` (retry, timeout,
-degradation and worker telemetry for free), then reassembles results
-so the pipeline's outputs are byte-identical to the serial path:
+Turns each pure-Python LP-CPM phase into a shard-task fan-out through
+the owning :class:`~repro.core.lightweight.LightweightParallelCPM`
+instance's :class:`~repro.runner.supervise.PoolSupervisor` (retry,
+timeout, degradation and worker telemetry for free), then reassembles
+results so the pipeline's outputs are byte-identical at every shard
+count.  A run with one worker executes the very same task functions
+in the driver, one chunk at a time, and a one-shard bitset run counts
+overlaps as a single in-driver chunk — there is no separate serial
+counter.  The blocks kernel's numpy phases (overlap counting and the
+percolation sweep) never come through here: they are whole-array
+operations and run in the driver at any shard count.
 
 * **Enumeration** — the shard plan partitions degeneracy-ordered
   vertices; workers return cliques keyed by vertex and the driver
   reassembles them in global vertex order (the serial kernel's exact
   emission sequence) before the usual stable size-descending sort.
-* **Overlap** — node-index chunks are counted into per-``i``-shard
-  word→count maps; the driver merges and bucketizes one i-shard at a
-  time, bounding the merge's working set (Baudin truncation bounds
-  ``j``, i-sharding bounds the merge).
-* **Percolation** — each activation-order bucket is sliced across
-  shards, contracted worker-side to spanning-chain words by a local
-  :class:`~repro.core.unionfind.IntUnionFind`, and the reduced wire is
-  stitched by one driver sweep.  Spanning chains preserve each slice's
-  connectivity exactly, so the stitched components — and therefore the
-  hierarchy — match the unsharded sweep.
+* **Overlap** (bitset kernel) — node-index chunks are counted into
+  per-``i``-shard word→count maps; the driver merges and bucketizes one
+  i-shard at a time, bounding the merge's working set (Baudin
+  truncation bounds ``j``, i-sharding bounds the merge).
+* **Percolation** (bitset kernel) — each activation-order bucket is
+  sliced across shards, contracted worker-side to spanning-chain words
+  by a local :class:`~repro.core.unionfind.IntUnionFind`, and the
+  reduced wire is stitched by one driver sweep.  Spanning chains
+  preserve each slice's connectivity exactly, so the stitched
+  components — and therefore the hierarchy — match the unreduced sweep.
 
 Each fan-out checkpoints per-task results under the ``shard_*`` phases
 of :class:`~repro.runner.checkpoint.CheckpointStore`, so a run killed
@@ -34,24 +40,21 @@ from __future__ import annotations
 import time
 from array import array
 
+from ..core.overlap import OverlapWire, build_node_index, chain_pairs, truncate_index
 from ..graph.csr import CSRGraph
-from ..graph.degeneracy import degeneracy_ordering
 from ..obs.logging import get_logger
 from ..runner.checkpoint import CheckpointStore
-from .plan import ShardPlan, plan_shards
+from .plan import ShardPlan, plan_shards, prefix_count, split_contiguous
 from .workers import (
     count_shard_words,
     enumerate_shard_bitset,
-    enumerate_shard_set,
     install_shared,
     reduce_shard_bucket,
 )
 
 __all__ = [
     "sharded_enumerate_dense",
-    "sharded_enumerate_set",
     "sharded_overlap_dense",
-    "sharded_overlap_set",
     "sharded_reduce_wire",
 ]
 
@@ -59,17 +62,22 @@ __all__ = [
 # ----------------------------------------------------------------------
 # Shared fan-out plumbing
 # ----------------------------------------------------------------------
+def _fans_out(cpm) -> bool:
+    """True iff shard tasks go to a worker pool (more than one of each)."""
+    return cpm.workers > 1 and cpm.shards > 1
+
+
 def _dispatch(cpm, phase: str, fn, tasks: list, payload: dict, on_result) -> None:
     """Run shard tasks through the supervisor (or in-driver serially).
 
-    The payload is installed in the driver process too, so the
-    ``workers == 1`` path and the supervisor's serial-degradation
-    fallback execute against the same shared state as pool workers.
+    The payload is installed in the driver process too, so in-driver
+    execution and the supervisor's serial-degradation fallback run
+    against the same shared state as pool workers.
     """
     install_shared(dict(payload))
     if not tasks:
         return
-    if cpm.workers == 1:
+    if not _fans_out(cpm):
         for index, task in enumerate(tasks):
             on_result(index, fn(task))
         return
@@ -136,7 +144,7 @@ def _absorb_enumerate_stats(cpm, stats: dict) -> None:
 # Enumeration
 # ----------------------------------------------------------------------
 def sharded_enumerate_dense(cpm, ckpt: CheckpointStore | None):
-    """Sharded Bron–Kerbosch over the CSR snapshot (bitset/blocks).
+    """Sharded Bron–Kerbosch over the CSR snapshot (every kernel, shards > 1).
 
     Returns the serial kernel's exact ``(dense, cliques, n_nodes)``:
     per-vertex reassembly in ascending id order reproduces the serial
@@ -190,59 +198,6 @@ def sharded_enumerate_dense(cpm, ckpt: CheckpointStore | None):
     return dense, cliques, n
 
 
-def sharded_enumerate_set(cpm, ckpt: CheckpointStore | None):
-    """Sharded set-oracle enumeration; returns size-sorted frozensets."""
-    with cpm.tracer.span("cpm.enumerate") as span:
-        graph = cpm.graph
-        order = degeneracy_ordering(graph)
-        rank = {node: i for i, node in enumerate(order)}
-        n = len(order)
-        with cpm.tracer.span("shard.plan") as plan_span:
-            forward = [
-                sum(1 for u in graph.neighbors(node) if rank[u] > pos)
-                for pos, node in enumerate(order)
-            ]
-            plan = plan_shards(forward, cpm.shards)
-            closure_rows = []
-            for owned in plan.owners:
-                closure: set = set()
-                for pos in owned:
-                    closure.add(order[pos])
-                    closure.update(graph.neighbors(order[pos]))
-                closure_rows.append(len(closure))
-            closure_rows = tuple(closure_rows)
-            plan_span.set("shards", plan.n_shards)
-            plan_span.set("imbalance", round(plan.imbalance(), 3))
-            _observe_plan(cpm, plan, closure_rows)
-
-        payload = {
-            "order": list(order),
-            "nodes": list(graph.nodes()),
-            "edges": list(graph.edges()),
-        }
-        done = _load_partial(cpm, ckpt, "shard_enumerate", plan.n_shards)
-        tasks = [(sid, plan.owners[sid]) for sid in range(plan.n_shards) if sid not in done]
-
-        def absorb(index: int, result) -> None:
-            by_vertex, stats = result
-            done[stats["shard"]] = by_vertex
-            _absorb_enumerate_stats(cpm, stats)
-            _store_partial(ckpt, "shard_enumerate", plan.n_shards, done)
-
-        _dispatch(cpm, "enumerate", enumerate_shard_set, tasks, payload, absorb)
-
-        by_vertex_all: dict[int, list] = {}
-        for mapping in done.values():
-            by_vertex_all.update(mapping)
-        cliques = [c for pos in range(n) for c in by_vertex_all.get(pos, ())]
-        cliques.sort(key=len, reverse=True)
-        span.set("n_cliques", len(cliques))
-        span.set("kernel", "set")
-        span.set("shards", plan.n_shards)
-        cpm.metrics.inc("cliques.enumerated", len(cliques))
-    return cliques
-
-
 # ----------------------------------------------------------------------
 # Overlap
 # ----------------------------------------------------------------------
@@ -251,21 +206,23 @@ def _shard_bounds(n_counting: int, n_shards: int) -> list[int]:
     return [(s * n_counting) // n_shards for s in range(n_shards)] + [n_counting]
 
 
-def _sharded_overlap(cpm, index_lists, sizes, ckpt: CheckpointStore | None):
-    """Shared overlap driver over per-node ascending clique-id lists."""
-    from ..core.lightweight import LightweightParallelCPM, _prefix_count
-    from ..core.overlap import OverlapWire, chain_pairs, truncate_index
+def sharded_overlap_dense(cpm, dense, sizes, n_nodes: int, ckpt: CheckpointStore | None):
+    """Bitset overlap counting over dense-id cliques, one chunk per shard.
 
+    Returns ``(wire, n_counted)``: the packed activation-order buckets
+    plus chains, and the number of distinct co-occurring pairs.
+    """
     with cpm.tracer.span("cpm.overlap") as span:
         t0 = time.perf_counter()
         n_cliques = len(sizes)
         shift = max(1, n_cliques.bit_length())
-        n_counting = _prefix_count(sizes, 3)
+        n_counting = prefix_count(sizes, 3)
         with cpm.tracer.span("cpm.overlap.index"):
+            index_lists = build_node_index(dense, n_nodes)
             counting = truncate_index(index_lists, n_counting)
         n_shards = cpm.shards
         bounds = _shard_bounds(n_counting, n_shards)
-        chunks = LightweightParallelCPM._shard(counting, n_shards)
+        chunks = split_contiguous(counting, n_shards)
         span.set("shards", len(chunks))
 
         payload = {"shift": shift, "bounds": bounds}
@@ -290,15 +247,14 @@ def _sharded_overlap(cpm, index_lists, sizes, ckpt: CheckpointStore | None):
         buckets: dict[int, array] = {}
         n_counted = 0
         for s in range(n_shards):
-            merged: dict[int, int] = {}
-            for by_shard in done.values():
-                part = by_shard[s]
-                if not merged:
-                    merged = dict(part)
-                    continue
+            parts = [by_shard[s] for by_shard in done.values()]
+            merged = parts[0]
+            if len(parts) > 1:
+                merged = dict(merged)  # never mutate a checkpointed partial
                 get = merged.get
-                for word, count in part.items():
-                    merged[word] = get(word, 0) + count
+                for part in parts[1:]:
+                    for word, count in part.items():
+                        merged[word] = get(word, 0) + count
             n_counted += len(merged)
             for word, o in merged.items():
                 if o <= 1:
@@ -328,22 +284,6 @@ def _sharded_overlap(cpm, index_lists, sizes, ckpt: CheckpointStore | None):
         return wire, n_counted
 
 
-def sharded_overlap_dense(cpm, dense, sizes, n_nodes: int, ckpt: CheckpointStore | None):
-    """Sharded overlap over dense-id cliques (bitset/blocks kernels)."""
-    from ..core.overlap import build_node_index
-
-    return _sharded_overlap(cpm, build_node_index(dense, n_nodes), sizes, ckpt)
-
-
-def sharded_overlap_set(cpm, cliques, sizes, ckpt: CheckpointStore | None):
-    """Sharded overlap over frozenset cliques (set oracle)."""
-    index: dict[object, list[int]] = {}
-    for cid, clique in enumerate(cliques):
-        for node in clique:
-            index.setdefault(node, []).append(cid)
-    return _sharded_overlap(cpm, list(index.values()), sizes, ckpt)
-
-
 # ----------------------------------------------------------------------
 # Percolation reduction
 # ----------------------------------------------------------------------
@@ -355,8 +295,6 @@ def sharded_reduce_wire(cpm, wire, ckpt: CheckpointStore | None):
     returns a wire carrying the reduced buckets (chains untouched) for
     the driver's single stitching sweep.
     """
-    from ..core.overlap import OverlapWire
-
     with cpm.tracer.span("shard.reduce", shards=cpm.shards) as span:
         n_shards = cpm.shards
         chunks: list[tuple[int, bytes]] = []  # (k_act, chunk bytes)
@@ -383,21 +321,16 @@ def sharded_reduce_wire(cpm, wire, ckpt: CheckpointStore | None):
             if cid not in done
         ]
         shipped = sum(len(blob) for _, _, blob in tasks)
-        pairs_in = pairs_out = 0
 
         def absorb(index: int, result) -> None:
-            nonlocal pairs_in, pairs_out
             k_act, reduced, stats = result
             done[tasks[index][0]] = (k_act, reduced)
-            pairs_in += stats["pairs_in"]
-            pairs_out += stats["pairs_out"]
             cpm.metrics.observe("shard.reduce_seconds", stats["wall_seconds"])
             cpm.metrics.observe("worker.max_rss_kib", stats["max_rss_kib"])
             _store_partial(ckpt, "shard_percolate", n_shards, done)
 
         _dispatch(cpm, "percolate", reduce_shard_bucket, tasks, payload, absorb)
-        if cpm.workers > 1:
-            cpm.metrics.inc("overlap.bytes_shipped", shipped)
+        cpm.metrics.inc("overlap.bytes_shipped", shipped if _fans_out(cpm) else 0)
 
         reduced_buckets: dict[int, bytearray] = {}
         for cid in sorted(done):

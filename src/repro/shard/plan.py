@@ -23,7 +23,13 @@ import heapq
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-__all__ = ["ShardPlan", "plan_shards", "resolve_shards"]
+__all__ = [
+    "ShardPlan",
+    "plan_shards",
+    "prefix_count",
+    "resolve_shards",
+    "split_contiguous",
+]
 
 
 def resolve_shards(shards: int | str, workers: int) -> int:
@@ -97,3 +103,29 @@ def plan_shards(forward_degrees: Sequence[int], n_shards: int) -> ShardPlan:
         owners=tuple(tuple(sorted(owned)) for owned in owners),
         costs=tuple(sum(costs[v] for v in owned) for owned in owners),
     )
+
+
+def split_contiguous(items: list, n: int) -> list[list]:
+    """Split ``items`` into up to ``n`` contiguous chunks (never empty)."""
+    if not items:
+        return [[]]
+    n = min(n, len(items))
+    size, extra = divmod(len(items), n)
+    chunks, start = [], 0
+    for w in range(n):
+        end = start + size + (1 if w < extra else 0)
+        chunks.append(items[start:end])
+        start = end
+    return chunks
+
+
+def prefix_count(sorted_desc: Sequence[int], k: int) -> int:
+    """How many leading entries of a descending sequence are >= k."""
+    lo, hi = 0, len(sorted_desc)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if sorted_desc[mid] >= k:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo

@@ -2,7 +2,8 @@
 
 Every function here is a module-level picklable callable dispatched
 through :class:`~repro.runner.supervise.PoolSupervisor` (or invoked
-directly in the driver when ``workers == 1``).  Static per-phase
+directly in the driver when the run does not fan out: one worker or
+one shard).  Static per-phase
 payload travels once per worker process via the pool initializer
 (:func:`install_shared`); tasks carry only their shard-specific part.
 
@@ -17,18 +18,16 @@ graph.
 from __future__ import annotations
 
 import time
+from array import array
 from bisect import bisect_right
 
-from ..core.cliques import _bron_kerbosch_pivot
 from ..core.unionfind import IntUnionFind
-from ..graph.undirected import Graph
 from ..obs.tracing import max_rss_kib
 from ..obs.worker import current_metrics, worker_span
 
 __all__ = [
     "install_shared",
     "enumerate_shard_bitset",
-    "enumerate_shard_set",
     "count_shard_words",
     "reduce_shard_bucket",
 ]
@@ -45,8 +44,8 @@ def install_shared(payload: dict) -> None:
     Runs as the worker-pool initializer (once per worker, not per
     task) and in the driver process itself, so serial dispatch and the
     supervisor's degradation fallback see the same shared state.
-    Replacing the dict wholesale also drops any per-process memos
-    (``_rows``/``_graph``) built against a previous phase's payload.
+    Replacing the dict wholesale also drops the per-process ``_rows``
+    memo built against a previous phase's payload.
     """
     global _SHARED
     _SHARED = payload
@@ -175,60 +174,6 @@ def enumerate_shard_bitset(task: tuple[int, tuple[int, ...]]) -> tuple[dict, dic
     return by_vertex, stats
 
 
-def _set_graph() -> tuple[Graph, dict]:
-    """Rebuild (once per process) the label graph and rank map."""
-    graph = _SHARED.get("_graph")
-    if graph is None:
-        graph = Graph(_SHARED["edges"])
-        graph.add_nodes_from(_SHARED["nodes"])
-        _SHARED["_graph"] = graph
-        _SHARED["_rank"] = {node: i for i, node in enumerate(_SHARED["order"])}
-    return graph, _SHARED["_rank"]
-
-
-def enumerate_shard_set(task: tuple[int, tuple[int, ...]]) -> tuple[dict, dict]:
-    """Worker: the set-oracle twin of :func:`enumerate_shard_bitset`.
-
-    ``owned`` holds degeneracy-order *positions*; cliques come back as
-    frozensets of node labels keyed by position.
-    """
-    shard_id, owned = task
-    t0, c0 = time.perf_counter(), time.process_time()
-    with worker_span(
-        "worker.shard.enumerate", shard=shard_id, vertices=len(owned)
-    ) as span:
-        graph, rank = _set_graph()
-        order = _SHARED["order"]
-        by_vertex: dict[int, list[frozenset]] = {}
-        n_cliques = 0
-        for pos in owned:
-            node = order[pos]
-            neighbors = graph.neighbors(node)
-            later = {v for v in neighbors if rank[v] > pos}
-            earlier = {v for v in neighbors if rank[v] < pos}
-            out: list[frozenset] = []
-            _bron_kerbosch_pivot(graph, {node}, later, earlier, 2, out.append)
-            by_vertex[pos] = out
-            n_cliques += len(out)
-        span.set("cliques", n_cliques)
-        registry = current_metrics()
-        if registry is not None:
-            registry.inc("worker.shard.cliques", n_cliques)
-    stats = {
-        "shard": shard_id,
-        "vertices": len(owned),
-        "cliques": n_cliques,
-        "rows_built": 0,
-        "bk_calls": 0,
-        "bk_branches": 0,
-        "bk_pivot_candidates": 0,
-        "wall_seconds": time.perf_counter() - t0,
-        "cpu_seconds": time.process_time() - c0,
-        "max_rss_kib": max_rss_kib(),
-    }
-    return by_vertex, stats
-
-
 # ----------------------------------------------------------------------
 # Overlap counting, bucketed by i-shard
 # ----------------------------------------------------------------------
@@ -300,8 +245,6 @@ def reduce_shard_bucket(task: tuple[int, int, bytes]) -> tuple[int, bytes, dict]
     n_cliques = _SHARED["n_cliques"]
     shift = _SHARED["shift"]
     t0, c0 = time.perf_counter(), time.process_time()
-    from array import array
-
     with worker_span("worker.shard.reduce", shard=chunk_id, k_act=k_act) as span:
         words = array("q")
         words.frombytes(blob)

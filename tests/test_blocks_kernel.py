@@ -31,12 +31,10 @@ from repro.core._blocks_compat import (
     numpy_version,
     require_numpy,
 )
-from repro.core.lightweight import (
-    KERNELS,
-    LightweightParallelCPM,
-    _percolate_orders_packed,
-    resolve_kernel,
-)
+from repro.core.lightweight import KERNELS, LightweightParallelCPM, resolve_kernel
+from repro.core.percolation import percolate_wire
+from repro.shard.pipeline import sharded_overlap_dense
+from repro.shard.plan import prefix_count
 from repro.graph import CSRGraph, ring_of_cliques
 from repro.obs.inspect import diff_manifests
 
@@ -129,12 +127,12 @@ class TestWireEquivalence:
         dense_graphs = []
         for kernel in ("blocks", "bitset"):
             cpm = LightweightParallelCPM(graph, kernel=kernel)
-            dense, _cliques, n_nodes = cpm._enumerate_phase_bitset()
+            dense, _cliques, n_nodes = cpm._enumerate()
             sizes = [len(c) for c in dense]
             if kernel == "blocks":
-                wire, counted = cpm._overlap_phase_blocks(dense, sizes)
+                wire, counted = cpm._overlap_blocks(dense, sizes)
             else:
-                wire, counted = cpm._overlap_phase_bitset(dense, sizes, n_nodes)
+                wire, counted = sharded_overlap_dense(cpm, dense, sizes, n_nodes, None)
             dense_graphs.append((wire, counted))
         (fast_wire, fast_counted), (ref_wire, ref_counted) = dense_graphs
         assert fast_counted == ref_counted
@@ -152,18 +150,15 @@ class TestWireEquivalence:
 
     @pytest.mark.parametrize("seed", [5, 23])
     def test_percolation_groups_match_union_find(self, seed):
-        from repro.core.blocks import percolate_orders_blocks
-        from repro.core.lightweight import _prefix_count
-
         graph = random_graph(50, 0.3, seed=seed)
         cpm = LightweightParallelCPM(graph, kernel="bitset")
-        dense, _cliques, n_nodes = cpm._enumerate_phase_bitset()
+        dense, _cliques, n_nodes = cpm._enumerate()
         sizes = [len(c) for c in dense]
-        wire, _ = cpm._overlap_phase_bitset(dense, sizes, n_nodes)
+        wire, _ = sharded_overlap_dense(cpm, dense, sizes, n_nodes, None)
         orders = list(range(max(sizes), 1, -1))
-        eligibles = [_prefix_count(sizes, k) for k in orders]
-        fast, fast_stats = percolate_orders_blocks(orders, eligibles, wire)
-        ref, ref_stats = _percolate_orders_packed(orders, eligibles, wire)
+        eligibles = [prefix_count(sizes, k) for k in orders]
+        fast, fast_stats = percolate_wire("blocks", orders, eligibles, wire)
+        ref, ref_stats = percolate_wire("bitset", orders, eligibles, wire)
         assert fast == ref
         assert fast_stats["union_merges"] == ref_stats["union_merges"]
         assert fast_stats["orders"] == ref_stats["orders"]

@@ -170,10 +170,32 @@ class TestCheckpointFlags:
         assert main(base) == 0
         capsys.readouterr()
         # Same directory, different kernel: META no longer matches.
-        assert main(base + ["--resume", "--kernel", "set"]) == 2
+        assert main(base + ["--resume", "--kernel", "blocks"]) == 2
         err = capsys.readouterr().err
         assert "error:" in err
         assert "refusing to resume" in err
+
+    @pytest.mark.parametrize(
+        "flags, reason",
+        [
+            (["--workers", "2"], "workers=2"),
+            (["--shards", "2"], "shards=2"),
+            (["--cache"], "a cache"),
+            (["--checkpoint-dir", "ckpt"], "a checkpoint"),
+        ],
+        ids=["workers", "shards", "cache", "checkpoint"],
+    )
+    def test_set_oracle_refuses_pipeline_options(
+        self, saved_dataset, tmp_path, monkeypatch, capsys, flags, reason
+    ):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        args = ["communities", saved_dataset, "--max-k", "4", "--kernel", "set", *flags]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: kernel 'set' is the serial reference oracle")
+        assert reason in err
+        assert "Traceback" not in err
 
     def test_resume_with_corrupt_meta_is_clean_error(self, saved_dataset, tmp_path, capsys):
         ckpt = tmp_path / "ckpt"

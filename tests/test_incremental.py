@@ -203,6 +203,13 @@ class TestSessionBasics:
     def test_reuses_run_cpm_clique_cache(self, tmp_path, kernel):
         graph = ring_of_cliques(4, 5)
         cache = CliqueCache(tmp_path)
+        if kernel == "set":
+            # The serial reference oracle takes no cache, in the batch
+            # run and in the session alike.
+            for build in (run_cpm, CPMSession):
+                with pytest.raises(ValueError, match="serial reference oracle"):
+                    build(graph, kernel=kernel, cache=cache)
+            return
         fresh = run_cpm(graph, kernel=kernel, cache=cache)
         session = CPMSession(graph, kernel=kernel, cache=cache)
         assert session.cache_hit
@@ -491,11 +498,11 @@ class TestQueryBuildGuard:
 
 
 class TestBlocksSweepParity:
-    """percolate_orders_blocks is a drop-in twin of sweep_wire.
+    """percolate_wire's numpy backend is a drop-in twin of the union-find.
 
     The session's blocks path re-sweeps its persistent wire with the
-    vectorised kernel instead of the union-find; this fuzz feeds both
-    sweeps identical random wires — prefix *and* explicit-id eligible
+    vectorised backend instead of the union-find; this fuzz feeds both
+    backends identical random wires — prefix *and* explicit-id eligible
     forms, arbitrary member orderings — and requires exactly equal
     group lists at every order (sizes, members, ordering, tie-breaks).
     """
@@ -537,8 +544,7 @@ class TestBlocksSweepParity:
     @pytest.mark.skipif(not HAVE_NUMPY, reason="blocks kernel needs numpy")
     @pytest.mark.parametrize("seed", range(8))
     def test_random_wires_explicit_ids(self, seed):
-        from repro.core.blocks import percolate_orders_blocks
-        from repro.core.percolation import sweep_wire
+        from repro.core.percolation import percolate_wire
 
         rng = random.Random(4200 + seed)
         n_cliques = rng.randint(4, 40)
@@ -552,15 +558,15 @@ class TestBlocksSweepParity:
         for _ in orders:
             ids = rng.sample(range(n_cliques), rng.randint(0, n_cliques))
             eligibles.append(ids)
-        expected, _merges, _applied = sweep_wire(orders, eligibles, wire)
-        actual, _stats = percolate_orders_blocks(orders, eligibles, wire)
+        expected, expected_stats = percolate_wire("bitset", orders, eligibles, wire)
+        actual, actual_stats = percolate_wire("blocks", orders, eligibles, wire)
         assert actual == expected
+        assert actual_stats["union_merges"] == expected_stats["union_merges"]
 
     @pytest.mark.skipif(not HAVE_NUMPY, reason="blocks kernel needs numpy")
     @pytest.mark.parametrize("seed", range(8))
     def test_random_wires_prefix_counts(self, seed):
-        from repro.core.blocks import percolate_orders_blocks
-        from repro.core.percolation import sweep_wire
+        from repro.core.percolation import percolate_wire
 
         rng = random.Random(8600 + seed)
         n_cliques = rng.randint(4, 40)
@@ -568,6 +574,7 @@ class TestBlocksSweepParity:
         orders = sorted(rng.sample(range(2, max_k + 2), rng.randint(1, max_k)),
                         reverse=True)
         eligibles = [rng.randint(0, n_cliques) for _ in orders]
-        expected, _merges, _applied = sweep_wire(orders, eligibles, wire)
-        actual, _stats = percolate_orders_blocks(orders, eligibles, wire)
+        expected, expected_stats = percolate_wire("bitset", orders, eligibles, wire)
+        actual, actual_stats = percolate_wire("blocks", orders, eligibles, wire)
         assert actual == expected
+        assert actual_stats["union_merges"] == expected_stats["union_merges"]

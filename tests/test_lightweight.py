@@ -6,6 +6,7 @@ import pytest
 
 from repro.core import LightweightParallelCPM, extract_hierarchy
 from repro.graph import Graph, erdos_renyi, overlapping_cliques, ring_of_cliques
+from repro.shard.plan import split_contiguous
 
 
 def _signature(hierarchy):
@@ -77,13 +78,13 @@ class TestStats:
 
 class TestSharding:
     def test_shard_balance(self):
-        shards = LightweightParallelCPM._shard(list(range(10)), 3)
+        shards = split_contiguous(list(range(10)), 3)
         assert [len(s) for s in shards] == [4, 3, 3]
         assert sum(shards, []) == list(range(10))
 
     def test_shard_more_workers_than_items(self):
-        shards = LightweightParallelCPM._shard([1, 2], 5)
+        shards = split_contiguous([1, 2], 5)
         assert shards == [[1], [2]]
 
     def test_shard_empty(self):
-        assert LightweightParallelCPM._shard([], 4) == [[]]
+        assert split_contiguous([], 4) == [[]]

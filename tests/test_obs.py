@@ -3,8 +3,8 @@
 Covers the contract the rest of the pipeline relies on: the no-op
 tracer really is free, spans nest, manifests survive a JSON round
 trip, the instrumented LP-CPM run is oblivious to worker count (same
-hierarchy, complete trace either way), and the percolation prefilter
-drops exactly the pairs that cannot merge anything.
+hierarchy, complete trace either way), and the percolation sweep skips
+exactly the pairs that cannot merge anything at the swept orders.
 
 Telemetry v2 contracts live here too: failed runs still flush complete
 traces (dangling spans close), worker captures graft into the driver
@@ -17,11 +17,15 @@ samples a consistent series.
 import json
 import os
 import time
+from array import array
 
 import pytest
 
 from repro.cli import main
-from repro.core.lightweight import LightweightParallelCPM, _percolate_orders
+from repro.core._blocks_compat import HAVE_NUMPY
+from repro.core.lightweight import LightweightParallelCPM
+from repro.core.overlap import OverlapWire
+from repro.core.percolation import percolate_wire
 from repro.obs import (
     NULL_TRACER,
     Counter,
@@ -260,13 +264,18 @@ class TestInstrumentedRun:
 
     @pytest.mark.parametrize("kernel", ["bitset", "set"])
     def test_worker_count_is_invisible(self, ring_graph, kernel):
-        h1, t1, m1 = self._run(ring_graph, 1, kernel)
-        h2, t2, m2 = self._run(ring_graph, 2, kernel)
-        assert _hierarchy_signature(h1) == _hierarchy_signature(h2)
-        assert h1.parent_labels == h2.parent_labels
-        for tracer in (t1, t2):
+        runs = [self._run(ring_graph, 1, kernel)]
+        if kernel == "set":
+            # The serial oracle has no pool: it refuses workers by name.
+            with pytest.raises(ValueError, match="serial reference oracle"):
+                self._run(ring_graph, 2, kernel)
+        else:
+            runs.append(self._run(ring_graph, 2, kernel))
+        h1 = runs[0][0]
+        for hierarchy, tracer, metrics in runs:
+            assert _hierarchy_signature(hierarchy) == _hierarchy_signature(h1)
+            assert hierarchy.parent_labels == h1.parent_labels
             assert self.EXPECTED_SPANS <= {r.name for r in tracer.records}
-        for metrics in (m1, m2):
             counters = metrics.to_dict()["counters"]
             # 4 pentagons + 4 connecting-edge cliques.
             assert counters["cliques.enumerated"] == 8
@@ -299,6 +308,31 @@ class TestInstrumentedRun:
         assert cpm.tracer is NULL_TRACER
         hierarchy = cpm.run(max_k=6)
         assert len(hierarchy[5]) == 4
+
+
+def _wire(sizes, pairs):
+    """A packed wire over (i, j, overlap) triples: overlap >= 2 pairs in
+    their activation-order buckets, overlap-1 pairs as k=2 chains."""
+    shift = max(1, len(sizes).bit_length())
+    buckets, chains = {}, []
+    for i, j, overlap in pairs:
+        word = (i << shift) | j
+        if overlap >= 2:
+            buckets.setdefault(min(sizes[j], overlap + 1), []).append(word)
+        else:
+            chains.append(word)
+    return OverlapWire(
+        n_cliques=len(sizes),
+        shift=shift,
+        n_pairs=sum(map(len, buckets.values())),
+        n_chain_pairs=len(chains),
+        buckets={k: array("q", words).tobytes() for k, words in buckets.items()},
+        chains=array("q", chains).tobytes(),
+    )
+
+
+#: Both percolate_wire backends, 'blocks' only where numpy is installed.
+SWEEP_KERNELS = ["bitset"] + (["blocks"] if HAVE_NUMPY else [])
 
 
 class TestPercolatePrefilter:
@@ -334,19 +368,24 @@ class TestPercolatePrefilter:
                 groups.setdefault(find(i), []).append(i)
             return sorted(sorted(g) for g in groups.values())
 
-        result, stats = _percolate_orders([3, 4, 5], sizes, pairs)
-        for order in (3, 4, 5):
-            assert sorted(sorted(g) for g in result[order]) == reference(order)
-        # min(orders) - 1 == 2, so the two overlap-1 pairs are dropped.
-        assert stats["skipped_pairs"] == 2
-        assert stats["pairs_in"] == len(pairs)
+        orders = [5, 4, 3]
+        eligibles = [sum(1 for s in sizes if s >= k) for k in orders]
+        for kernel in SWEEP_KERNELS:
+            result, stats = percolate_wire(kernel, orders, eligibles, _wire(sizes, pairs))
+            for order in orders:
+                assert sorted(sorted(g) for g in result[order]) == reference(order)
+            # Orders >= 3 never reach the k=2 chains: the two overlap-1
+            # pairs are skipped.
+            assert stats["skipped_pairs"] == 2
+            assert stats["pairs_in"] == len(pairs)
 
     def test_low_order_batch_skips_nothing(self):
         sizes = [3, 3]
         pairs = [(0, 1, 1)]
-        result, stats = _percolate_orders([2], sizes, pairs)
-        assert stats["skipped_pairs"] == 0
-        assert result[2] == [[0, 1]]
+        for kernel in SWEEP_KERNELS:
+            result, stats = percolate_wire(kernel, [2], [2], _wire(sizes, pairs))
+            assert stats["skipped_pairs"] == 0
+            assert result[2] == [[0, 1]]
 
 
 class TestCLIObservability:
@@ -516,6 +555,12 @@ class TestWorkerAttribution:
     def test_parallel_run_ships_worker_spans(self, ring_graph, kernel):
         tracer = Tracer()
         metrics = MetricsRegistry()
+        if kernel == "set":
+            # The serial oracle has no pool to ship spans from: it
+            # refuses workers by name (bitset below covers attribution).
+            with pytest.raises(ValueError, match="serial reference oracle"):
+                LightweightParallelCPM(ring_graph, workers=2, kernel=kernel)
+            return
         cpm = LightweightParallelCPM(
             ring_graph, workers=2, kernel=kernel, tracer=tracer, metrics=metrics
         )
@@ -532,18 +577,14 @@ class TestWorkerAttribution:
         for record in tracer.records:
             if record.name.startswith("worker.") and record.name != "worker.task":
                 assert by_id[record.parent_id].name == "worker.task"
-        # Percolation always dispatches through the pool here; the
-        # bitset kernel's truncated overlap index can collapse to one
-        # shard on a graph this small (serial path), so the overlap
-        # worker span is only guaranteed for the set kernel.
+        # workers=2 alone means two shards: enumeration and the bitset
+        # overlap counting both fan out through the pool.
         names = {r.name for r in tracer.records}
-        assert names & {"worker.percolate.orders", "worker.percolate.packed"}
-        if kernel == "set":
-            assert "worker.overlap.count" in names
+        assert {"worker.shard.enumerate", "worker.shard.count"} <= names
         # Worker counters merged into the driver registry under the
         # worker.* namespace (distinct from the stats-dict aggregates).
         counters = metrics.to_dict()["counters"]
-        assert counters.get("worker.percolate.orders_done", 0) > 0
+        assert counters.get("worker.shard.cliques", 0) > 0
 
     def test_serial_run_has_no_worker_spans(self, ring_graph):
         tracer = Tracer()

@@ -3,10 +3,12 @@
 The tentpole guarantee of the resilient runner: for every phase at
 which a run can die, restarting with ``resume=True`` from the same
 checkpoint directory produces a hierarchy *byte-identical* (same
-serialised document) to an uninterrupted run — on both kernels.
-Interruptions are injected deterministically with ``driver:after=
-<phase>:raise`` fault rules, so each test dies exactly once at a known
-boundary.
+serialised document) to an uninterrupted run — on every pipeline
+kernel, serial and sharded.  Interruptions are injected
+deterministically with ``driver:after=<phase>:raise`` fault rules, so
+each test dies exactly once at a known boundary.  The set kernel is the
+serial reference oracle and takes no checkpoint: its legs pin that
+refusal by name.
 """
 
 import pickle
@@ -30,6 +32,9 @@ KERNEL_PARAMS = [
     for kernel in KERNELS
 ]
 
+#: The kernels that take a checkpoint (the set oracle does not).
+PIPELINE_PARAMS = [p for p in KERNEL_PARAMS if p.values[0] != "set"]
+
 
 @pytest.fixture(scope="module")
 def graph():
@@ -46,25 +51,47 @@ def baselines(graph):
     }
 
 
-def _interrupt_then_resume(graph, kernel, tmp_path, phase, workers=1):
+def _interrupt_then_resume(graph, kernel, tmp_path, phase, workers=1, shards="auto"):
     """Kill a run after ``phase``, then resume it; returns (doc, stats)."""
     store = CheckpointStore(tmp_path / "ckpt")
     plan = FaultPlan.parse(f"driver:after={phase}:raise")
     interrupted = LightweightParallelCPM(
-        graph, kernel=kernel, workers=workers, checkpoint=store, fault_plan=plan
+        graph,
+        kernel=kernel,
+        workers=workers,
+        shards=shards,
+        checkpoint=store,
+        fault_plan=plan,
     )
     with pytest.raises(InjectedFault):
         interrupted.run()
     resumed = LightweightParallelCPM(
-        graph, kernel=kernel, workers=workers, checkpoint=store, resume=True
+        graph, kernel=kernel, workers=workers, shards=shards, checkpoint=store, resume=True
     )
     return hierarchy_to_dict(resumed.run()), resumed.stats
+
+
+def _oracle_refuses_checkpoint(graph, kernel, tmp_path) -> bool:
+    """For the set oracle, assert it refuses a checkpoint by name.
+
+    Returns True when ``kernel`` is the oracle (the caller's resume
+    scenario does not apply to it), False for the pipeline kernels.
+    """
+    if kernel != "set":
+        return False
+    with pytest.raises(ValueError, match="serial reference oracle .* a checkpoint"):
+        LightweightParallelCPM(
+            graph, kernel=kernel, checkpoint=CheckpointStore(tmp_path / "ckpt")
+        )
+    return True
 
 
 @pytest.mark.parametrize("kernel", KERNEL_PARAMS)
 @pytest.mark.parametrize("phase", ["enumerate", "overlap", "percolate"])
 class TestResumeIdentity:
     def test_resume_is_byte_identical(self, graph, baselines, tmp_path, kernel, phase):
+        if _oracle_refuses_checkpoint(graph, kernel, tmp_path):
+            return
         document, stats = _interrupt_then_resume(graph, kernel, tmp_path, phase)
         assert document == baselines[kernel]
         assert phase in stats.resumed_phases
@@ -72,24 +99,49 @@ class TestResumeIdentity:
     def test_resumed_phases_cover_completed_prefix(
         self, graph, baselines, tmp_path, kernel, phase
     ):
+        if _oracle_refuses_checkpoint(graph, kernel, tmp_path):
+            return
         _, stats = _interrupt_then_resume(graph, kernel, tmp_path, phase)
         pipeline = ("enumerate", "overlap", "percolate")
         expected = pipeline[: pipeline.index(phase) + 1]
         assert stats.resumed_phases == expected
 
 
+@pytest.mark.parametrize("kernel", PIPELINE_PARAMS)
+@pytest.mark.parametrize("phase", ["enumerate", "overlap", "percolate"])
+def test_sharded_resume_is_byte_identical(graph, baselines, tmp_path, kernel, phase):
+    """The resume contract holds across a two-shard fan-out."""
+    document, stats = _interrupt_then_resume(graph, kernel, tmp_path, phase, shards=2)
+    assert document == baselines[kernel]
+    assert phase in stats.resumed_phases
+
+
 class TestPartialPercolationResume:
     @pytest.mark.parametrize("kernel", KERNEL_PARAMS)
     def test_partial_percolate_checkpoint_resumes(self, graph, baselines, tmp_path, kernel):
         """A percolate checkpoint holding only *some* orders is completed."""
+        if _oracle_refuses_checkpoint(graph, kernel, tmp_path):
+            return
+        self._resume_from_partial(graph, baselines, tmp_path, kernel, shards=1)
+
+    @pytest.mark.parametrize("kernel", PIPELINE_PARAMS)
+    def test_sharded_partial_percolate_checkpoint_resumes(
+        self, graph, baselines, tmp_path, kernel
+    ):
+        self._resume_from_partial(graph, baselines, tmp_path, kernel, shards=2)
+
+    @staticmethod
+    def _resume_from_partial(graph, baselines, tmp_path, kernel, shards):
         store = CheckpointStore(tmp_path / "ckpt")
-        _, stats = _interrupt_then_resume(graph, kernel, tmp_path, "percolate")
+        _interrupt_then_resume(graph, kernel, tmp_path, "percolate", shards=shards)
         # Truncate the percolate checkpoint to a strict subset of orders.
         full = pickle.loads(store.phase_path("percolate").read_bytes())
         assert len(full) > 2
         kept = dict(sorted(full.items(), reverse=True)[:2])
         store.store_phase("percolate", kept)
-        resumed = LightweightParallelCPM(graph, kernel=kernel, checkpoint=store, resume=True)
+        resumed = LightweightParallelCPM(
+            graph, kernel=kernel, shards=shards, checkpoint=store, resume=True
+        )
         assert hierarchy_to_dict(resumed.run()) == baselines[kernel]
         assert "percolate" in resumed.stats.resumed_phases
 
@@ -107,6 +159,8 @@ class TestResumeWithWorkers:
     @pytest.mark.parametrize("kernel", KERNEL_PARAMS)
     def test_worker_kill_then_resume(self, graph, baselines, tmp_path, kernel):
         """Driver dies after overlap; the resumed run uses two workers."""
+        if _oracle_refuses_checkpoint(graph, kernel, tmp_path):
+            return
         store = CheckpointStore(tmp_path / "ckpt")
         plan = FaultPlan.parse("driver:after=overlap:raise")
         with pytest.raises(InjectedFault):

@@ -1,10 +1,13 @@
 """Sharded pipeline: planning, shard-count invariance, resilience.
 
 The contract of :mod:`repro.shard` is *byte-identity*: for every
-kernel, running with any shard count — serial dispatch or a worker
-pool, interrupted and resumed mid-shard, or degraded by worker kills —
-must produce the same hierarchy document, the same community tree and
-the same packed query artifact as the single-process pipeline.  These
+pipeline kernel, running with any shard count — serial dispatch or a
+worker pool, interrupted and resumed mid-shard, or degraded by worker
+kills — must produce the same hierarchy document, the same community
+tree and the same packed query artifact as the single-process
+pipeline.  The matrix also pins which implementation ran (blocks keeps
+its numpy phases under any shard count), and that the serial set
+oracle refuses every fanned-out cell by name.  These
 tests pin that contract on a ring-of-cliques oracle small enough to
 sweep every combination.
 """
@@ -20,6 +23,7 @@ from repro.core.lightweight import KERNELS, LightweightParallelCPM
 from repro.core.serialize import hierarchy_to_dict
 from repro.core.tree import CommunityTree
 from repro.graph import ring_of_cliques
+from repro.obs import Tracer
 from repro.obs.inspect import diff_manifests
 from repro.runner import CheckpointStore, FaultPlan
 from repro.shard import ShardPlan, plan_shards, resolve_shards
@@ -113,26 +117,71 @@ class TestPlanShards:
         assert plan.imbalance() == pytest.approx(1.5)
 
 
+def _run_cell(graph, kernel, **options):
+    """Run one kernel x shards x workers cell of the matrix, traced.
+
+    Returns ``(document, cpm, span_names)``.  The set kernel is the
+    serial reference oracle: for a cell that would fan it out (a pool
+    or more than one shard) this asserts the named refusal instead and
+    returns ``None``.
+    """
+    workers = options.get("workers", 1)
+    shards = resolve_shards(options.get("shards", "auto"), workers)
+    if kernel == "set" and (workers > 1 or shards > 1):
+        with pytest.raises(ValueError, match="kernel 'set' is the serial reference oracle"):
+            LightweightParallelCPM(graph, kernel=kernel, **options)
+        return None
+    tracer = Tracer()
+    cpm = LightweightParallelCPM(graph, kernel=kernel, tracer=tracer, **options)
+    document = hierarchy_to_dict(cpm.run())
+    tracer.close()
+    return document, cpm, {r.name for r in tracer.records}
+
+
+def _assert_implementation(kernel, shards, names):
+    """The phases ran the kernel's implementation, not another's."""
+    if kernel == "blocks":
+        # Blocks' numpy phases run whole-array in the driver at any
+        # shard count; only enumeration fans out.
+        assert "cpm.blocks.count" in names
+        assert "worker.shard.count" not in names
+        assert "shard.reduce" not in names
+    elif kernel == "bitset" and shards > 1:
+        assert "shard.reduce" in names
+
+
 @pytest.mark.parametrize("kernel", KERNEL_PARAMS)
 @pytest.mark.parametrize("shards", [1, 2, 4, "auto"])
 class TestShardCountInvariance:
     def test_hierarchy_is_byte_identical(self, graph, baselines, kernel, shards):
-        cpm = LightweightParallelCPM(graph, kernel=kernel, shards=shards)
-        assert hierarchy_to_dict(cpm.run()) == baselines[kernel]
+        cell = _run_cell(graph, kernel, shards=shards)
+        if cell is None:
+            return
+        document, cpm, names = cell
+        assert document == baselines[kernel]
+        _assert_implementation(kernel, cpm.shards, names)
 
     def test_pool_execution_is_byte_identical(self, graph, baselines, kernel, shards):
-        cpm = LightweightParallelCPM(graph, kernel=kernel, workers=2, shards=shards)
-        assert hierarchy_to_dict(cpm.run()) == baselines[kernel]
+        cell = _run_cell(graph, kernel, workers=2, shards=shards)
+        if cell is None:
+            return
+        document, cpm, names = cell
+        assert document == baselines[kernel]
         assert not cpm.stats.degraded
+        _assert_implementation(kernel, cpm.shards, names)
 
 
 @pytest.mark.parametrize("kernel", KERNEL_PARAMS)
 class TestDownstreamArtifacts:
-    """Tree and query artifact built from a sharded run match serial."""
+    """Tree and query artifact built from a sharded run match serial.
+
+    The set oracle cannot shard, so its leg checks the oracle's
+    artifacts against the sharded bitset pipeline's instead.
+    """
 
     def test_tree_and_artifact_bytes_match(self, graph, kernel):
         serial = run_cpm(graph, kernel=kernel)
-        sharded = run_cpm(graph, kernel=kernel, shards=4)
+        sharded = run_cpm(graph, kernel="bitset" if kernel == "set" else kernel, shards=4)
         assert CommunityTree(serial.hierarchy).to_dot() == (
             CommunityTree(sharded.hierarchy).to_dot()
         )
