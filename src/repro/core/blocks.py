@@ -1,27 +1,16 @@
-"""Vectorized ``blocks`` CPM kernel: numpy-batched hot loops.
+"""Vectorized ``blocks`` CPM kernel: numpy-batched overlap and percolation.
 
 The third CPM kernel (``--kernel blocks``) keeps the degeneracy-ordered
-:class:`~repro.graph.csr.CSRGraph` snapshot of the bitset kernel and
-attacks the measured hot loops with numpy uint64 blocks
-(:meth:`CSRGraph.blocks`, shape ``(n, ceil(n/64))``) where batching
-wins, and with tighter big-int recursion where it does not:
+:class:`~repro.graph.csr.CSRGraph` snapshot and the enumerator of the
+bitset kernel — :func:`~.cliques.maximal_cliques_bitset`, the one
+integer Bron–Kerbosch, whose neighbourhood re-index already uses numpy
+when it is importable — and replaces the two phases where batching
+wins with whole-array numpy passes.  (A numpy ``bitwise_count`` pivot
+argmax was prototyped for enumeration in three variants — per-call,
+whole-graph batched, and column-pruned — and *lost* to the scalar scan
+at AS-graph scale because the median pivot scan examines ~3.5
+candidates; ``docs/performance.md`` records the numbers.)
 
-* **Enumeration** (:func:`maximal_cliques_blocks`) — the same
-  Bron–Kerbosch recursion over big-int masks as the bitset kernel, but
-  subproblems with ``|P| < 3`` are resolved *inline* by closed-form
-  maximality tests instead of recursing: profiling on the bench graph
-  showed ~75% of all recursive calls came from these leaf-sized
-  subproblems, where the per-call interpreter overhead — not the mask
-  width — dominates.  Top-level subproblems with at least
-  ``_LOCAL_REMAP_MIN`` candidates are *re-indexed* onto their own
-  neighborhood first, using one block-matrix gather: degeneracy order
-  bounds ``|N(v)|`` far below ``n``, so the whole subtree then runs on
-  masks one machine word wide instead of ``n`` bits.  (A numpy
-  ``bitwise_count`` pivot argmax over gathered block rows was
-  prototyped in three variants — per-call, whole-graph batched, and
-  column-pruned — and *lost* to the scalar scan at AS-graph scale
-  because the median pivot scan examines ~3.5 candidates;
-  ``docs/performance.md`` records the numbers.)
 * **Overlap counting** (:func:`count_overlaps_blocks`) — replaces the
   per-pair ``Counter`` updates with array sweeps: clique memberships
   are flattened and lex-sorted into per-node runs, run prefixes are
@@ -60,260 +49,18 @@ import time
 
 from ..obs.tracing import max_rss_kib
 from ..obs.worker import worker_span
-from ._blocks_compat import HAVE_NUMPY, require_numpy
-from .cliques import CliqueEnumerationStats
+from ._blocks_compat import require_numpy
 from .overlap import OverlapWire
-
-#: Candidate-count threshold above which a top-level Bron–Kerbosch
-#: subproblem is re-indexed onto its own neighborhood before recursing.
-#: Below it the one-off numpy re-index (gather + unpackbits + packbits)
-#: costs more than the big-int width it saves; above it the whole
-#: subtree runs on masks one or two machine words wide (the degeneracy
-#: order bounds |N(v)| far under the graph's bit width).
-_LOCAL_REMAP_MIN = 12
 
 # The module itself imports everywhere (so pydoc/pkgutil walkers never
 # trip on a minimal install); the array stages gate on numpy at call
 # time via require_numpy, and kernel selection gates once up front in
-# ``resolve_kernel``.  The enumerator is pure big-int and needs nothing.
+# ``resolve_kernel``.
 
 __all__ = [
-    "maximal_cliques_blocks",
     "count_overlaps_blocks",
     "percolate_orders_blocks",
 ]
-
-
-def maximal_cliques_blocks(
-    csr,
-    *,
-    min_size: int = 1,
-    stats: CliqueEnumerationStats | None = None,
-) -> list[tuple[int, ...]]:
-    """All maximal cliques of a :class:`CSRGraph`, blocks-kernel variant.
-
-    Same big-int Bron–Kerbosch recursion (Tomita pivot, degeneracy
-    outer order) as :func:`~.cliques.maximal_cliques_bitset`, with
-    ``|P| < 3`` subproblems resolved inline:
-
-    * ``P = {}`` — ``R`` is maximal iff ``X`` is empty;
-    * ``P = {u}`` — ``R ∪ {u}`` is maximal iff no ``X`` node is
-      adjacent to ``u`` (the pivot rule can never hide this clique: any
-      covering pivot would itself witness non-maximality);
-    * ``P = {u, w}`` adjacent — the only candidate is ``R ∪ {u, w}``,
-      maximal iff ``X ∩ N(u) ∩ N(w)`` is empty; non-adjacent — each of
-      ``R ∪ {u}`` / ``R ∪ {w}`` is tested independently.
-
-    Top-level subproblems with ``|P| >= _LOCAL_REMAP_MIN`` are first
-    re-indexed onto ``S = N(v)`` (ascending, so local bit order equals
-    global bit order and the recursion tree, pivot choices and emission
-    sequence are *identical*): one block-matrix gather builds the local
-    adjacency, and the subtree's masks shrink from ``n`` bits to
-    ``|S|`` bits — one machine word on any degeneracy-bounded graph.
-    Without numpy the re-index is skipped and the enumerator stays pure
-    big-int.
-
-    Enumerates exactly the clique set of the other kernels.  Tuple
-    *member order* can differ from the bitset kernel where the inline
-    tests bypass a pivot re-ordering — downstream consumers canonicalise
-    members (``build_hierarchy`` folds them into frozensets), which the
-    equivalence tests pin.  ``stats`` counts every resolved subproblem
-    (inline leaves included) as a call.
-    """
-    if min_size < 1:
-        raise ValueError(f"min_size must be >= 1, got {min_size}")
-    bits = csr.bitsets
-    cliques: list[tuple[int, ...]] = []
-    emit = cliques.append
-    stack: list[int] = []
-    append = stack.append
-    pop = stack.pop
-    counters = [0, 0, 0]  # calls, branches, pivot_candidates
-
-    def small(p: int, x: int, c: int) -> None:
-        counters[0] += 1
-        if c == 1:
-            u = p.bit_length() - 1
-            if x & bits[u] == 0 and len(stack) + 1 >= min_size:
-                emit((*stack, u))
-        elif c == 0:
-            if x == 0 and len(stack) >= min_size:
-                emit(tuple(stack))
-        else:
-            counters[1] += 2
-            low = p & -p
-            u = low.bit_length() - 1
-            w = (p ^ low).bit_length() - 1
-            bu = bits[u]
-            bw = bits[w]
-            if (bu >> w) & 1:
-                if x & bu & bw == 0 and len(stack) + 2 >= min_size:
-                    emit((*stack, u, w))
-            elif len(stack) + 1 >= min_size:
-                if x & bu == 0:
-                    emit((*stack, u))
-                if x & bw == 0:
-                    emit((*stack, w))
-
-    def expand(p: int, x: int) -> None:
-        counters[0] += 1
-        # Pivot: the candidate of P | X with the most neighbors in P.
-        cand = p | x
-        counters[2] += cand.bit_count()
-        best = -1
-        pivot_nbrs = 0
-        m = cand
-        while m:
-            low = m & -m
-            nb = bits[low.bit_length() - 1]
-            count = (nb & p).bit_count()
-            if count > best:
-                best = count
-                pivot_nbrs = nb
-            m ^= low
-        branch = p & ~pivot_nbrs
-        counters[1] += branch.bit_count()
-        while branch:
-            low = branch & -branch
-            v = low.bit_length() - 1
-            nv = bits[v]
-            np_ = p & nv
-            c = np_.bit_count()
-            append(v)
-            if c < 3:
-                small(np_, x & nv, c)
-            else:
-                expand(np_, x & nv)
-            pop()
-            p ^= low
-            x |= low
-            branch ^= low
-
-    def expand_local(v: int, sarr: list[int], adj: list[int], p: int, x: int) -> None:
-        # Same recursion as ``expand`` over the subproblem re-indexed
-        # onto S = N(v) (ascending, so local bit order == global bit
-        # order): identical pivot counts, identical branch sequence,
-        # identical emissions — but every mask is |S| bits wide instead
-        # of n bits, which is what makes the dense-core subtrees cheap.
-        lstack: list[int] = []
-        lappend = lstack.append
-        lpop = lstack.pop
-
-        def small_l(p: int, x: int, c: int) -> None:
-            counters[0] += 1
-            if c == 1:
-                u = p.bit_length() - 1
-                if x & adj[u] == 0 and len(lstack) + 2 >= min_size:
-                    emit((v, *(sarr[t] for t in lstack), sarr[u]))
-            elif c == 0:
-                if x == 0 and len(lstack) + 1 >= min_size:
-                    emit((v, *(sarr[t] for t in lstack)))
-            else:
-                counters[1] += 2
-                low = p & -p
-                u = low.bit_length() - 1
-                w = (p ^ low).bit_length() - 1
-                bu = adj[u]
-                bw = adj[w]
-                if (bu >> w) & 1:
-                    if x & bu & bw == 0 and len(lstack) + 3 >= min_size:
-                        emit((v, *(sarr[t] for t in lstack), sarr[u], sarr[w]))
-                elif len(lstack) + 2 >= min_size:
-                    if x & bu == 0:
-                        emit((v, *(sarr[t] for t in lstack), sarr[u]))
-                    if x & bw == 0:
-                        emit((v, *(sarr[t] for t in lstack), sarr[w]))
-
-        def expand_l(p: int, x: int) -> None:
-            counters[0] += 1
-            cand = p | x
-            counters[2] += cand.bit_count()
-            best = -1
-            pivot_nbrs = 0
-            m = cand
-            while m:
-                low = m & -m
-                nb = adj[low.bit_length() - 1]
-                count = (nb & p).bit_count()
-                if count > best:
-                    best = count
-                    pivot_nbrs = nb
-                m ^= low
-            branch = p & ~pivot_nbrs
-            counters[1] += branch.bit_count()
-            while branch:
-                low = branch & -branch
-                u = low.bit_length() - 1
-                nu = adj[u]
-                np_ = p & nu
-                c = np_.bit_count()
-                lappend(u)
-                if c < 3:
-                    small_l(np_, x & nu, c)
-                else:
-                    expand_l(np_, x & nu)
-                lpop()
-                p ^= low
-                x |= low
-                branch ^= low
-
-        expand_l(p, x)
-
-    np = None
-    blocks_mat = None
-
-    def local_subproblem(v: int):
-        """(sarr, adj, p0, x0) of v's neighborhood re-indexed to [0, |S|)."""
-        nonlocal np, blocks_mat
-        if blocks_mat is None:
-            np = require_numpy("the 'blocks' kernel")
-            blocks_mat = csr.blocks()
-        nbrs = csr.neighbors(v)
-        sarr = nbrs.tolist()
-        s_idx = np.asarray(nbrs, dtype=np.int64)
-        length = len(sarr)
-        sub = blocks_mat[s_idx]
-        bits01 = (sub[:, s_idx >> 6] >> (s_idx & 63).astype(np.uint64)) & np.uint64(1)
-        if length <= 64:
-            # One local word per row: position j's bit shifted into place
-            # and row-summed — no byte round trip at all.
-            adj = (bits01 << np.arange(length, dtype=np.uint64)).sum(
-                axis=1, dtype=np.uint64
-            ).tolist()
-        else:
-            packed = np.packbits(bits01.astype(np.uint8), axis=1, bitorder="little")
-            row_bytes = packed.shape[1]
-            buf = packed.tobytes()
-            adj = [
-                int.from_bytes(buf[i * row_bytes : (i + 1) * row_bytes], "little")
-                for i in range(length)
-            ]
-        split = int(np.searchsorted(s_idx, v))
-        x0 = (1 << split) - 1
-        p0 = ((1 << length) - 1) ^ x0
-        return sarr, adj, p0, x0
-
-    remap_min = _LOCAL_REMAP_MIN if HAVE_NUMPY else float("inf")
-    for v in range(len(bits)):
-        nv = bits[v]
-        later = (nv >> (v + 1)) << (v + 1)
-        c = later.bit_count()
-        if c >= remap_min:
-            sarr, adj, p0, x0 = local_subproblem(v)
-            expand_local(v, sarr, adj, p0, x0)
-            continue
-        append(v)
-        if c < 3:
-            small(later, nv & ((1 << v) - 1), c)
-        else:
-            expand(later, nv & ((1 << v) - 1))
-        pop()
-    if stats is not None:
-        stats.calls += counters[0]
-        stats.branches += counters[1]
-        stats.pivot_candidates += counters[2]
-        stats.emitted = len(cliques)
-    return cliques
 
 
 def count_overlaps_blocks(

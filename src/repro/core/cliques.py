@@ -11,17 +11,20 @@ We implement Bron–Kerbosch with:
   Strash), bounding work by O(d * n * 3^(d/3)) where d is the graph
   degeneracy — small for AS-like graphs even when the core is dense.
 
-Two kernels implement the same enumeration:
+Two enumerators implement the same recursion:
 
 * ``maximal_cliques`` — the set-based reference: R/P/X are Python
   sets of node objects.  Kept as the tested oracle.
-* ``maximal_cliques_bitset`` — the integer fast path: operates on a
+* ``maximal_cliques_bitset`` — the one integer enumerator, used by
+  every integer path (both CPM kernels, the shard tasks, the
+  incremental session): operates on a
   :class:`~repro.graph.csr.CSRGraph`, with P and X as arbitrary-
-  precision int bitmasks and the Tomita pivot chosen by
-  ``int.bit_count()``.  Emits cliques as tuples of dense ids; both
-  kernels enumerate exactly the same cliques (the maximal cliques of a
-  graph are unique), which ``tests/test_kernels_equivalence.py``
-  asserts against each other and the ``k_cliques`` oracle.
+  precision int bitmasks, leaf-sized subproblems resolved inline and
+  wide top-level subtrees re-indexed onto their own neighbourhood.
+  Emits cliques as tuples of dense ids; both enumerators produce
+  exactly the same cliques (the maximal cliques of a graph are
+  unique), which ``tests/test_kernels_equivalence.py`` asserts against
+  each other and the ``k_cliques`` oracle.
 
 Fixed-size k-clique enumeration (``k_cliques``) implements the literal
 objects of the k-clique community definition; it is exponentially more
@@ -32,7 +35,7 @@ the direct-definition CPM variant.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Hashable, Iterator
+from collections.abc import Hashable, Iterable, Iterator
 from dataclasses import dataclass
 
 from ..graph.csr import CSRGraph
@@ -60,7 +63,9 @@ class CliqueEnumerationStats:
     run is traced), so the default enumeration path pays nothing beyond
     one ``is not None`` check per recursive call.
 
-    * ``calls`` — recursive invocations of the Bron–Kerbosch kernel;
+    * ``calls`` — recursive invocations of the Bron–Kerbosch kernel
+      (for :func:`maximal_cliques_bitset`, every resolved subproblem,
+      inline leaves included);
     * ``branches`` — nodes actually branched on (``|P \\ N(pivot)|``
       summed), the quantity Tomita pivoting minimises;
     * ``pivot_candidates`` — candidates examined while choosing pivots
@@ -72,6 +77,15 @@ class CliqueEnumerationStats:
     branches: int = 0
     pivot_candidates: int = 0
     emitted: int = 0
+
+
+#: Candidate count at or above which a top-level subtree of
+#: :func:`maximal_cliques_bitset` is re-indexed onto its own
+#: neighbourhood.  Below it the one-off numpy gather costs more than
+#: the big-int width it saves; above it the whole subtree runs on masks
+#: one or two machine words wide (the degeneracy order bounds |N(v)|
+#: far under the graph's bit width).
+_LOCAL_REMAP_MIN = 12
 
 
 def maximal_cliques(
@@ -146,6 +160,7 @@ def maximal_cliques_bitset(
     *,
     min_size: int = 1,
     stats: CliqueEnumerationStats | None = None,
+    vertices: Iterable[int] | None = None,
 ) -> list[tuple[int, ...]]:
     """All maximal cliques of a :class:`CSRGraph`, as dense-id tuples.
 
@@ -153,60 +168,177 @@ def maximal_cliques_bitset(
     recursion with Tomita pivoting, but P and X are int bitmasks over
     the CSR ids (already in degeneracy order) and every set operation
     is one big-int ``&``/``|``/``^``.  ``b & -b`` isolates the lowest
-    set bit, ``bit_count()`` sizes a mask — both run in C.
+    set bit, ``bit_count()`` sizes a mask — both run in C.  Two things
+    keep the interpreter out of the way:
 
-    Returns one tuple of dense ids per maximal clique; map them back
-    with ``csr.to_labels``.  Enumerates exactly the clique set of the
-    reference kernel (order of emission may differ).
+    * **leaf inlining** — subproblems with ``|P| < 3`` are resolved by
+      closed-form maximality tests instead of recursing (they are most
+      of the calls on AS-like graphs):
+
+      - ``P = {}`` — ``R`` is maximal iff ``X`` is empty;
+      - ``P = {u}`` — ``R ∪ {u}`` is maximal iff no ``X`` node is
+        adjacent to ``u`` (a pivot covering ``u`` would itself witness
+        non-maximality);
+      - ``P = {u, w}`` adjacent — ``R ∪ {u, w}`` is maximal iff
+        ``X ∩ N(u) ∩ N(w)`` is empty; non-adjacent — ``R ∪ {u}`` and
+        ``R ∪ {w}`` are tested independently.
+
+    * **neighbourhood re-index** — a top-level subtree with at least
+      ``_LOCAL_REMAP_MIN`` candidates is re-indexed onto ``S = N(v)``
+      before recursing: the forward neighbour lists of ``S`` are
+      gathered from the CSR arrays and matched into ``S`` with
+      ``searchsorted``, so its masks are ``|S|`` bits wide instead of
+      ``n``.  ``S`` is
+      ascending, so local bit order equals global bit order and the
+      pivots, branches and emitted tuples are exactly those of the
+      un-indexed recursion.  The re-index needs numpy; without it every
+      subtree runs on the global rows.
+
+    Adjacency is read only through ``csr.bitsets`` (big-int rows indexed
+    by dense id; a shard task passes a lazily filled row memo) and the
+    ``csr.indptr``/``csr.indices`` arrays.  ``vertices`` (default: all,
+    ascending) are the top-level subtrees to expand; each emitted tuple
+    starts with its subtree's vertex.  Returns one tuple of dense ids
+    per maximal clique; map them back with ``csr.to_labels``.  ``stats``
+    counts every resolved subproblem, inline leaves included, as a call.
     """
     if min_size < 1:
         raise ValueError(f"min_size must be >= 1, got {min_size}")
+    # Imported here, not at module load: probing for numpy costs every
+    # process that imports the package but never enumerates.
+    from . import _blocks_compat
+
     bits = csr.bitsets
+    indptr = csr.indptr
     cliques: list[tuple[int, ...]] = []
     emit = cliques.append
     stack: list[int] = []
+    append = stack.append
+    pop = stack.pop
+    counters = [0, 0, 0]  # calls, branches, pivot_candidates
+    identity = range(csr.n)
+    # The rows of the subtree being expanded, and the dense id of each
+    # row's bit position: (bits, identity), or a re-indexed neighbourhood.
+    adj = bits
+    ids = identity
+
+    def small(p: int, x: int, c: int) -> None:
+        counters[0] += 1
+        if c == 1:
+            u = p.bit_length() - 1
+            if x & adj[u] == 0 and len(stack) + 1 >= min_size:
+                emit((*stack, ids[u]))
+        elif c == 0:
+            if x == 0 and len(stack) >= min_size:
+                emit(tuple(stack))
+        else:
+            counters[1] += 2
+            low = p & -p
+            u = low.bit_length() - 1
+            w = (p ^ low).bit_length() - 1
+            bu = adj[u]
+            bw = adj[w]
+            if (bu >> w) & 1:
+                if x & bu & bw == 0 and len(stack) + 2 >= min_size:
+                    emit((*stack, ids[u], ids[w]))
+            elif len(stack) + 1 >= min_size:
+                if x & bu == 0:
+                    emit((*stack, ids[u]))
+                if x & bw == 0:
+                    emit((*stack, ids[w]))
 
     def expand(p: int, x: int) -> None:
-        if stats is not None:
-            stats.calls += 1
-        if not p:
-            if not x and len(stack) >= min_size:
-                emit(tuple(stack))
-            return
+        counters[0] += 1
         # Pivot: the candidate of P | X with the most neighbors in P.
         cand = p | x
+        counters[2] += cand.bit_count()
         best = -1
         pivot_nbrs = 0
         m = cand
         while m:
             low = m & -m
-            count = (bits[low.bit_length() - 1] & p).bit_count()
+            nb = adj[low.bit_length() - 1]
+            count = (nb & p).bit_count()
             if count > best:
                 best = count
-                pivot_nbrs = bits[low.bit_length() - 1]
+                pivot_nbrs = nb
             m ^= low
         branch = p & ~pivot_nbrs
-        if stats is not None:
-            stats.pivot_candidates += cand.bit_count()
-            stats.branches += branch.bit_count()
+        counters[1] += branch.bit_count()
         while branch:
             low = branch & -branch
-            nv = bits[low.bit_length() - 1]
-            stack.append(low.bit_length() - 1)
-            expand(p & nv, x & nv)
-            stack.pop()
+            u = low.bit_length() - 1
+            nu = adj[u]
+            np_ = p & nu
+            c = np_.bit_count()
+            append(ids[u])
+            if c < 3:
+                small(np_, x & nu, c)
+            else:
+                expand(np_, x & nu)
+            pop()
             p ^= low
             x |= low
             branch ^= low
 
-    for v in range(len(bits)):
+    arrays = None
+
+    def reindex(v: int, c: int) -> tuple:
+        """(ids, rows, p, x) of v's subtree re-indexed onto S = N(v)."""
+        nonlocal arrays
+        if arrays is None:
+            np = _blocks_compat.require_numpy("the neighbourhood re-index")
+            ptr = np.frombuffer(indptr, dtype=indptr.typecode)
+            idx = np.frombuffer(csr.indices, dtype=csr.indices.typecode)
+            # Where each vertex's forward (higher-id) neighbours start.
+            owner = np.repeat(np.arange(len(ptr) - 1), np.diff(ptr))
+            backward = np.concatenate(([0], np.cumsum(idx < owner)))
+            arrays = (np, idx, ptr[:-1] + backward[ptr[1:]] - backward[ptr[:-1]], ptr[1:])
+        np, idx, forward_start, stop = arrays
+        lo, hi = indptr[v], indptr[v + 1]
+        size = hi - lo
+        s = idx[lo:hi]
+        # Every edge inside S, once: gather the forward lists of S in one
+        # ragged index (degeneracy order keeps them short, even for hubs)
+        # and find each neighbour's position in S (ascending, so
+        # searchsorted); a miss is a neighbour outside S.
+        first = forward_start[s]
+        lens = stop[s] - first
+        ends = np.cumsum(lens)
+        nbrs = idx[np.arange(ends[-1]) + np.repeat(first - (ends - lens), lens)]
+        pos = np.minimum(np.searchsorted(s, nbrs), size - 1)
+        hit = s[pos] == nbrs
+        i = np.repeat(np.arange(size), lens)[hit]
+        j = pos[hit]
+        row_bits = (size + 7) & ~7
+        flat = np.zeros(size * row_bits, np.uint8)
+        flat[i * row_bits + j] = 1
+        flat[j * row_bits + i] = 1
+        buf = np.packbits(flat, bitorder="little").tobytes()
+        step = row_bits >> 3
+        rows = [int.from_bytes(buf[k : k + step], "little") for k in range(0, len(buf), step)]
+        x = (1 << (size - c)) - 1
+        return csr.indices[lo:hi], rows, ((1 << size) - 1) ^ x, x
+
+    remap = _blocks_compat.HAVE_NUMPY
+    for v in identity if vertices is None else vertices:
         nv = bits[v]
         later = (nv >> (v + 1)) << (v + 1)
-        earlier = nv & ((1 << v) - 1)
-        stack.append(v)
-        expand(later, earlier)
-        stack.pop()
+        c = later.bit_count()
+        if remap and c >= _LOCAL_REMAP_MIN:
+            ids, adj, later, earlier = reindex(v, c)
+        else:
+            ids, adj, earlier = identity, bits, nv & ((1 << v) - 1)
+        append(v)
+        if c < 3:
+            small(later, earlier, c)
+        else:
+            expand(later, earlier)
+        pop()
     if stats is not None:
+        stats.calls += counters[0]
+        stats.branches += counters[1]
+        stats.pivot_candidates += counters[2]
         stats.emitted = len(cliques)
     return cliques
 
@@ -228,12 +360,12 @@ def local_maximal_cliques(
     Isolated nodes of the induced subgraph count (they extend to
     triangles ``{u, v, w}``), hence ``min_size=1`` semantics.
 
-    ``kernel`` picks the Bron–Kerbosch variant: ``"set"`` runs the
-    reference enumerator directly; ``"bitset"`` / ``"blocks"`` build a
-    :class:`~repro.graph.csr.CSRGraph` over the induced subgraph and
-    run the corresponding integer kernel (the same code paths the full
-    pipeline uses, exercised here on neighborhood-sized inputs).  All
-    kernels return the same clique set.
+    ``kernel`` picks the enumerator: ``"set"`` runs the reference
+    enumerator directly; the integer kernels (``"bitset"`` /
+    ``"blocks"``) build a :class:`~repro.graph.csr.CSRGraph` over the
+    induced subgraph and run :func:`maximal_cliques_bitset` — the same
+    code path the full pipeline uses, exercised here on
+    neighborhood-sized inputs.  Both return the same clique set.
     """
     if not nodes:
         return []
@@ -241,12 +373,7 @@ def local_maximal_cliques(
     if kernel == "set":
         return maximal_cliques(sub, min_size=1, stats=stats)
     csr = CSRGraph.from_graph(sub)
-    if kernel == "blocks":
-        from .blocks import maximal_cliques_blocks
-
-        dense = maximal_cliques_blocks(csr, min_size=1, stats=stats)
-    else:
-        dense = maximal_cliques_bitset(csr, min_size=1, stats=stats)
+    dense = maximal_cliques_bitset(csr, min_size=1, stats=stats)
     return [frozenset(csr.to_labels(clique)) for clique in dense]
 
 

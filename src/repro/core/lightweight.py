@@ -18,14 +18,15 @@ Python work; numpy phases run whole-array.*
 
 * ``kernel="bitset"`` (default) — the pure-Python integer path over a
   :class:`~repro.graph.csr.CSRGraph` snapshot (dense ids in degeneracy
-  order).  Enumeration is the bitset Bron–Kerbosch; overlap counting
+  order).  Enumeration is :func:`~.cliques.maximal_cliques_bitset`,
+  the one integer Bron–Kerbosch both kernels share; overlap counting
   (size >= 3 cliques only, see :mod:`.overlap`) is a shard task, run
   as one in-driver chunk when ``shards=1``.  With ``shards > 1`` the
   percolation buckets are first contracted per shard slice, then one
   union-find sweep over the wire stitches the components.
 * ``kernel="blocks"`` — the vectorized path (requires the ``[perf]``
-  numpy extra; see :mod:`.blocks`).  Same CSR snapshot and wire, with
-  leaf-inlined enumeration; overlap counting and the min-label
+  numpy extra; see :mod:`.blocks`).  Same CSR snapshot, enumerator
+  and wire; overlap counting and the min-label
   percolation sweep are whole-array numpy passes that stay in the
   driver at any shard count.  ``--kernel auto`` selects it when numpy
   is importable and degrades to ``bitset`` otherwise
@@ -38,7 +39,7 @@ Python work; numpy phases run whole-array.*
   kernels produce byte-identical hierarchies (same covers, same parent
   labels), which ``tests/test_kernels_equivalence.py`` asserts.
 
-With ``shards > 1`` enumeration fans out for every kernel (degeneracy-
+With ``shards > 1`` enumeration fans out for both kernels (degeneracy-
 partitioned Bron–Kerbosch subtrees, reassembled in the serial emission
 order).  ``shards`` defaults to ``"auto"`` — one shard per worker — so
 ``workers=N`` alone runs the shard tasks on a pool of N processes.
@@ -86,7 +87,7 @@ from ..runner.supervise import PoolSupervisor, RunnerConfig
 from ..shard.pipeline import sharded_enumerate_dense, sharded_overlap_dense, sharded_reduce_wire
 from ..shard.plan import prefix_count, resolve_shards
 from .cache import CliqueCache
-from .cliques import CliqueCensus, CliqueEnumerationStats, maximal_cliques_bitset
+from .cliques import CliqueCensus
 from .communities import CommunityHierarchy
 from .overlap import OverlapWire
 from .percolation import CliqueOverlapIndex, build_hierarchy, extract_hierarchy, percolate_wire
@@ -384,10 +385,7 @@ class LightweightParallelCPM:
                 n_nodes = enum_ck["n_nodes"]
                 self._mark_resumed("enumerate")
             else:
-                if self.shards > 1:
-                    dense, cliques, n_nodes = sharded_enumerate_dense(self, ckpt)
-                else:
-                    dense, cliques, n_nodes = self._enumerate()
+                dense, cliques, n_nodes = sharded_enumerate_dense(self, ckpt)
                 if ckpt is not None:
                     ckpt.store_phase(
                         "enumerate",
@@ -446,44 +444,6 @@ class LightweightParallelCPM:
             raise ValueError(f"graph has no clique of size >= {min_k}; nothing to extract")
         return top
 
-    def _enumerate(self) -> tuple[list[tuple[int, ...]], list[tuple], int]:
-        """One-shard enumeration with the kernel's own Bron–Kerbosch.
-
-        Returns ``(dense, labelled, n_nodes)``: dense-id cliques sorted
-        by size descending, the same cliques over node labels, and the
-        CSR node count.
-        """
-        with self.tracer.span("cpm.enumerate") as span:
-            enum_stats = CliqueEnumerationStats() if self._observing else None
-            csr = CSRGraph.from_graph(self.graph)
-            self.csr = csr
-            if self.kernel == "blocks":
-                from .blocks import maximal_cliques_blocks
-
-                # The uint64 block matrix is the *analysis* engine's
-                # input, not the CPM pipeline's — it stays lazy
-                # (csr.blocks() materialises on first use) so cpm.run
-                # never pays the allocation.  Record the footprint it
-                # will occupy so the manifest sizes the [perf] extra's
-                # memory cost anyway.
-                n_words = max(1, (csr.n + 63) >> 6)
-                self.metrics.inc("cpm.blocks.bytes", csr.n * n_words * 8)
-                dense = maximal_cliques_blocks(csr, min_size=2, stats=enum_stats)
-            else:
-                dense = maximal_cliques_bitset(csr, min_size=2, stats=enum_stats)
-            dense.sort(key=len, reverse=True)
-            to_label = csr.labels.__getitem__
-            cliques = [tuple(map(to_label, clique)) for clique in dense]
-            span.set("n_cliques", len(cliques))
-            span.set("kernel", self.kernel)
-            self.metrics.inc("cliques.enumerated", len(cliques))
-            if enum_stats is not None:
-                span.set("recursive_calls", enum_stats.calls)
-                self.metrics.inc("cliques.bk_calls", enum_stats.calls)
-                self.metrics.inc("cliques.bk_branches", enum_stats.branches)
-                self.metrics.inc("cliques.bk_pivot_candidates", enum_stats.pivot_candidates)
-        return dense, cliques, csr.n
-
     def _overlap_blocks(
         self,
         dense: list[tuple[int, ...]],
@@ -508,7 +468,7 @@ class LightweightParallelCPM:
                 )
                 count_span.set("batches", shard_stats["batches"])
             span.set("shards", 1)
-            self._aggregate_shard_reports([shard_stats], time.perf_counter() - t0)
+            self._aggregate_shard_reports([shard_stats], time.perf_counter() - t0, 1)
             self.metrics.inc("cpm.blocks.popcount_batches", shard_stats["batches"])
             self.metrics.inc("cpm.blocks.pair_words", shard_stats["pair_updates"])
             self.metrics.inc("overlap.pairs", n_counted)
@@ -580,7 +540,11 @@ class LightweightParallelCPM:
         size = -(-len(todo) // n_chunks)
         return [todo[i : i + size] for i in range(0, len(todo), size)]
 
-    def _aggregate_shard_reports(self, shard_reports: list[dict], elapsed: float) -> None:
+    def _aggregate_shard_reports(
+        self, shard_reports: list[dict], elapsed: float, processes: int
+    ) -> None:
+        """Fold overlap-count reports into metrics; ``processes`` is how
+        many processes ran them (the utilisation gauge's denominator)."""
         busy = 0.0
         for shard_stats in shard_reports:
             busy += shard_stats["wall_seconds"]
@@ -591,7 +555,7 @@ class LightweightParallelCPM:
             self.metrics.observe("worker.max_rss_kib", shard_stats["max_rss_kib"])
         if elapsed > 0:
             self.metrics.set_gauge(
-                "overlap.worker_utilisation", min(1.0, busy / (elapsed * self.workers))
+                "overlap.worker_utilisation", min(1.0, busy / (elapsed * processes))
             )
 
     # ------------------------------------------------------------------

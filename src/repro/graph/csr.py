@@ -16,7 +16,9 @@ it relabels the graph once and runs on dense integers.  A
 * **bitsets** — per-node neighborhood masks as arbitrary-precision
   Python ints (bit ``j`` set iff ``{i, j}`` is an edge).  CPython's
   big-int ``&``/``|``/``bit_count`` run word-at-a-time in C, which is
-  what makes the bitset Bron–Kerbosch kernel fast without numpy.
+  what makes the integer Bron–Kerbosch fast without numpy.  A shard
+  worker, which receives only the CSR arrays, passes a dict that
+  builds each row on first read in place of the list.
 
 The snapshot is derived data: mutate the source :class:`Graph` and
 build a new snapshot.
@@ -51,7 +53,7 @@ class CSRGraph:
         labels: Sequence[Hashable],
         indptr: array,
         indices: array,
-        bitsets: list[int],
+        bitsets: list[int] | dict[int, int],
     ) -> None:
         self.labels = list(labels)
         self.indptr = indptr
@@ -136,8 +138,8 @@ class CSRGraph:
         words: bit ``j`` of row ``i`` (word ``j // 64``, bit ``j % 64``)
         is set iff ``{i, j}`` is an edge — the exact bytes of
         :attr:`bitsets`, so the two views agree by construction on any
-        host.  The ``blocks`` CPM kernel and the ``blocks`` analysis
-        engine batch their popcounts over this matrix.
+        host.  The ``blocks`` analysis engine batches its popcounts
+        over this matrix.
 
         Requires the ``[perf]`` extra; raises
         :class:`~repro.core._blocks_compat.BlocksUnavailableError`

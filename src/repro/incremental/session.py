@@ -121,10 +121,11 @@ class CPMSession:
     returns a :class:`~repro.api.CPMResult` whose hierarchy is
     byte-identical to a from-scratch ``run_cpm`` on the current graph.
 
-    ``kernel`` selects the Bron–Kerbosch variant for both the initial
-    enumeration and the per-insertion neighborhood enumerations
-    (``"set"``, ``"bitset"``, ``"blocks"`` or ``"auto"``; same
-    semantics as :func:`repro.run_cpm`).  ``cache`` (a
+    ``kernel`` (``"set"``, ``"bitset"``, ``"blocks"`` or ``"auto"``;
+    same semantics as :func:`repro.run_cpm`) picks the set-based or the
+    integer Bron–Kerbosch for both the initial enumeration and the
+    per-insertion neighborhood enumerations, and the percolation
+    backend.  ``cache`` (a
     :class:`~repro.core.cache.CliqueCache`) is probed read-only for
     the initial clique/overlap payload a previous ``run_cpm`` may have
     left behind (the ``set`` oracle takes no cache, as in
@@ -218,12 +219,7 @@ class CPMSession:
                 maximal_cliques(self.graph, min_size=2), key=len, reverse=True
             )
         csr = CSRGraph.from_graph(self.graph)
-        if self.kernel == "blocks":
-            from ..core.blocks import maximal_cliques_blocks
-
-            dense = maximal_cliques_blocks(csr, min_size=2)
-        else:
-            dense = maximal_cliques_bitset(csr, min_size=2)
+        dense = maximal_cliques_bitset(csr, min_size=2)
         dense.sort(key=len, reverse=True)
         to_label = csr.labels.__getitem__
         return [frozenset(map(to_label, clique)) for clique in dense]

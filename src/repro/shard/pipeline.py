@@ -12,10 +12,12 @@ counter.  The blocks kernel's numpy phases (overlap counting and the
 percolation sweep) never come through here: they are whole-array
 operations and run in the driver at any shard count.
 
-* **Enumeration** — the shard plan partitions degeneracy-ordered
-  vertices; workers return cliques keyed by vertex and the driver
-  reassembles them in global vertex order (the serial kernel's exact
-  emission sequence) before the usual stable size-descending sort.
+* **Enumeration** (both kernels) — one shard is a plain in-driver call
+  of :func:`~repro.core.cliques.maximal_cliques_bitset`; with more, the
+  shard plan partitions degeneracy-ordered vertices, workers run the
+  same enumerator and return cliques keyed by vertex, and the driver
+  reassembles them in global vertex order (the serial emission
+  sequence) before the usual stable size-descending sort.
 * **Overlap** (bitset kernel) — node-index chunks are counted into
   per-``i``-shard word→count maps; the driver merges and bucketizes one
   i-shard at a time, bounding the merge's working set (Baudin
@@ -40,6 +42,7 @@ from __future__ import annotations
 import time
 from array import array
 
+from ..core.cliques import CliqueEnumerationStats, maximal_cliques_bitset
 from ..core.overlap import OverlapWire, build_node_index, chain_pairs, truncate_index
 from ..graph.csr import CSRGraph
 from ..obs.logging import get_logger
@@ -47,7 +50,7 @@ from ..runner.checkpoint import CheckpointStore
 from .plan import ShardPlan, plan_shards, prefix_count, split_contiguous
 from .workers import (
     count_shard_words,
-    enumerate_shard_bitset,
+    enumerate_shard,
     install_shared,
     reduce_shard_bucket,
 )
@@ -116,7 +119,7 @@ def _store_partial(
 _LOG = get_logger(component="shard")
 
 
-def _observe_plan(cpm, plan: ShardPlan, closure_rows: tuple[int, ...]) -> None:
+def _observe_plan(cpm, plan: ShardPlan, closure_rows: list[int]) -> None:
     cpm.metrics.set_gauge("shard.count", plan.n_shards)
     cpm.metrics.set_gauge("shard.imbalance", plan.imbalance())
     _LOG.info(
@@ -127,75 +130,90 @@ def _observe_plan(cpm, plan: ShardPlan, closure_rows: tuple[int, ...]) -> None:
     for s in range(plan.n_shards):
         cpm.metrics.observe("shard.cost", plan.costs[s])
         cpm.metrics.observe("shard.vertices", len(plan.owners[s]))
-        if closure_rows:
-            cpm.metrics.observe("shard.closure_rows", closure_rows[s])
-
-
-def _absorb_enumerate_stats(cpm, stats: dict) -> None:
-    cpm.metrics.observe("shard.cliques", stats["cliques"])
-    cpm.metrics.observe("shard.enumerate_seconds", stats["wall_seconds"])
-    cpm.metrics.observe("worker.max_rss_kib", stats["max_rss_kib"])
-    cpm.metrics.inc("cliques.bk_calls", stats["bk_calls"])
-    cpm.metrics.inc("cliques.bk_branches", stats["bk_branches"])
-    cpm.metrics.inc("cliques.bk_pivot_candidates", stats["bk_pivot_candidates"])
+        cpm.metrics.observe("shard.closure_rows", closure_rows[s])
 
 
 # ----------------------------------------------------------------------
 # Enumeration
 # ----------------------------------------------------------------------
 def sharded_enumerate_dense(cpm, ckpt: CheckpointStore | None):
-    """Sharded Bron–Kerbosch over the CSR snapshot (every kernel, shards > 1).
+    """Bron–Kerbosch over the CSR snapshot, for both pipeline kernels.
 
-    Returns the serial kernel's exact ``(dense, cliques, n_nodes)``:
-    per-vertex reassembly in ascending id order reproduces the serial
-    emission sequence, and the stable size sort does the rest.
+    One shard is a plain in-driver
+    :func:`~repro.core.cliques.maximal_cliques_bitset` call over
+    ``csr.bitsets``; more shards run the same enumerator over a
+    degeneracy-partitioned plan (:func:`_enumerate_shards`).  Returns
+    ``(dense, cliques, n_nodes)``: dense-id cliques sorted by size
+    descending, the same cliques over node labels, and the CSR node
+    count — identical at every shard count.
     """
     with cpm.tracer.span("cpm.enumerate") as span:
         csr = CSRGraph.from_graph(cpm.graph)
         cpm.csr = csr
-        n = csr.n
-        indptr, indices = csr.indptr, csr.indices
-        with cpm.tracer.span("shard.plan") as plan_span:
-            forward = [
-                sum(1 for u in indices[indptr[v] : indptr[v + 1]] if u > v)
-                for v in range(n)
-            ]
-            plan = plan_shards(forward, cpm.shards)
-            closure_rows = []
-            for owned in plan.owners:
-                mask = 0
-                for v in owned:
-                    mask |= csr.bitsets[v] | (1 << v)
-                closure_rows.append(mask.bit_count())
-            closure_rows = tuple(closure_rows)
-            plan_span.set("shards", plan.n_shards)
-            plan_span.set("imbalance", round(plan.imbalance(), 3))
-            _observe_plan(cpm, plan, closure_rows)
-
-        payload = {"indptr": indptr, "indices": indices, "row_bytes": (n + 7) >> 3}
-        done = _load_partial(cpm, ckpt, "shard_enumerate", plan.n_shards)
-        tasks = [(sid, plan.owners[sid]) for sid in range(plan.n_shards) if sid not in done]
-
-        def absorb(index: int, result) -> None:
-            by_vertex, stats = result
-            done[stats["shard"]] = by_vertex
-            _absorb_enumerate_stats(cpm, stats)
-            _store_partial(ckpt, "shard_enumerate", plan.n_shards, done)
-
-        _dispatch(cpm, "enumerate", enumerate_shard_bitset, tasks, payload, absorb)
-
-        by_vertex_all: dict[int, list] = {}
-        for mapping in done.values():
-            by_vertex_all.update(mapping)
-        dense = [c for v in range(n) for c in by_vertex_all.get(v, ())]
+        counts = CliqueEnumerationStats()
+        if cpm.shards == 1:
+            dense = maximal_cliques_bitset(csr, min_size=2, stats=counts)
+        else:
+            dense = _enumerate_shards(cpm, csr, counts, ckpt)
         dense.sort(key=len, reverse=True)
         to_label = csr.labels.__getitem__
         cliques = [tuple(map(to_label, clique)) for clique in dense]
         span.set("n_cliques", len(cliques))
         span.set("kernel", cpm.kernel)
-        span.set("shards", plan.n_shards)
+        span.set("shards", cpm.shards)
         cpm.metrics.inc("cliques.enumerated", len(cliques))
-    return dense, cliques, n
+        cpm.metrics.inc("cliques.bk_calls", counts.calls)
+        cpm.metrics.inc("cliques.bk_branches", counts.branches)
+        cpm.metrics.inc("cliques.bk_pivot_candidates", counts.pivot_candidates)
+    return dense, cliques, csr.n
+
+
+def _enumerate_shards(
+    cpm, csr: CSRGraph, counts: CliqueEnumerationStats, ckpt: CheckpointStore | None
+) -> list[tuple[int, ...]]:
+    """Fan the per-vertex subtrees out as shard tasks.
+
+    Per-vertex reassembly in ascending id order reproduces the serial
+    emission sequence.  Workers get the CSR arrays, never the bitsets.
+    """
+    n = csr.n
+    indptr, indices = csr.indptr, csr.indices
+    with cpm.tracer.span("shard.plan") as plan_span:
+        forward = [
+            sum(1 for u in indices[indptr[v] : indptr[v + 1]] if u > v) for v in range(n)
+        ]
+        plan = plan_shards(forward, cpm.shards)
+        closure_rows = []
+        for owned in plan.owners:
+            mask = 0
+            for v in owned:
+                mask |= csr.bitsets[v] | (1 << v)
+            closure_rows.append(mask.bit_count())
+        plan_span.set("shards", plan.n_shards)
+        plan_span.set("imbalance", round(plan.imbalance(), 3))
+        _observe_plan(cpm, plan, closure_rows)
+
+    payload = {"indptr": indptr, "indices": indices}
+    done = _load_partial(cpm, ckpt, "shard_enumerate", plan.n_shards)
+    tasks = [(sid, plan.owners[sid]) for sid in range(plan.n_shards) if sid not in done]
+
+    def absorb(index: int, result) -> None:
+        by_vertex, stats = result
+        done[stats["shard"]] = by_vertex
+        cpm.metrics.observe("shard.cliques", stats["cliques"])
+        cpm.metrics.observe("shard.enumerate_seconds", stats["wall_seconds"])
+        cpm.metrics.observe("worker.max_rss_kib", stats["max_rss_kib"])
+        counts.calls += stats["bk_calls"]
+        counts.branches += stats["bk_branches"]
+        counts.pivot_candidates += stats["bk_pivot_candidates"]
+        _store_partial(ckpt, "shard_enumerate", plan.n_shards, done)
+
+    _dispatch(cpm, "enumerate", enumerate_shard, tasks, payload, absorb)
+
+    by_vertex_all: dict[int, list] = {}
+    for mapping in done.values():
+        by_vertex_all.update(mapping)
+    return [c for v in range(n) for c in by_vertex_all.get(v, ())]
 
 
 # ----------------------------------------------------------------------
@@ -239,7 +257,9 @@ def sharded_overlap_dense(cpm, dense, sizes, n_nodes: int, ckpt: CheckpointStore
             _store_partial(ckpt, "shard_overlap", n_shards, done)
 
         _dispatch(cpm, "overlap", count_shard_words, tasks, payload, absorb)
-        cpm._aggregate_shard_reports(shard_reports, time.perf_counter() - t0)
+        cpm._aggregate_shard_reports(
+            shard_reports, time.perf_counter() - t0, cpm.workers if _fans_out(cpm) else 1
+        )
 
         # Merge + bucketize one i-shard at a time: the working set is a
         # single shard's distinct pairs, never the global counter.

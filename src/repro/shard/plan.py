@@ -59,15 +59,12 @@ class ShardPlan:
     """A balanced assignment of degeneracy-ordered vertices to shards.
 
     * ``owners[s]`` — the vertices shard ``s`` enumerates, ascending;
-    * ``costs[s]`` — the shard's summed cost estimate (load balance);
-    * ``closure_rows[s]`` — how many adjacency rows the shard's
-      forward closure touches (the shard's worker-memory footprint).
+    * ``costs[s]`` — the shard's summed cost estimate (load balance).
     """
 
     n_shards: int
     owners: tuple[tuple[int, ...], ...]
     costs: tuple[int, ...]
-    closure_rows: tuple[int, ...] = ()
 
     @property
     def n_vertices(self) -> int:

@@ -9,10 +9,13 @@ payload travels once per worker process via the pool initializer
 
 Memory model: enumeration workers never receive the bitset adjacency
 (O(n²/8) bytes per process at scale).  They receive the CSR arrays
-(~12 bytes per edge) and lazily materialise big-int adjacency rows for
-the forward-neighborhood closure of the vertices they own, memoised
-per process — a shard's resident footprint is its closure, not the
-graph.
+(~12 bytes per edge) and run the driver's own enumerator,
+:func:`~repro.core.cliques.maximal_cliques_bitset`, over a CSR
+snapshot whose big-int rows are built on first read and memoised per
+process — a shard's resident footprint is the rows its subtrees touch
+(at most its forward-neighborhood closure), not the graph.  A subtree
+the enumerator re-indexes onto its own neighbourhood reads only its
+root's row; the rest comes from the CSR arrays.
 """
 
 from __future__ import annotations
@@ -21,13 +24,15 @@ import time
 from array import array
 from bisect import bisect_right
 
+from ..core.cliques import CliqueEnumerationStats, maximal_cliques_bitset
 from ..core.unionfind import IntUnionFind
+from ..graph.csr import CSRGraph
 from ..obs.tracing import max_rss_kib
 from ..obs.worker import current_metrics, worker_span
 
 __all__ = [
     "install_shared",
-    "enumerate_shard_bitset",
+    "enumerate_shard",
     "count_shard_words",
     "reduce_shard_bucket",
 ]
@@ -44,8 +49,8 @@ def install_shared(payload: dict) -> None:
     Runs as the worker-pool initializer (once per worker, not per
     task) and in the driver process itself, so serial dispatch and the
     supervisor's degradation fallback see the same shared state.
-    Replacing the dict wholesale also drops the per-process ``_rows``
-    memo built against a previous phase's payload.
+    Replacing the dict wholesale also drops the per-process row memo
+    built against a previous phase's payload.
     """
     global _SHARED
     _SHARED = payload
@@ -54,88 +59,49 @@ def install_shared(payload: dict) -> None:
 # ----------------------------------------------------------------------
 # Enumeration
 # ----------------------------------------------------------------------
-def _bitset_rows() -> dict[int, int]:
-    """The process-local adjacency-row memo (survives across tasks)."""
-    rows = _SHARED.get("_rows")
-    if rows is None:
-        rows = _SHARED["_rows"] = {}
-    return rows
+class _RowMemo(dict):
+    """Big-int adjacency rows by dense id, built from the CSR arrays on
+    first read and kept for the rest of the phase."""
 
+    __slots__ = ("indptr", "indices", "row_bytes")
 
-def _build_rows(vertices: list[int], rows: dict[int, int]) -> int:
-    """Materialise big-int adjacency rows for ``vertices`` + neighbors.
+    def __init__(self, indptr: array, indices: array) -> None:
+        super().__init__()
+        self.indptr = indptr
+        self.indices = indices
+        self.row_bytes = (len(indptr) + 6) >> 3  # ceil(n / 8)
 
-    The Bron–Kerbosch subtree rooted at ``v`` only reads rows inside
-    ``{v} ∪ N(v)`` (candidates, excluded set and pivot scans all live
-    in ``N(v)``), so building the one-hop closure up front lets the
-    recursion index ``rows`` like the serial kernel indexes
-    ``csr.bitsets``.  Returns the number of rows built.
-    """
-    indptr = _SHARED["indptr"]
-    indices = _SHARED["indices"]
-    row_bytes = _SHARED["row_bytes"]
-    built = 0
-    pending = []
-    for v in vertices:
-        if v not in rows:
-            pending.append(v)
-        pending.extend(u for u in indices[indptr[v] : indptr[v + 1]] if u not in rows)
-    for u in pending:
-        if u in rows:
-            continue
-        buf = bytearray(row_bytes)
-        for w in indices[indptr[u] : indptr[u + 1]]:
+    def __missing__(self, u: int) -> int:
+        buf = bytearray(self.row_bytes)
+        for w in self.indices[self.indptr[u] : self.indptr[u + 1]]:
             buf[w >> 3] |= 1 << (w & 7)
-        rows[u] = int.from_bytes(buf, "little")
-        built += 1
-    return built
+        row = self[u] = int.from_bytes(buf, "little")
+        return row
 
 
-def _vertex_cliques_bitset(v: int, rows: dict[int, int], emit, counters: dict) -> None:
-    """The serial bitset kernel's per-vertex subtree, over memoised rows."""
-    stack = [v]
+def _shard_csr() -> CSRGraph:
+    """This process's CSR snapshot, with a row memo for ``bitsets``.
 
-    def expand(p: int, x: int) -> None:
-        counters["calls"] += 1
-        if not p:
-            if not x and len(stack) >= 2:
-                emit(tuple(stack))
-            return
-        cand = p | x
-        best = -1
-        pivot_nbrs = 0
-        m = cand
-        while m:
-            low = m & -m
-            count = (rows[low.bit_length() - 1] & p).bit_count()
-            if count > best:
-                best = count
-                pivot_nbrs = rows[low.bit_length() - 1]
-            m ^= low
-        branch = p & ~pivot_nbrs
-        counters["pivot_candidates"] += cand.bit_count()
-        counters["branches"] += branch.bit_count()
-        while branch:
-            low = branch & -branch
-            nv = rows[low.bit_length() - 1]
-            stack.append(low.bit_length() - 1)
-            expand(p & nv, x & nv)
-            stack.pop()
-            p ^= low
-            x |= low
-            branch ^= low
-
-    nv = rows[v]
-    later = (nv >> (v + 1)) << (v + 1)
-    earlier = nv & ((1 << v) - 1)
-    expand(later, earlier)
+    Labelled by dense id (workers never map labels back); built once
+    per installed payload, so the memo survives across the phase's
+    tasks.
+    """
+    csr = _SHARED.get("csr")
+    if csr is None:
+        indptr, indices = _SHARED["indptr"], _SHARED["indices"]
+        csr = _SHARED["csr"] = CSRGraph(
+            range(len(indptr) - 1), indptr, indices, _RowMemo(indptr, indices)
+        )
+    return csr
 
 
-def enumerate_shard_bitset(task: tuple[int, tuple[int, ...]]) -> tuple[dict, dict]:
+def enumerate_shard(task: tuple[int, tuple[int, ...]]) -> tuple[dict, dict]:
     """Worker: enumerate the Bron–Kerbosch subtrees one shard owns.
 
-    Returns ``{vertex: [clique tuples]}`` so the driver can reassemble
-    cliques in global degeneracy order — the serial kernel's exact
+    Runs :func:`~repro.core.cliques.maximal_cliques_bitset` over the
+    owned vertices and returns ``{vertex: [clique tuples]}`` (every
+    tuple starts with its subtree's vertex), so the driver can
+    reassemble cliques in global degeneracy order — the serial
     emission sequence — regardless of shard boundaries.
     """
     shard_id, owned = task
@@ -143,30 +109,28 @@ def enumerate_shard_bitset(task: tuple[int, tuple[int, ...]]) -> tuple[dict, dic
     with worker_span(
         "worker.shard.enumerate", shard=shard_id, vertices=len(owned)
     ) as span:
-        rows = _bitset_rows()
-        rows_built = _build_rows(list(owned), rows)
-        counters = {"calls": 0, "branches": 0, "pivot_candidates": 0}
-        by_vertex: dict[int, list[tuple[int, ...]]] = {}
-        n_cliques = 0
-        for v in owned:
-            out: list[tuple[int, ...]] = []
-            _vertex_cliques_bitset(v, rows, out.append, counters)
-            by_vertex[v] = out
-            n_cliques += len(out)
-        span.set("cliques", n_cliques)
+        csr = _shard_csr()
+        rows_before = len(csr.bitsets)
+        counts = CliqueEnumerationStats()
+        cliques = maximal_cliques_bitset(csr, min_size=2, stats=counts, vertices=owned)
+        rows_built = len(csr.bitsets) - rows_before
+        by_vertex: dict[int, list[tuple[int, ...]]] = {v: [] for v in owned}
+        for clique in cliques:
+            by_vertex[clique[0]].append(clique)
+        span.set("cliques", len(cliques))
         span.set("rows_built", rows_built)
         registry = current_metrics()
         if registry is not None:
-            registry.inc("worker.shard.cliques", n_cliques)
+            registry.inc("worker.shard.cliques", len(cliques))
             registry.observe("worker.shard.rows_built", rows_built)
     stats = {
         "shard": shard_id,
         "vertices": len(owned),
-        "cliques": n_cliques,
+        "cliques": len(cliques),
         "rows_built": rows_built,
-        "bk_calls": counters["calls"],
-        "bk_branches": counters["branches"],
-        "bk_pivot_candidates": counters["pivot_candidates"],
+        "bk_calls": counts.calls,
+        "bk_branches": counts.branches,
+        "bk_pivot_candidates": counts.pivot_candidates,
         "wall_seconds": time.perf_counter() - t0,
         "cpu_seconds": time.process_time() - c0,
         "max_rss_kib": max_rss_kib(),

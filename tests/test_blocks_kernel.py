@@ -10,6 +10,8 @@ module pins everything around the kernel:
   numpy-less install (simulated by monkeypatching ``HAVE_NUMPY``, so
   both legs run regardless of which CI matrix cell executes them);
 * the uint64 block matrix against the big-int bitsets, bit for bit;
+* the enumerator's numpy neighbourhood re-index against the same
+  recursion without it, tuple for tuple;
 * the vectorized overlap counter against the sharded reference at the
   wire level (same buckets as multisets, same chains);
 * the min-label percolation sweep against the incremental union-find,
@@ -31,11 +33,13 @@ from repro.core._blocks_compat import (
     numpy_version,
     require_numpy,
 )
+from repro.core import cliques
+from repro.core.cliques import maximal_cliques_bitset
 from repro.core.lightweight import KERNELS, LightweightParallelCPM, resolve_kernel
 from repro.core.percolation import percolate_wire
-from repro.shard.pipeline import sharded_overlap_dense
+from repro.shard.pipeline import sharded_enumerate_dense, sharded_overlap_dense
 from repro.shard.plan import prefix_count
-from repro.graph import CSRGraph, ring_of_cliques
+from repro.graph import CSRGraph, Graph, ring_of_cliques
 from repro.obs.inspect import diff_manifests
 
 from .conftest import random_graph
@@ -109,6 +113,39 @@ class TestBlockMatrix:
         assert csr.blocks() is csr.blocks()
 
 
+def _wide_hub_graph() -> Graph:
+    """A 14-clique whose members each hang 60 leaves: every clique
+    member's neighbourhood is wider than one 64-bit word."""
+    graph = ring_of_cliques(1, 14)
+    for member in range(14):
+        for leaf in range(60):
+            graph.add_edge(member, 100 + 60 * member + leaf)
+    return graph
+
+
+@needs_numpy
+class TestReindex:
+    """The re-index changes the adjacency's width, never the recursion."""
+
+    @pytest.mark.parametrize("remap_min", [cliques._LOCAL_REMAP_MIN, 3])
+    @pytest.mark.parametrize(
+        "graph",
+        [random_graph(40, 0.5, seed=5), random_graph(60, 0.3, seed=23), _wide_hub_graph()],
+        ids=["gnp-dense", "gnp-medium", "wide-hub"],
+    )
+    def test_emission_sequence_matches_unindexed(self, graph, remap_min, monkeypatch):
+        monkeypatch.setattr(cliques, "_LOCAL_REMAP_MIN", remap_min)
+        csr = CSRGraph.from_graph(graph)
+        assert any(
+            (row >> (v + 1)).bit_count() >= remap_min for v, row in enumerate(csr.bitsets)
+        )
+        for min_size in (1, 2, 4):
+            on = maximal_cliques_bitset(csr, min_size=min_size)
+            with monkeypatch.context() as off:
+                off.setattr(_blocks_compat, "HAVE_NUMPY", False)
+                assert maximal_cliques_bitset(csr, min_size=min_size) == on
+
+
 @needs_numpy
 class TestWireEquivalence:
     """The vectorized overlap/percolation stages vs the references."""
@@ -127,7 +164,7 @@ class TestWireEquivalence:
         dense_graphs = []
         for kernel in ("blocks", "bitset"):
             cpm = LightweightParallelCPM(graph, kernel=kernel)
-            dense, _cliques, n_nodes = cpm._enumerate()
+            dense, _cliques, n_nodes = sharded_enumerate_dense(cpm, None)
             sizes = [len(c) for c in dense]
             if kernel == "blocks":
                 wire, counted = cpm._overlap_blocks(dense, sizes)
@@ -152,7 +189,7 @@ class TestWireEquivalence:
     def test_percolation_groups_match_union_find(self, seed):
         graph = random_graph(50, 0.3, seed=seed)
         cpm = LightweightParallelCPM(graph, kernel="bitset")
-        dense, _cliques, n_nodes = cpm._enumerate()
+        dense, _cliques, n_nodes = sharded_enumerate_dense(cpm, None)
         sizes = [len(c) for c in dense]
         wire, _ = sharded_overlap_dense(cpm, dense, sizes, n_nodes, None)
         orders = list(range(max(sizes), 1, -1))

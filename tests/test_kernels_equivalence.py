@@ -17,7 +17,7 @@ import random
 
 import pytest
 
-from repro.core import IntUnionFind, UnionFind
+from repro.core import IntUnionFind, UnionFind, cliques
 from repro.core._blocks_compat import HAVE_NUMPY
 from repro.core.cliques import maximal_cliques, maximal_cliques_bitset
 from repro.core.lightweight import LightweightParallelCPM
@@ -73,20 +73,21 @@ class TestCliqueEnumeration:
         assert fast == reference
 
     @needs_numpy
-    def test_blocks_enumerates_the_same_cliques(self, graph):
-        """The blocks kernel emits the identical clique sequence.
+    def test_blocks_enumerates_the_same_cliques(self, graph, monkeypatch):
+        """The numpy re-index path, forced onto every subtree, agrees too.
 
-        Stronger than set equality: the inline leaf resolution must
-        preserve the bitset kernel's emission *order* (as member sets),
-        which is what keeps dense clique ids — and therefore the packed
-        overlap wire — aligned across the two kernels.
+        Both kernels share the one integer enumerator; on a numpy
+        install it re-indexes wide subtrees onto their neighbourhood.
+        Lowering the threshold sends every subtree with a candidate
+        through that path, which the small test graphs otherwise rarely
+        reach.
         """
-        from repro.core.blocks import maximal_cliques_blocks
-
+        monkeypatch.setattr(cliques, "_LOCAL_REMAP_MIN", 1)
+        reference = {c for c in maximal_cliques(graph, min_size=2)}
         csr = CSRGraph.from_graph(graph)
-        reference = [frozenset(c) for c in maximal_cliques_bitset(csr, min_size=2)]
-        fast = [frozenset(c) for c in maximal_cliques_blocks(csr, min_size=2)]
-        assert fast == reference
+        dense = maximal_cliques_bitset(csr, min_size=2)
+        assert len(dense) == len(reference)
+        assert {frozenset(csr.to_labels(clique)) for clique in dense} == reference
 
     def test_min_size_filter_agrees(self, graph):
         csr = CSRGraph.from_graph(graph)
@@ -99,16 +100,14 @@ class TestCliqueEnumeration:
             assert fast == reference
 
     @needs_numpy
-    def test_blocks_min_size_filter_agrees(self, graph):
-        from repro.core.blocks import maximal_cliques_blocks
-
+    def test_blocks_min_size_filter_agrees(self, graph, monkeypatch):
+        monkeypatch.setattr(cliques, "_LOCAL_REMAP_MIN", 1)
         csr = CSRGraph.from_graph(graph)
         for min_size in (1, 3, 4):
-            reference = {
-                frozenset(c) for c in maximal_cliques_bitset(csr, min_size=min_size)
-            }
+            reference = {c for c in maximal_cliques(graph, min_size=min_size)}
             fast = {
-                frozenset(c) for c in maximal_cliques_blocks(csr, min_size=min_size)
+                frozenset(csr.to_labels(clique))
+                for clique in maximal_cliques_bitset(csr, min_size=min_size)
             }
             assert fast == reference
 

@@ -19,25 +19,27 @@ import pytest
 
 from repro.api import build_query_artifact, run_cpm
 from repro.core._blocks_compat import HAVE_NUMPY
+from repro.core.cliques import _LOCAL_REMAP_MIN
 from repro.core.lightweight import KERNELS, LightweightParallelCPM
 from repro.core.serialize import hierarchy_to_dict
 from repro.core.tree import CommunityTree
-from repro.graph import ring_of_cliques
-from repro.obs import Tracer
+from repro.graph import CSRGraph, ring_of_cliques
+from repro.obs import MetricsRegistry, Tracer
 from repro.obs.inspect import diff_manifests
 from repro.runner import CheckpointStore, FaultPlan
 from repro.shard import ShardPlan, plan_shards, resolve_shards
 
+from .conftest import random_graph
+
+needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="blocks kernel needs numpy")
+
 #: Every kernel, with 'blocks' skipped on numpy-less installs.
 KERNEL_PARAMS = [
-    pytest.param(
-        kernel,
-        marks=pytest.mark.skipif(
-            kernel == "blocks" and not HAVE_NUMPY, reason="blocks kernel needs numpy"
-        ),
-    )
+    pytest.param(kernel, marks=needs_numpy if kernel == "blocks" else ())
     for kernel in KERNELS
 ]
+#: The integer kernels: the ones that take workers and shards.
+INTEGER_KERNELS = [param for param in KERNEL_PARAMS if param.values[0] != "set"]
 
 
 @pytest.fixture(scope="module")
@@ -169,6 +171,54 @@ class TestShardCountInvariance:
         assert document == baselines[kernel]
         assert not cpm.stats.degraded
         _assert_implementation(kernel, cpm.shards, names)
+
+
+class TestShardedEnumeration:
+    """Shard workers run the driver's enumerator, tuple for tuple."""
+
+    @pytest.fixture(scope="class")
+    def dense_graph(self):
+        graph = random_graph(40, 0.5, seed=5)
+        csr = CSRGraph.from_graph(graph)
+        widest = max((row >> (v + 1)).bit_count() for v, row in enumerate(csr.bitsets))
+        # Some subtree is wide enough to be re-indexed inside a worker.
+        assert widest >= _LOCAL_REMAP_MIN
+        return graph
+
+    @staticmethod
+    def _dense(graph, kernel, path, **options):
+        store = CheckpointStore(path)
+        LightweightParallelCPM(graph, kernel=kernel, checkpoint=store, **options).run()
+        return store.load_phase("enumerate")["dense"]
+
+    @pytest.mark.parametrize("kernel", INTEGER_KERNELS)
+    def test_pool_shards_emit_the_serial_tuples(self, dense_graph, kernel, tmp_path):
+        """Same dense tuples in the same order, member order included."""
+        serial = self._dense(dense_graph, kernel, tmp_path / "serial")
+        for shards in (2, 4):
+            sharded = self._dense(
+                dense_graph, kernel, tmp_path / str(shards), workers=2, shards=shards
+            )
+            assert sharded == serial
+
+
+class TestWorkerUtilisation:
+    """The gauge divides by the processes that ran the counting."""
+
+    @pytest.mark.parametrize(
+        "kernel, shards",
+        [
+            pytest.param("blocks", 2, marks=needs_numpy, id="blocks-numpy"),
+            pytest.param("bitset", 1, id="bitset-one-chunk"),
+        ],
+    )
+    def test_in_driver_counting_reads_above_half(self, tiny_dataset, kernel, shards):
+        metrics = MetricsRegistry()
+        cpm = LightweightParallelCPM(
+            tiny_dataset.graph, kernel=kernel, workers=2, shards=shards, metrics=metrics
+        )
+        cpm.run()
+        assert metrics.to_dict()["gauges"]["overlap.worker_utilisation"] > 0.5
 
 
 @pytest.mark.parametrize("kernel", KERNEL_PARAMS)
