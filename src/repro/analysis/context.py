@@ -48,8 +48,6 @@ class AnalysisContext:
     csr: CSRGraph | None = None
     #: Which metric engine the analyses consume: "bitset" or "set".
     analysis_engine: str = "bitset"
-    #: Worker-pool width for the engine sweep (1 = serial).
-    analysis_workers: int = 1
     tracer: Tracer | None = None
     metrics: MetricsRegistry | None = None
     _engine: MetricsEngine | None = field(
@@ -82,9 +80,10 @@ class AnalysisContext:
         the CPM kernel and an optional on-disk clique cache
         (``docs/performance.md``); ``checkpoint``/``resume``/
         ``runner``/``fault_plan`` enable the resilient-runner features
-        (``docs/robustness.md``).  ``analysis_engine`` selects the
-        metric engine the Chapter-4 analyses consume (the bitset sweep
-        or the set-based oracle).  ``tracer``/``metrics`` are threaded
+        (``docs/robustness.md``); ``workers`` parallelises CPM only.
+        ``analysis_engine`` selects the metric engine the Chapter-4
+        analyses consume (the bitset sweep or the set-based oracle,
+        both serial).  ``tracer``/``metrics`` are threaded
         through the extraction, the tree build and the metric sweep, so
         one instrumented context captures the whole pipeline
         (``docs/observability.md``).
@@ -112,7 +111,6 @@ class AnalysisContext:
             cpm_stats=result.stats,
             csr=result.csr,
             analysis_engine=analysis_engine,
-            analysis_workers=workers,
             tracer=tracer,
             metrics=metrics,
         )
@@ -127,7 +125,6 @@ class AnalysisContext:
                 self.graph,
                 engine=self.analysis_engine,
                 csr=self.csr,
-                workers=self.analysis_workers,
                 tracer=self.tracer,
                 metrics=self.metrics,
             )

@@ -31,24 +31,22 @@ The engine produces *bit-identical* floats to the set-based reference
 the same ``2.0 * intra / (n * (n - 1))`` expression on the same ints,
 ODF sums run in *sorted member order* with the same per-node
 ``1.0 - d_in / d`` terms (sorted order is the canonical one — a
-frozenset's native iteration order does not survive pickling, so it
-cannot anchor float summation across worker processes), and overlap
-fractions divide the same popcount by the same minimum size.
+frozenset's iteration order depends on its insertion history and
+hashing, so it cannot anchor float summation), and overlap fractions
+divide the same popcount by the same minimum size.
 ``tests/test_analysis_engine_equivalence.py`` pins this down with
 ``==`` (no tolerances) on generator graphs and randomized
 hierarchies; the ``engine="set"`` mode *is* that reference path and
 remains selectable end to end (``--analysis-engine``).
 
-With ``workers > 1`` the per-order sweep fans out through the
-resilient :class:`~repro.runner.supervise.PoolSupervisor` (payload
-shipped once per worker via the pool initializer), falling back to
-in-driver execution if the pool degrades; results are order-stable
-and identical to the serial sweep.
+Both modes sweep serially in the calling process: the popcount sweep
+is faster than any worker pool at every measured scale
+(``docs/performance.md``), so ``--workers`` only parallelises CPM.
 
 Observability: the sweep runs inside an ``analysis.sweep`` span
-(attributes ``engine``/``workers``; child span ``analysis.csr`` when
-the engine has to build its own CSR snapshot) and emits the
-``analysis.*`` counters documented in ``docs/observability.md``.
+(attribute ``engine``; child span ``analysis.csr`` when the engine has
+to build its own CSR snapshot) and emits the ``analysis.*`` counters
+documented in ``docs/observability.md``.
 """
 
 from __future__ import annotations
@@ -64,16 +62,12 @@ from ..graph.csr import CSRGraph
 from ..graph.undirected import Graph
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracing import NULL_TRACER, Tracer
-from ..obs.worker import current_metrics, worker_span
-from ..runner import FaultPlan, RunnerConfig
-from ..runner.supervise import PoolSupervisor
 
 __all__ = ["ENGINES", "MetricsRow", "OrderOverlap", "MetricsEngine"]
 
-#: Selectable analysis engines: the popcount fast path, the
-#: numpy-vectorized blocks variant (``[perf]`` extra), and the
-#: set-based reference oracle both are verified against.
-ENGINES = ("bitset", "blocks", "set")
+#: Selectable analysis engines: the popcount fast path and the
+#: set-based reference oracle it is verified against.
+ENGINES = ("bitset", "set")
 
 
 class MetricsRow(NamedTuple):
@@ -104,66 +98,20 @@ class OrderOverlap(NamedTuple):
     pair_fractions: tuple[float, ...]
 
 
-# ----------------------------------------------------------------------
-# Worker-pool plumbing (workers > 1)
-# ----------------------------------------------------------------------
-#: Per-process shared payload, installed once per worker by the pool
-#: initializer (same idiom as ``repro.shard.workers``) so the
-#: adjacency bitsets are pickled once per worker, not once per order.
-_ENGINE_SHARED: dict = {}
-
-
-def _init_engine_pool(payload: dict) -> None:
-    """Pool initializer: stash the shared sweep payload in the worker."""
-    global _ENGINE_SHARED
-    _ENGINE_SHARED = payload
-    # Per-process memo so duplicate member sets assigned to the same
-    # worker are still computed once.
-    payload.setdefault("memo", {})
-
-
-def _sweep_order_task(task: tuple) -> list:
-    """Module-level worker entry: sweep one order block in a worker.
-
-    Under a supervised telemetry capture the sweep records a
-    ``worker.analysis.sweep`` span (order k, community count) in the
-    worker's trace, which the supervisor grafts back into the driver's.
-    """
-    shared = _ENGINE_SHARED
-    k, _main_index, entries = task
-    with worker_span("worker.analysis.sweep", k=k, communities=len(entries)):
-        result = _sweep_order(task, shared, shared["memo"])
-    registry = current_metrics()
-    if registry is not None:
-        registry.inc("worker.analysis.orders_done")
-        registry.inc("worker.analysis.communities", len(entries))
-    return result
-
-
-def _sweep_order(task: tuple, shared: dict, memo: dict) -> list:
-    """Compute one order's metric pairs and overlap fractions.
+def _sweep_order_bitset(
+    task: tuple, bitsets: list[int], degs: list[int], nbytes: int, rank: dict, memo: dict
+) -> list:
+    """The popcount sweep of one order (see module docstring).
 
     ``task`` is ``(k, main_index, entries)`` with ``entries`` in cover
-    order, each entry ``(members, k)``.  Returns
-    ``[(density, odf), ...]`` aligned with ``entries`` plus, when the
-    cover has at least two communities, the ``(main_fractions,
-    pair_fractions)`` tuple (else ``None``) and the visit/shortcut/
-    dedup/pair counters for the parent's metric registry.
+    order, each entry ``(members, k)``; ``memo`` maps member sets
+    already swept to their metric pair.  Returns ``[(density, odf),
+    ...]`` aligned with ``entries`` plus, when the cover has at least
+    two communities, the ``(main_fractions, pair_fractions)`` tuple
+    (else ``None``) and the visit/shortcut/dedup/pair counters.
     """
-    if shared["mode"] == "set":
-        return _sweep_order_set(task, shared)
-    if shared["mode"] == "blocks":
-        return _sweep_order_blocks(task, shared, memo)
-    return _sweep_order_bitset(task, shared, memo)
-
-
-def _sweep_order_bitset(task: tuple, shared: dict, memo: dict) -> list:
-    """The popcount sweep of one order (see module docstring)."""
     _k, main_index, entries = task
-    bitsets = shared["bitsets"]
-    degs = shared["degs"]
-    nbytes = shared["nbytes"]
-    rank_get = shared["rank"].__getitem__
+    rank_get = rank.__getitem__
     degs_get = degs.__getitem__
     memo_get = memo.get
     metric_pairs: list[tuple[float, float]] = []
@@ -212,76 +160,6 @@ def _sweep_order_bitset(task: tuple, shared: dict, memo: dict) -> list:
     return [metric_pairs, overlap, visits, shortcuts, dedup_hits, pair_count]
 
 
-def _sweep_order_blocks(task: tuple, shared: dict, memo: dict) -> list:
-    """The vectorized sweep of one order (blocks analysis engine).
-
-    Identical control flow to :func:`_sweep_order_bitset` — same memo,
-    same order-2 / size==k shortcuts, same sorted-member canonical
-    order — but the general case batches the internal-degree popcounts:
-    the member rows of the uint64 block matrix are gathered at once,
-    AND-ed against the membership block mask, and popcounted in one
-    array sweep.  The per-member internal degrees are the same integers
-    the bitset path computes (converted back to Python ints before the
-    float folds), so every float downstream is bit-identical.
-    """
-    from ..core._blocks_compat import require_numpy
-
-    np = require_numpy("analysis engine 'blocks'")
-    _k, main_index, entries = task
-    blocks = shared["blocks"]
-    n_words = blocks.shape[1]
-    degs = shared["degs"]
-    rank_get = shared["rank"].__getitem__
-    degs_get = degs.__getitem__
-    memo_get = memo.get
-    metric_pairs: list[tuple[float, float]] = []
-    emit = metric_pairs.append
-    visits = shortcuts = dedup_hits = 0
-    popcount = (
-        np.bitwise_count
-        if hasattr(np, "bitwise_count")
-        else lambda a: np.unpackbits(a.view(np.uint8), axis=-1).sum(axis=-1, keepdims=True)
-    )
-    for members, order in entries:
-        cached = memo_get(members)
-        if cached is not None:
-            dedup_hits += 1
-            emit(cached)
-            continue
-        ids = list(map(rank_get, sorted(members)))
-        n = len(ids)
-        if order == 2:
-            shortcuts += 1
-            intra = sum(map(degs_get, ids)) >> 1
-            pair = (2.0 * intra / (n * (n - 1)) if n > 1 else 0.0, 0.0)
-        elif n == order:
-            shortcuts += 1
-            odf_sum = sum(
-                map(sub, repeat(1.0), map(truediv, repeat(order - 1), map(degs_get, ids)))
-            )
-            pair = (1.0, odf_sum / n)
-        else:
-            visits += n
-            idx = np.asarray(ids, dtype=np.int64)
-            mask = np.zeros(n_words, dtype=np.uint64)
-            np.bitwise_or.at(
-                mask, idx >> 6, np.uint64(1) << (idx & 63).astype(np.uint64)
-            )
-            inner = (
-                popcount(blocks[idx] & mask).sum(axis=1, dtype=np.int64).tolist()
-            )
-            intra = sum(inner) >> 1
-            odf_sum = sum(map(sub, repeat(1.0), map(truediv, inner, map(degs_get, ids))))
-            pair = (2.0 * intra / (n * (n - 1)), odf_sum / n)
-        memo[members] = pair
-        emit(pair)
-    overlap = None
-    pair_count = 0
-    if main_index is not None:
-        overlap, pair_count = _order_overlap(entries, main_index)
-    return [metric_pairs, overlap, visits, shortcuts, dedup_hits, pair_count]
-
-
 def _member_mask(ids: list[int], nbytes: int) -> int:
     """Membership bitset of dense ``ids`` via a bytearray scatter."""
     buf = bytearray(nbytes)
@@ -312,14 +190,14 @@ def _order_overlap(entries: list, main_index: int) -> tuple[tuple, int]:
     return (main_fracs, pair_fracs), len(parallels) + len(pair_fracs)
 
 
-def _sweep_order_set(task: tuple, shared: dict) -> list:
+def _sweep_order_set(task: tuple, graph: Graph) -> list:
     """The set-based reference sweep of one order.
 
     Calls the ``core/metrics.py`` oracle per community — exactly the
     computation the analyses performed before the engine existed.
+    Returns the same shape as :func:`_sweep_order_bitset`.
     """
     _k, main_index, entries = task
-    graph = shared["graph"]
     metric_pairs = [
         (link_density(graph, members), average_odf(graph, members))
         for members, _order in entries
@@ -338,14 +216,12 @@ def _sweep_order_set(task: tuple, shared: dict) -> list:
 class MetricsEngine:
     """One-pass per-community metric table over a community hierarchy.
 
-    ``engine`` selects the popcount fast path (``"bitset"``, default),
-    the numpy-vectorized variant (``"blocks"``, needs the ``[perf]``
-    extra) or the set-based reference (``"set"``); all produce
-    bit-identical numbers.  ``csr`` reuses an existing
+    ``engine`` selects the popcount fast path (``"bitset"``, default)
+    or the set-based reference (``"set"``); both produce bit-identical
+    numbers and both sweep serially.  ``csr`` reuses an existing
     :class:`~repro.graph.csr.CSRGraph` snapshot (e.g. the one the
     bitset CPM kernel built); without one the engine snapshots the
-    graph itself on first use.  ``workers > 1`` fans the per-order
-    sweep out through a :class:`~repro.runner.supervise.PoolSupervisor`.
+    graph itself on first use.
 
     The sweep is lazy and memoized: the first call to :meth:`rows`,
     :meth:`row` or :meth:`order_overlaps` computes everything once.
@@ -359,26 +235,17 @@ class MetricsEngine:
         *,
         engine: str = "bitset",
         csr: CSRGraph | None = None,
-        workers: int = 1,
         tracer: Tracer | None = None,
         metrics: MetricsRegistry | None = None,
     ) -> None:
         if engine not in ENGINES:
             raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
-        if engine == "blocks":
-            from ..core._blocks_compat import require_numpy
-
-            require_numpy("analysis engine 'blocks'")
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
         self.hierarchy = hierarchy
         self.tree = tree
         self.graph = graph
         self.engine = engine
-        self.workers = workers
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self._observing = self.tracer.enabled or metrics is not None
         self._csr = csr
         self._rank: dict | None = None
         self._rows: list[MetricsRow] | None = None
@@ -460,28 +327,6 @@ class MetricsEngine:
             self._rank = self._ensure_csr().rank()
         return self._rank
 
-    def _shared_payload(self) -> dict:
-        """The per-sweep shared payload (also the worker-pool payload)."""
-        if self.engine == "set":
-            return {"mode": "set", "graph": self.graph}
-        csr = self._ensure_csr()
-        if self.engine == "blocks":
-            # The uint64 block matrix pickles as one flat buffer, so a
-            # worker pool ships it once per process like the bitsets.
-            return {
-                "mode": "blocks",
-                "blocks": csr.blocks(),
-                "degs": csr.degrees(),
-                "rank": self._node_rank(),
-            }
-        return {
-            "mode": "bitset",
-            "bitsets": csr.bitsets,
-            "degs": csr.degrees(),
-            "nbytes": (csr.n + 7) >> 3,
-            "rank": self._node_rank(),
-        }
-
     def _order_tasks(self) -> list[tuple]:
         """One ``(k, main_index, entries)`` task per hierarchy order."""
         hierarchy = self.hierarchy
@@ -501,32 +346,19 @@ class MetricsEngine:
 
     def _sweep(self) -> None:
         """Compute the table and overlap fractions in one hierarchy pass."""
-        with self.tracer.span(
-            "analysis.sweep", engine=self.engine, workers=self.workers
-        ) as span:
-            payload = self._shared_payload()
+        with self.tracer.span("analysis.sweep", engine=self.engine) as span:
             tasks = self._order_tasks()
-            if self.workers > 1:
-                supervisor = PoolSupervisor(
-                    workers=self.workers,
-                    phase="analysis",
-                    config=RunnerConfig(),
-                    fault_plan=FaultPlan.from_env(),
-                    initializer=_init_engine_pool,
-                    initargs=(payload,),
-                    tracer=self.tracer,
-                    metrics=self.metrics,
-                    telemetry=self._observing,
-                )
-                memo: dict = {}
-                results = supervisor.run(
-                    _sweep_order_task,
-                    tasks,
-                    fallback=lambda task: _sweep_order(task, payload, memo),
-                )
+            if self.engine == "set":
+                results = [_sweep_order_set(task, self.graph) for task in tasks]
             else:
-                memo = {}
-                results = [_sweep_order(task, payload, memo) for task in tasks]
+                csr = self._ensure_csr()
+                bitsets, degs, nbytes = csr.bitsets, csr.degrees(), (csr.n + 7) >> 3
+                rank = self._node_rank()
+                memo: dict = {}
+                results = [
+                    _sweep_order_bitset(task, bitsets, degs, nbytes, rank, memo)
+                    for task in tasks
+                ]
             self._fold_results(tasks, results, span)
 
     def _fold_results(self, tasks: list, results: list, span) -> None:

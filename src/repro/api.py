@@ -331,7 +331,6 @@ def build_query_artifact(
     *,
     bands=None,
     analysis_engine: str = "bitset",
-    workers: int = 1,
     tracer: Tracer | None = None,
     metrics: MetricsRegistry | None = None,
 ):
@@ -358,7 +357,6 @@ def build_query_artifact(
         csr=result.csr,
         bands=bands,
         analysis_engine=analysis_engine,
-        workers=workers,
         tracer=tracer,
         metrics=metrics,
     )

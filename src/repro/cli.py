@@ -18,9 +18,10 @@ plus ``--kernel {bitset,blocks,set,auto}`` to pick the CPM kernel and
 ``--cache/--no-cache`` to reuse clique/overlap results across runs
 (``docs/performance.md``).  Observability files are flushed even when
 the run fails, so a crashed pipeline still leaves a valid trace.
-``tree`` and ``paper`` also take ``--analysis-engine {bitset,set}`` to
-choose between the one-pass bitset metric engine and the set-based
-reference oracle for the Chapter-4 analyses.  ``--checkpoint-dir DIR``
+``tree``, ``paper`` and ``query build`` also take ``--analysis-engine
+{bitset,set}`` to choose between the one-pass bitset metric engine and
+the set-based reference oracle for the Chapter-4 analyses; both sweep
+serially, so ``--workers`` only parallelises CPM.  ``--checkpoint-dir DIR``
 (with ``--resume`` on the restart) makes interrupted runs resumable,
 and ``--batch-timeout``/``--max-retries`` tune the worker supervision
 policy (``docs/robustness.md``).  CPM execution routes through the
@@ -692,17 +693,18 @@ def _cmd_query_build(args: argparse.Namespace) -> int:
             **runner_kwargs,
         )
         bands = derive_bands(IXPShareAnalysis(context))
+        export = context.engine.export_table()
         table = {
             row["label"]: (row["link_density"], row["average_odf"])
-            for row in context.engine.export_table()["rows"]
+            for row in export["rows"]
         }
         artifact = build_artifact(
             context.hierarchy,
             tree=context.tree,
             graph=dataset.graph,
-            csr=context.csr,
             table=table,
             bands=bands,
+            analysis_engine=export["engine"],
             tracer=tracer,
             metrics=metrics,
         )
@@ -968,7 +970,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--analysis-engine",
         choices=list(ENGINES),
         default="bitset",
-        help="metric engine for the Chapter-4 analyses (bitset fast path or set-based oracle)",
+        help=(
+            "metric engine for the Chapter-4 analyses: the serial bitset popcount "
+            "sweep or the set-based oracle (--workers parallelises CPM only)"
+        ),
     )
     _add_cpm_arguments(p_tree)
     _add_obs_arguments(p_tree)
@@ -991,7 +996,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--analysis-engine",
         choices=list(ENGINES),
         default="bitset",
-        help="metric engine for the Chapter-4 analyses (bitset fast path or set-based oracle)",
+        help=(
+            "metric engine for the Chapter-4 analyses: the serial bitset popcount "
+            "sweep or the set-based oracle (--workers parallelises CPM only)"
+        ),
     )
     _add_cpm_arguments(p_paper)
     _add_obs_arguments(p_paper)
@@ -1098,7 +1106,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--analysis-engine",
         choices=list(ENGINES),
         default="bitset",
-        help="metric engine that sweeps the frozen density/ODF table",
+        help=(
+            "metric engine that sweeps the frozen density/ODF table: the serial "
+            "bitset popcount sweep or the set-based oracle (--workers parallelises "
+            "CPM only)"
+        ),
     )
     _add_cpm_arguments(p_qbuild)
     _add_obs_arguments(p_qbuild)

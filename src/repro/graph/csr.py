@@ -20,6 +20,11 @@ it relabels the graph once and runs on dense integers.  A
   worker, which receives only the CSR arrays, passes a dict that
   builds each row on first read in place of the list.
 
+These are the only adjacency views: the enumerator's numpy
+neighbourhood re-index gathers from the CSR arrays, and the analysis
+engine popcounts against the rows, so no dense ``n x ceil(n/64)``
+block matrix is ever materialised.
+
 The snapshot is derived data: mutate the source :class:`Graph` and
 build a new snapshot.
 """
@@ -38,6 +43,9 @@ __all__ = ["CSRGraph"]
 class CSRGraph:
     """Dense-integer CSR + bitset view of an undirected simple graph.
 
+    Derived views (:meth:`rank`, :meth:`degrees`) are built lazily and
+    cached on the snapshot.
+
     >>> from repro.graph import complete_graph
     >>> csr = CSRGraph.from_graph(complete_graph(4))
     >>> csr.n, csr.degree(0)
@@ -46,7 +54,7 @@ class CSRGraph:
     '0b1110'
     """
 
-    __slots__ = ("labels", "indptr", "indices", "bitsets", "_rank", "_degrees", "_blocks")
+    __slots__ = ("labels", "indptr", "indices", "bitsets", "_rank", "_degrees")
 
     def __init__(
         self,
@@ -61,7 +69,6 @@ class CSRGraph:
         self.bitsets = bitsets
         self._rank: dict | None = None
         self._degrees: list[int] | None = None
-        self._blocks = None
 
     @classmethod
     def from_graph(cls, graph: Graph) -> "CSRGraph":
@@ -130,30 +137,6 @@ class CSRGraph:
             indptr = self.indptr
             self._degrees = [indptr[i + 1] - indptr[i] for i in range(len(self.labels))]
         return self._degrees
-
-    def blocks(self):
-        """The adjacency as a numpy uint64 block matrix, lazily cached.
-
-        Shape ``(n, ceil(n/64))``, little-endian within and across
-        words: bit ``j`` of row ``i`` (word ``j // 64``, bit ``j % 64``)
-        is set iff ``{i, j}`` is an edge — the exact bytes of
-        :attr:`bitsets`, so the two views agree by construction on any
-        host.  The ``blocks`` analysis engine batches its popcounts
-        over this matrix.
-
-        Requires the ``[perf]`` extra; raises
-        :class:`~repro.core._blocks_compat.BlocksUnavailableError`
-        without numpy.
-        """
-        if self._blocks is None:
-            from ..core._blocks_compat import require_numpy
-
-            np = require_numpy("CSRGraph.blocks()")
-            n_words = max(1, (self.n + 63) >> 6)
-            row_bytes = n_words * 8
-            buf = b"".join(mask.to_bytes(row_bytes, "little") for mask in self.bitsets)
-            self._blocks = np.frombuffer(buf, dtype="<u8").reshape(self.n, n_words)
-        return self._blocks
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"CSRGraph(n={self.n}, edges={self.n_edges})"

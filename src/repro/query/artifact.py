@@ -140,7 +140,6 @@ def build_artifact(
     bands=None,
     fingerprint: dict | None = None,
     analysis_engine: str = "bitset",
-    workers: int = 1,
     tracer: Tracer | None = None,
     metrics: MetricsRegistry | None = None,
 ) -> "QueryArtifact":
@@ -158,7 +157,10 @@ def build_artifact(
     the BLAKE2b fingerprint of ``graph``.
 
     The build runs inside a ``query.build`` span and emits
-    ``query.build.*`` counters.
+    ``query.build.*`` counters.  The span's ``engine`` attribute is
+    ``analysis_engine``: the engine that sweeps the table here, so a
+    caller passing a precomputed ``table`` names the engine that
+    swept it.
     """
     tracer = tracer if tracer is not None else NULL_TRACER
     registry = metrics if metrics is not None else MetricsRegistry()
@@ -176,7 +178,6 @@ def build_artifact(
                 graph,
                 engine=analysis_engine,
                 csr=csr,
-                workers=workers,
                 tracer=tracer,
                 metrics=metrics,
             )

@@ -7,8 +7,8 @@ overlaps).  Every assertion here is ``==`` — no tolerances — across
 
 * the session generator datasets (tiny + default profile),
 * structured and randomized oracle graphs,
-* serial and ``workers > 1`` sweeps (whose tasks cross a pickle
-  boundary), and
+* hierarchies whose member sets crossed a pickle boundary, and CPM
+  worker pools, and
 * the two selectable engines end to end (context switch and
   ``PaperRun`` byte-identity).
 """
@@ -16,13 +16,13 @@ overlaps).  Every assertion here is ``==`` — no tolerances — across
 from __future__ import annotations
 
 import dataclasses
+import pickle
 import random
 
 import pytest
 
 from repro.analysis.context import AnalysisContext
 from repro.analysis.engine import ENGINES, MetricsEngine
-from repro.core._blocks_compat import HAVE_NUMPY
 from repro.analysis.overlap import OverlapAnalysis
 from repro.api import run_cpm
 from repro.core.metrics import average_odf, link_density
@@ -32,35 +32,23 @@ from repro.report.paper import PaperRun
 
 from .conftest import random_graph
 
-#: Engine modes, with the numpy-backed one skipped on minimal installs.
-ENGINE_MODES = [
-    pytest.param(
-        mode,
-        id=mode,
-        marks=pytest.mark.skipif(
-            mode == "blocks" and not HAVE_NUMPY, reason="blocks engine needs numpy"
-        ),
-    )
-    for mode in ENGINES
-]
+#: Engine modes, including the removed ``blocks`` engine, whose legs
+#: assert that it is refused.
+ENGINE_MODES = ["bitset", "blocks", "set"]
 
 
-def _available_modes():
-    return [m for m in ENGINES if m != "blocks" or HAVE_NUMPY]
-
-
-def _engine_for(graph: Graph, *, engine: str = "bitset", workers: int = 1) -> MetricsEngine:
+def _engine_for(graph: Graph, *, engine: str = "bitset") -> MetricsEngine:
     """Run CPM on ``graph`` and build a metric engine over the result."""
     result = run_cpm(graph)
     tree = CommunityTree(result.hierarchy)
-    return MetricsEngine(
-        result.hierarchy,
-        tree,
-        graph,
-        engine=engine,
-        csr=result.csr,
-        workers=workers,
-    )
+    return MetricsEngine(result.hierarchy, tree, graph, engine=engine, csr=result.csr)
+
+
+def _assert_blocks_refused(context) -> None:
+    """The removed ``blocks`` engine fails fast, naming the valid ones."""
+    assert "blocks" not in ENGINES
+    with pytest.raises(ValueError, match=r"engine must be one of \('bitset', 'set'\)"):
+        MetricsEngine(context.hierarchy, context.tree, context.graph, engine="blocks")
 
 
 def _assert_rows_match_oracle(engine: MetricsEngine) -> None:
@@ -171,7 +159,7 @@ def test_overlap_findings_match_re_enumeration(default_context):
 # Oracle graphs: structured and randomized
 # ----------------------------------------------------------------------
 def test_ring_of_cliques_all_engines(ring_graph):
-    for mode in _available_modes():
+    for mode in ENGINES:
         engine = _engine_for(ring_graph, engine=mode)
         _assert_rows_match_oracle(engine)
         _assert_overlaps_match_oracle(engine)
@@ -181,7 +169,7 @@ def test_ring_of_cliques_all_engines(ring_graph):
 def test_random_graphs_match_oracle(seed):
     graph = random_graph(80, 0.15, seed)
     reference = _engine_for(graph, engine="set")
-    for mode in _available_modes():
+    for mode in ENGINES:
         if mode == "set":
             continue
         fast = _engine_for(graph, engine=mode)
@@ -203,24 +191,43 @@ def test_randomized_hierarchy_shuffled_members():
                 graph.add_edge(u, v)
     for a, b in zip(cliques, cliques[1:]):
         graph.add_edge(a[0], b[0])
-    for mode in _available_modes():
+    for mode in ENGINES:
         engine = _engine_for(graph, engine=mode)
         _assert_rows_match_oracle(engine)
         _assert_overlaps_match_oracle(engine)
 
 
 # ----------------------------------------------------------------------
-# Parallel sweeps: results must not depend on worker scheduling
+# Pickled member sets and CPM workers: results must not depend on either
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("mode", ENGINE_MODES)
-def test_workers_match_serial(default_dataset, mode):
-    serial = _engine_for(default_dataset.graph, engine=mode, workers=1)
-    pooled = _engine_for(default_dataset.graph, engine=mode, workers=2)
-    assert pooled.rows() == serial.rows()
-    assert pooled.order_overlaps() == serial.order_overlaps()
+def test_workers_match_serial(default_context, mode):
+    """A hierarchy that crossed a pickle boundary sweeps to the same table.
+
+    Unpickling rebuilds each member frozenset, which can change its
+    iteration order; the ODF sums run in sorted member order, so the
+    floats must not move.
+    """
+    if mode == "blocks":
+        _assert_blocks_refused(default_context)
+        return
+    graph, csr = default_context.graph, default_context.csr
+    serial = MetricsEngine(
+        default_context.hierarchy, default_context.tree, graph, engine=mode, csr=csr
+    )
+    hierarchy = pickle.loads(pickle.dumps(default_context.hierarchy))
+    # The round trip really does reorder some member sets.
+    assert any(
+        list(a.members) != list(b.members)
+        for a, b in zip(default_context.hierarchy.all_communities(), hierarchy.all_communities())
+    )
+    shipped = MetricsEngine(hierarchy, CommunityTree(hierarchy), graph, engine=mode, csr=csr)
+    assert shipped.rows() == serial.rows()
+    assert shipped.order_overlaps() == serial.order_overlaps()
 
 
 def test_context_workers_match_serial(default_dataset, default_context):
+    """``workers`` parallelises CPM only; the metric table is unchanged."""
     pooled = AnalysisContext.from_dataset(default_dataset, workers=2)
     assert pooled.metrics_rows() == default_context.metrics_rows()
     assert pooled.engine.order_overlaps() == default_context.engine.order_overlaps()
@@ -247,10 +254,4 @@ def test_engine_rejects_unknown_mode(tiny_context):
             tiny_context.graph,
             engine="numpy",
         )
-    with pytest.raises(ValueError):
-        MetricsEngine(
-            tiny_context.hierarchy,
-            tiny_context.tree,
-            tiny_context.graph,
-            workers=0,
-        )
+    _assert_blocks_refused(tiny_context)

@@ -9,7 +9,9 @@ module pins everything around the kernel:
   and an explicit ``--kernel blocks`` exits 2 with an install hint on a
   numpy-less install (simulated by monkeypatching ``HAVE_NUMPY``, so
   both legs run regardless of which CI matrix cell executes them);
-* the uint64 block matrix against the big-int bitsets, bit for bit;
+* the snapshot's two adjacency views (big-int rows, CSR arrays)
+  against each other, bit for bit, and the absence of a dense block
+  matrix after a blocks run and an analysis sweep;
 * the enumerator's numpy neighbourhood re-index against the same
   recursion without it, tuple for tuple;
 * the vectorized overlap counter against the sharded reference at the
@@ -98,19 +100,32 @@ class TestGuard:
         assert cpm.stats.kernel == "blocks"
 
 
-@needs_numpy
 class TestBlockMatrix:
+    """The blocks kernel reads the snapshot's rows and CSR arrays; no
+    dense uint64 block matrix is built for it or for the analysis."""
+
     def test_blocks_match_bitsets_bit_for_bit(self):
         csr = CSRGraph.from_graph(random_graph(70, 0.2, seed=3))
-        blocks = csr.blocks()
-        assert blocks.shape == (csr.n, (csr.n + 63) // 64)
         for i, mask in enumerate(csr.bitsets):
-            row = int.from_bytes(blocks[i].tobytes(), "little")
+            row = 0
+            for j in csr.neighbors(i):
+                row |= 1 << j
             assert row == mask
 
+    @needs_numpy
     def test_matrix_is_cached(self):
-        csr = CSRGraph.from_graph(ring_of_cliques(3, 4))
-        assert csr.blocks() is csr.blocks()
+        from repro.analysis.engine import MetricsEngine
+        from repro.core.tree import CommunityTree
+
+        graph = ring_of_cliques(3, 4)
+        cpm = LightweightParallelCPM(graph, kernel="blocks")
+        hierarchy = cpm.run()
+        csr = cpm.csr
+        MetricsEngine(hierarchy, CommunityTree(hierarchy), graph, csr=csr).rows()
+        assert csr.rank() is csr.rank()
+        assert csr.degrees() is csr.degrees()
+        assert not hasattr(csr, "blocks")
+        assert not hasattr(csr, "_blocks")
 
 
 def _wide_hub_graph() -> Graph:

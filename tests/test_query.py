@@ -106,14 +106,14 @@ class TestBuild:
         The set oracle anchors the comparison; the bitset and (when
         numpy is installed) blocks kernels must reproduce its artifact
         byte for byte — hierarchy, tree, metric table and all.  The
-        blocks leg also runs the blocks *analysis engine* so the whole
-        vectorized path is pinned end to end.
+        blocks kernel's hierarchy is swept by the bitset engine, as
+        every non-oracle run is.
         """
         from repro.core._blocks_compat import HAVE_NUMPY
 
         legs = [("set", "set"), ("bitset", "bitset")]
         if HAVE_NUMPY:
-            legs.append(("blocks", "blocks"))
+            legs.append(("blocks", "bitset"))
         blobs = {}
         for kernel, engine in legs:
             result = run_cpm(tiny_dataset.graph, k_range=(3, None), kernel=kernel)
@@ -645,6 +645,26 @@ class TestCLI:
         assert "wrote query artifact" in stdout
         assert "fingerprint" in stdout
         assert out.exists()
+
+    @pytest.mark.parametrize("engine", ["bitset", "set"])
+    def test_build_span_names_the_sweeping_engine(
+        self, tmp_path, saved_dataset_dir, capsys, engine
+    ):
+        """``query.build`` carries the engine that swept the frozen table."""
+        trace = tmp_path / "build-trace.jsonl"
+        args = [
+            "query", "build", saved_dataset_dir, str(tmp_path / "a.rqart"),
+            "--min-k", "3", "--analysis-engine", engine, "--trace", str(trace),
+        ]
+        assert main(args) == 0
+        capsys.readouterr()
+        spans = [json.loads(line) for line in trace.read_text(encoding="utf-8").splitlines()]
+        engines = {
+            span["name"]: span["attrs"]["engine"]
+            for span in spans
+            if span["name"] in ("analysis.sweep", "query.build")
+        }
+        assert engines == {"analysis.sweep": engine, "query.build": engine}
 
     def test_lookup_info(self, cli_artifact, capsys):
         assert main(["query", "lookup", cli_artifact, "--info"]) == 0
