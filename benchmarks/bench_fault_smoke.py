@@ -1,12 +1,14 @@
 """Fault smoke — the resilient runner under a permanently killed worker.
 
 CI's ``fault-smoke`` job runs the scale-0.5 topology with two workers
-and a fault plan that SIGKILL-kills the worker holding percolation
-batch 0 on *every* attempt.  The supervised pool must ride through the
-broken pools (bounded retries, pool resurrection) and finally degrade
-the poisoned batch to serial in-driver execution — completing the run
-with ``runner.degraded = 1`` and a hierarchy identical to an
-unfaulted run.  The checkpoint directory used by the run is left under
+(so two enumeration shards, on the bench kernel) and a fault plan that
+SIGKILL-kills the worker holding enumeration shard 0 on *every*
+attempt — enumeration is the one phase that runs on a worker pool.
+The supervised pool must ride through the broken pools (bounded
+retries, pool resurrection) and finally degrade the poisoned shard to
+serial in-driver execution — completing the run with
+``runner.degraded = 1``, a hierarchy identical to an unfaulted run and
+every percolation order checkpointed.  The checkpoint directory used by the run is left under
 ``benchmarks/output/fault_smoke_ckpt`` so CI can upload it as an
 artifact when the assertion fails.
 
@@ -26,9 +28,9 @@ from repro.topology.generator import GeneratorConfig, generate_topology
 
 CKPT_DIR = Path(__file__).parent / "output" / "fault_smoke_ckpt"
 
-#: Batch 0 of the percolation phase dies on every attempt — a permanent
-#: fault that must end in serial degradation, not a lost run.
-FAULT_PLAN = "percolate:batch=0:kill"
+#: Enumeration shard 0 dies on every attempt — a permanent fault that
+#: must end in serial degradation, not a lost run.
+FAULT_PLAN = "enumerate:shard=0:kill"
 
 
 def test_fault_smoke_degraded_completion(emit, bench_record, bench_kernel):
@@ -56,7 +58,7 @@ def test_fault_smoke_degraded_completion(emit, bench_record, bench_kernel):
         bench_record[name] = value
 
     lines = [
-        "Fault smoke: permanent worker kill on percolate batch 0 (scale 0.5, 2 workers)",
+        "Fault smoke: permanent worker kill on enumerate shard 0 (scale 0.5, 2 workers)",
         f"  fault plan          : {FAULT_PLAN}",
         f"  degraded            : {faulted.stats.degraded}",
         f"  runner.degraded     : {degraded_gauge}",

@@ -200,9 +200,9 @@ def run_cpm(
     importable, degrading to ``bitset`` otherwise); requesting
     ``"blocks"`` explicitly without numpy raises a ``ValueError``
     subclass with an install hint.  ``shards`` (an int, or the default
-    ``"auto"`` — one shard per worker) fans the pure-Python phases out
-    across ``workers`` via :mod:`repro.shard`; the blocks kernel's numpy
-    phases always run whole-array in the driver.  Output is
+    ``"auto"`` — one shard per worker) fans clique enumeration out
+    across ``workers`` via :mod:`repro.shard`; overlap counting and
+    percolation always run serially in the driver.  Output is
     byte-identical at every shard count.  The ``"set"`` kernel is the
     serial reference oracle and rejects ``workers``/``shards`` > 1,
     ``cache`` and ``checkpoint`` with a ``ValueError``.  ``cache``

@@ -122,10 +122,9 @@ def _add_cpm_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--shards", default="auto", metavar="N",
         help=(
-            "split the pure-Python CPM work (enumeration; bitset counting and "
-            "percolation reduce) into N shards fanned out across --workers "
-            "(default 'auto' = one shard per worker); the blocks kernel's numpy "
-            "phases run whole-array at any N, and output is byte-identical"
+            "split maximal-clique enumeration into N shards fanned out across "
+            "--workers (default 'auto' = one shard per worker); overlap counting "
+            "and percolation run serially at any N, and output is byte-identical"
         ),
     )
     parser.add_argument(

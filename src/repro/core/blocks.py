@@ -47,8 +47,7 @@ from __future__ import annotations
 
 import time
 
-from ..obs.tracing import max_rss_kib
-from ..obs.worker import worker_span
+from ..obs.tracing import NULL_TRACER, Tracer, max_rss_kib
 from ._blocks_compat import require_numpy
 from .overlap import OverlapWire
 
@@ -68,6 +67,7 @@ def count_overlaps_blocks(
     sizes: list[int],
     n_counting: int,
     shift: int,
+    tracer: Tracer = NULL_TRACER,
 ) -> tuple[OverlapWire, int, dict]:
     """Vectorized overlap counting + bucketing + chains, as one wire.
 
@@ -75,9 +75,10 @@ def count_overlaps_blocks(
     invariant); ``n_counting`` is the size>=3 prefix length and
     ``shift`` the pair-packing shift.  Returns ``(wire, n_counted,
     stats)`` where ``n_counted`` is the number of distinct co-occurring
-    pairs (the bitset kernel's ``len(counts)``) and ``stats`` is shaped
-    like a :func:`~repro.shard.workers.count_shard_words` report so the
-    driver aggregates both kernels identically.
+    pairs and ``stats`` is shaped like the report of
+    :func:`~.overlap.count_overlaps_bitset`, the serial counter this
+    replaces, so the driver aggregates both kernels identically.
+    ``tracer`` times the pass as ``cpm.blocks.count``.
 
     Counting semantics match the reference exactly: pairs are counted
     over the per-node id lists truncated to the eligible prefix, nodes
@@ -87,7 +88,7 @@ def count_overlaps_blocks(
     """
     np = require_numpy("the 'blocks' kernel")
     t0, c0 = time.perf_counter(), time.process_time()
-    with worker_span("worker.overlap.blocks", cliques=len(dense)) as span:
+    with tracer.span("cpm.blocks.count", cliques=len(dense)) as span:
         n_cliques = len(dense)
         # Pair words are (id << shift) | id; on every graph this
         # pipeline meets they fit int32, which halves the sort traffic

@@ -12,25 +12,23 @@ phases — **enumerate** maximal cliques, count their truncated
 **overlaps** into a packed :class:`~.overlap.OverlapWire`, and
 **percolate** every order k over that wire — followed by hierarchy
 assembly.  Each phase takes its implementation from the kernel; the
-``shards`` count only decides whether the pure-Python work fans out
-through :mod:`repro.shard.pipeline`.  The rule is: *shards fan out
-Python work; numpy phases run whole-array.*
+``shards`` count only decides whether enumeration fans out through
+:mod:`repro.shard.pipeline`.  The rule is: *shards fan out
+enumeration; overlap and percolation run serially in the driver.*
 
 * ``kernel="bitset"`` (default) — the pure-Python integer path over a
   :class:`~repro.graph.csr.CSRGraph` snapshot (dense ids in degeneracy
   order).  Enumeration is :func:`~.cliques.maximal_cliques_bitset`,
   the one integer Bron–Kerbosch both kernels share; overlap counting
-  (size >= 3 cliques only, see :mod:`.overlap`) is a shard task, run
-  as one in-driver chunk when ``shards=1``.  With ``shards > 1`` the
-  percolation buckets are first contracted per shard slice, then one
-  union-find sweep over the wire stitches the components.
+  (size >= 3 cliques only) is :func:`~.overlap.count_overlaps_bitset`
+  and percolation one union-find sweep over the wire.  It is the
+  serial fallback for installs without numpy.
 * ``kernel="blocks"`` — the vectorized path (requires the ``[perf]``
   numpy extra; see :mod:`.blocks`).  Same CSR snapshot, enumerator
   and wire; overlap counting and the min-label
-  percolation sweep are whole-array numpy passes that stay in the
-  driver at any shard count.  ``--kernel auto`` selects it when numpy
-  is importable and degrades to ``bitset`` otherwise
-  (:func:`resolve_kernel`).
+  percolation sweep are whole-array numpy passes.  ``--kernel auto``
+  selects it when numpy is importable and degrades to ``bitset``
+  otherwise (:func:`resolve_kernel`).
 * ``kernel="set"`` — the serial reference oracle:
   :func:`~.percolation.extract_hierarchy` over a
   :class:`~.percolation.CliqueOverlapIndex`, with the same
@@ -41,8 +39,9 @@ Python work; numpy phases run whole-array.*
 
 With ``shards > 1`` enumeration fans out for both kernels (degeneracy-
 partitioned Bron–Kerbosch subtrees, reassembled in the serial emission
-order).  ``shards`` defaults to ``"auto"`` — one shard per worker — so
-``workers=N`` alone runs the shard tasks on a pool of N processes.
+order); it is the only phase a pool speeds up.  ``shards`` defaults to
+``"auto"`` — one shard per worker — so ``workers=N`` alone runs the
+shard tasks on a pool of N processes.
 
 Passing a :class:`~.cache.CliqueCache` memoises the enumerate +
 overlap phases on disk, keyed by the graph fingerprint: a second run
@@ -51,11 +50,11 @@ the metrics, ``cache="hit"`` on the ``cpm.run`` span).
 
 Fault tolerance (:mod:`repro.runner`): passing a
 :class:`~repro.runner.checkpoint.CheckpointStore` persists each
-phase's output as it completes (shard tasks individually, and during
-percolation the accumulated per-order groups), so a run interrupted by
-a crash — of a worker or of the driver — restarts with ``resume=True``
-from the last completed phase and produces a hierarchy identical to an
-uninterrupted run.  Shard fan-outs run under a
+phase's output as it completes (enumeration shard tasks individually,
+and during percolation the accumulated per-order groups), so a run
+interrupted by a crash — of a worker or of the driver — restarts with
+``resume=True`` from the last completed phase and produces a hierarchy
+identical to an uninterrupted run.  The enumeration fan-out runs under a
 :class:`~repro.runner.supervise.PoolSupervisor`: per-round timeouts,
 bounded exponential-backoff retry, pool resurrection after worker
 death, and graceful degradation to serial in-driver execution when a
@@ -84,12 +83,12 @@ from ..obs.tracing import NULL_TRACER, Tracer
 from ..runner.checkpoint import CheckpointStore
 from ..runner.faults import FaultPlan
 from ..runner.supervise import PoolSupervisor, RunnerConfig
-from ..shard.pipeline import sharded_enumerate_dense, sharded_overlap_dense, sharded_reduce_wire
+from ..shard.pipeline import sharded_enumerate_dense
 from ..shard.plan import prefix_count, resolve_shards
 from .cache import CliqueCache
 from .cliques import CliqueCensus
 from .communities import CommunityHierarchy
-from .overlap import OverlapWire
+from .overlap import OverlapWire, count_overlaps_bitset
 from .percolation import CliqueOverlapIndex, build_hierarchy, extract_hierarchy, percolate_wire
 
 __all__ = [
@@ -202,7 +201,7 @@ class LightweightParallelCPM:
     (``"set"``), or ``"auto"`` (blocks when numpy is importable, else
     bitset); all produce identical hierarchies.  ``shards`` (a count,
     or ``"auto"`` — the default — for one shard per worker) decides
-    how the pure-Python phases fan out across ``workers`` through
+    how clique enumeration fans out across ``workers`` through
     :mod:`repro.shard`; output is byte-identical at every count.
     ``cache`` (a :class:`~.cache.CliqueCache`) memoises enumeration +
     overlap on disk keyed by the graph fingerprint.
@@ -370,7 +369,6 @@ class LightweightParallelCPM:
     ) -> CommunityHierarchy:
         t0 = time.perf_counter()
         dense: list[tuple[int, ...]] | None = None
-        n_nodes = 0
         wire: OverlapWire | None = None
         n_counted = 0
         if payload is not None:
@@ -382,15 +380,11 @@ class LightweightParallelCPM:
             if enum_ck is not None:
                 dense = enum_ck["dense"]
                 cliques = enum_ck["cliques"]
-                n_nodes = enum_ck["n_nodes"]
                 self._mark_resumed("enumerate")
             else:
-                dense, cliques, n_nodes = sharded_enumerate_dense(self, ckpt)
+                dense, cliques = sharded_enumerate_dense(self, ckpt)
                 if ckpt is not None:
-                    ckpt.store_phase(
-                        "enumerate",
-                        {"dense": dense, "cliques": cliques, "n_nodes": n_nodes},
-                    )
+                    ckpt.store_phase("enumerate", {"dense": dense, "cliques": cliques})
         self._boundary("enumerate")
         t1 = time.perf_counter()
         self.stats.enumerate_seconds = t1 - t0
@@ -407,10 +401,7 @@ class LightweightParallelCPM:
                 n_counted = over_ck["counted_pairs"]
                 self._mark_resumed("overlap")
             else:
-                if self.kernel == "blocks":
-                    wire, n_counted = self._overlap_blocks(dense, sizes)
-                else:
-                    wire, n_counted = sharded_overlap_dense(self, dense, sizes, n_nodes, ckpt)
+                wire, n_counted = self._overlap(dense, sizes)
                 self._cache_store(
                     checksum, {"cliques": cliques, "wire": wire, "counted_pairs": n_counted}
                 )
@@ -444,33 +435,33 @@ class LightweightParallelCPM:
             raise ValueError(f"graph has no clique of size >= {min_k}; nothing to extract")
         return top
 
-    def _overlap_blocks(
+    def _overlap(
         self,
         dense: list[tuple[int, ...]],
         sizes: list[int],
     ) -> tuple[OverlapWire, int]:
-        """Vectorized overlap counting (blocks kernel), same wire out.
+        """Count truncated overlaps into the wire, serially in the driver.
 
-        One whole-array numpy pass replaces the sharded counting tasks —
-        counting is already data-parallel inside numpy, so the phase
-        runs in the driver at any shard count (the report below keeps
-        the ``overlap.*`` aggregation identical across kernels).
+        The kernel only picks the counter — the numpy pass
+        (:func:`~.blocks.count_overlaps_blocks`) for ``"blocks"``, the
+        pure-Python one (:func:`~.overlap.count_overlaps_bitset`)
+        otherwise; both return the same wire and the same report, so the
+        ``overlap.*`` metrics are recorded once for either.
         """
-        from .blocks import count_overlaps_blocks
-
+        if self.kernel == "blocks":
+            from .blocks import count_overlaps_blocks as count
+        else:
+            count = count_overlaps_bitset
         with self.tracer.span("cpm.overlap") as span:
             t0 = time.perf_counter()
-            n_cliques = len(sizes)
-            shift = max(1, n_cliques.bit_length())
-            with self.tracer.span("cpm.blocks.count") as count_span:
-                wire, n_counted, shard_stats = count_overlaps_blocks(
-                    dense, sizes, prefix_count(sizes, 3), shift
-                )
-                count_span.set("batches", shard_stats["batches"])
-            span.set("shards", 1)
-            self._aggregate_shard_reports([shard_stats], time.perf_counter() - t0, 1)
-            self.metrics.inc("cpm.blocks.popcount_batches", shard_stats["batches"])
-            self.metrics.inc("cpm.blocks.pair_words", shard_stats["pair_updates"])
+            shift = max(1, len(sizes).bit_length())
+            wire, n_counted, stats = count(
+                dense, sizes, prefix_count(sizes, 3), shift, self.tracer
+            )
+            self._aggregate_shard_reports([stats], time.perf_counter() - t0)
+            if self.kernel == "blocks":
+                self.metrics.inc("cpm.blocks.popcount_batches", stats["batches"])
+                self.metrics.inc("cpm.blocks.pair_words", stats["pair_updates"])
             self.metrics.inc("overlap.pairs", n_counted)
             self.metrics.inc("overlap.chain_pairs", wire.n_chain_pairs)
             span.set("pairs", n_counted)
@@ -490,13 +481,6 @@ class LightweightParallelCPM:
         orders = list(range(max_k, min_k - 1, -1))  # descending: incremental sweep
         grouped, todo = self._percolation_resume_state(orders, min_k, max_k, ckpt)
         with self.tracer.span("cpm.percolate", orders=len(orders), pairs=wire.n_pairs):
-            if todo and self.kernel == "bitset" and self.shards > 1:
-                # Contract each bucket slice to spanning chains (shard
-                # tasks); the sweep below stitches the global components.
-                # One shard has nothing to stitch, so it sweeps directly.
-                wire = sharded_reduce_wire(self, wire, ckpt)
-            else:
-                self.metrics.inc("overlap.bytes_shipped", 0)
             for chunk in self._order_chunks(todo, ckpt):
                 eligibles = [prefix_count(sizes, k) for k in chunk]
                 part, batch = percolate_wire(self.kernel, chunk, eligibles, wire)
@@ -540,11 +524,9 @@ class LightweightParallelCPM:
         size = -(-len(todo) // n_chunks)
         return [todo[i : i + size] for i in range(0, len(todo), size)]
 
-    def _aggregate_shard_reports(
-        self, shard_reports: list[dict], elapsed: float, processes: int
-    ) -> None:
-        """Fold overlap-count reports into metrics; ``processes`` is how
-        many processes ran them (the utilisation gauge's denominator)."""
+    def _aggregate_shard_reports(self, shard_reports: list[dict], elapsed: float) -> None:
+        """Fold overlap-count reports into metrics; the utilisation
+        gauge is the driver's busy share of the phase."""
         busy = 0.0
         for shard_stats in shard_reports:
             busy += shard_stats["wall_seconds"]
@@ -555,7 +537,7 @@ class LightweightParallelCPM:
             self.metrics.observe("worker.max_rss_kib", shard_stats["max_rss_kib"])
         if elapsed > 0:
             self.metrics.set_gauge(
-                "overlap.worker_utilisation", min(1.0, busy / (elapsed * processes))
+                "overlap.worker_utilisation", min(1.0, busy / elapsed)
             )
 
     # ------------------------------------------------------------------

@@ -22,32 +22,38 @@ three observations:
   (see :func:`~.percolation.percolate_wire`).
 
 Pairs are packed as ``(i << shift) | j`` words in ``array('q')``
-buffers whose ``bytes`` form ships to worker processes (and into the
-on-disk cache) as flat memory instead of a per-batch re-pickle of a
-list of tuples.  :class:`OverlapWire` is that shippable bundle.
+buffers whose ``bytes`` form goes into checkpoints and the on-disk
+cache as flat memory instead of a pickled list of tuples.
+:class:`OverlapWire` is that bundle, and :func:`count_overlaps_bitset`
+builds it in one serial pass (the blocks kernel's numpy twin is
+:func:`~.blocks.count_overlaps_blocks`).
 """
 
 from __future__ import annotations
 
+import time
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
+
+from ..obs.tracing import NULL_TRACER, Tracer, max_rss_kib
 
 __all__ = [
     "OverlapWire",
     "build_node_index",
     "chain_pairs",
+    "count_overlaps_bitset",
     "truncate_index",
 ]
 
 
 @dataclass
 class OverlapWire:
-    """The overlap phase's output, packed for shipping and caching.
+    """The overlap phase's output, packed for checkpoints and caching.
 
     Every buffer is ``bytes`` (an ``array('q')``'s raw memory), so
-    pickling the wire for a worker process — or writing it into the
-    clique cache — is a memcpy, not a per-element traversal.
+    pickling the wire into a checkpoint or the clique cache is a
+    memcpy, not a per-element traversal.
 
     * ``buckets`` maps an activation order ``k_act`` to the packed
       pairs that first become usable at that order;
@@ -62,11 +68,6 @@ class OverlapWire:
     n_chain_pairs: int
     buckets: dict[int, bytes] = field(default_factory=dict)
     chains: bytes = b""
-
-    @property
-    def n_bytes(self) -> int:
-        """Total payload size (what one worker receives)."""
-        return len(self.chains) + sum(len(b) for b in self.buckets.values())
 
     def checksum(self) -> str:
         """Content digest of the wire (BLAKE2b over every buffer).
@@ -89,14 +90,16 @@ class OverlapWire:
         return digest.hexdigest()
 
 
-def build_node_index(cliques: list[tuple[int, ...]], n_nodes: int) -> list[list[int]]:
+def build_node_index(cliques: list[tuple[int, ...]]) -> list[list[int]]:
     """Inverted node -> clique-id index over dense-id cliques.
 
     ``cliques`` must be sorted by size descending (the pipeline's
     invariant), so each node's list comes out in ascending clique-id
     order — which both the truncation slice and the chain unions rely
-    on.
+    on.  The index spans dense ids up to the largest one any clique
+    holds.
     """
+    n_nodes = 1 + max((max(clique) for clique in cliques), default=-1)
     index: list[list[int]] = [[] for _ in range(n_nodes)]
     for cid, clique in enumerate(cliques):
         for v in clique:
@@ -137,3 +140,72 @@ def chain_pairs(index: list[list[int]], shift: int) -> array:
                 append((prev << shift) | cid)
             prev = cid
     return out
+
+
+def count_overlaps_bitset(
+    dense: list[tuple[int, ...]],
+    sizes: list[int],
+    n_counting: int,
+    shift: int,
+    tracer: Tracer = NULL_TRACER,
+) -> tuple[OverlapWire, int, dict]:
+    """Serial overlap counting + bucketing + chains, as one wire.
+
+    The bitset kernel's counter, and the numpy-less twin of
+    :func:`~.blocks.count_overlaps_blocks`: same arguments, same
+    ``(wire, n_counted, stats)`` return, same wire content.  Pairs are
+    counted into one word -> count dict over the per-node id lists
+    truncated to the size >= 3 prefix (``n_counting``); overlap-1 pairs
+    are dropped (the k = 2 chains cover them) and the rest are bucketed
+    at ``k_act = min(sizes[j], o + 1)``.  ``n_counted`` is the number of
+    distinct co-occurring pairs.  ``tracer`` times the inverted-index
+    build as ``cpm.overlap.index``.
+    """
+    t0, c0 = time.perf_counter(), time.process_time()
+    with tracer.span("cpm.overlap.index"):
+        index = build_node_index(dense)
+        counting = truncate_index(index, n_counting)
+    counts: dict[int, int] = {}
+    get = counts.get
+    incidences = 0
+    pair_updates = 0
+    for cids in counting:
+        n = len(cids)
+        incidences += n
+        pair_updates += n * (n - 1) // 2
+        for a in range(n):
+            base = cids[a] << shift
+            for b in range(a + 1, n):
+                word = base | cids[b]
+                counts[word] = get(word, 0) + 1
+
+    mask = (1 << shift) - 1
+    buckets: dict[int, array] = {}
+    for word, o in counts.items():
+        if o <= 1:
+            continue
+        sj = sizes[word & mask]
+        k_act = sj if sj < o + 1 else o + 1
+        arr = buckets.get(k_act)
+        if arr is None:
+            arr = buckets[k_act] = array("q")
+        arr.append(word)
+    chains = chain_pairs(index, shift)
+    wire = OverlapWire(
+        n_cliques=len(sizes),
+        shift=shift,
+        n_pairs=sum(len(arr) for arr in buckets.values()),
+        n_chain_pairs=len(chains),
+        buckets={k: arr.tobytes() for k, arr in buckets.items()},
+        chains=chains.tobytes(),
+    )
+    stats = {
+        "nodes": len(counting),
+        "incidences": incidences,
+        "pair_updates": pair_updates,
+        "distinct_pairs": len(counts),
+        "wall_seconds": time.perf_counter() - t0,
+        "cpu_seconds": time.process_time() - c0,
+        "max_rss_kib": max_rss_kib(),
+    }
+    return wire, len(counts), stats

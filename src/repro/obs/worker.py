@@ -110,9 +110,9 @@ def worker_span(name: str, **attrs) -> Span:
 
     This is the one-liner worker functions use::
 
-        with worker_span("worker.overlap.count", nodes=len(shard)) as span:
+        with worker_span("worker.shard.enumerate", shard=shard_id) as span:
             ...
-            span.set("pairs", len(counter))
+            span.set("cliques", len(cliques))
 
     Outside a capture the call costs one thread-local read and a
     constant return — the same bound the null tracer holds everywhere

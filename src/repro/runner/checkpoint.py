@@ -12,6 +12,7 @@ percolation phase, from the last completed *order batch*).
 Layout of a checkpoint directory::
 
     <dir>/META.json           # schema, graph checksum, kernel, version
+    <dir>/shard_enumerate.pickle  # completed shards of a sharded enumeration
     <dir>/enumerate.pickle    # phase 1 output
     <dir>/overlap.pickle      # phase 2 output (wire/overlaps + integrity checksum)
     <dir>/percolate.pickle    # {k: clique-id groups} for completed orders
@@ -49,21 +50,19 @@ __all__ = [
 #: then fail resume loudly instead of deserialising garbage.
 CHECKPOINT_SCHEMA_VERSION = 1
 
-#: The checkpointable phases, in pipeline order.  The ``shard_*``
-#: phases hold the sharded pipeline's per-task partials (completed
-#: shards of a fan-out still in flight); the unprefixed phase stores
-#: the assembled result once the fan-out finishes, so serial and
-#: sharded runs can resume each other's completed phases.  ``session``
-#: is not a pipeline phase: it is the single-payload slot an
-#: incremental :class:`~repro.incremental.CPMSession` persists itself
-#: into (the session state subsumes the batch phases, so they are
+#: The checkpointable phases, in pipeline order.  ``shard_enumerate``
+#: holds the sharded enumeration's per-task partials (completed shards
+#: of a fan-out still in flight); ``enumerate`` stores the assembled
+#: result once the fan-out finishes, so serial and sharded runs can
+#: resume each other's completed phases.  ``session`` is not a
+#: pipeline phase: it is the single-payload slot an incremental
+#: :class:`~repro.incremental.CPMSession` persists itself into (the
+#: session state subsumes the batch phases, so they are
 #: never mixed in one directory — ``open`` clears the others).
 PHASES = (
     "shard_enumerate",
     "enumerate",
-    "shard_overlap",
     "overlap",
-    "shard_percolate",
     "percolate",
     "session",
 )

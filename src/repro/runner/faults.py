@@ -4,27 +4,30 @@ Long CPM runs die in boring ways — a worker OOM-killed mid-batch, a
 stalled NFS read, a driver crash between phases — and none of those
 ways show up in an ordinary test run.  A :class:`FaultPlan` makes them
 reproducible: it is a small list of rules, each naming a *site* in the
-pipeline (an overlap shard, a percolation batch, or a driver phase
-boundary) and an *action* to inject there (kill the process, raise an
-exception, or sleep).  The supervisor threads the plan into worker
-tasks and the driver fires it at phase boundaries, so the retry,
-degradation and resume paths of :mod:`repro.runner` are exercised by
-plain deterministic tests — and by the CI ``fault-smoke`` job.
+pipeline (an enumeration shard, or a driver phase boundary) and an
+*action* to inject there (kill the process, raise an exception, or
+sleep).  The supervisor threads the plan into worker tasks and the
+driver fires it at phase boundaries, so the retry, degradation and
+resume paths of :mod:`repro.runner` are exercised by plain
+deterministic tests — and by the CI ``fault-smoke`` job.
 
 Plans parse from a compact spec string (the ``REPRO_FAULT_PLAN``
 environment variable)::
 
-    percolate:batch=0:kill              # kill the worker running batch 0, every attempt
-    percolate:batch=1:raise:times=2     # fail batch 1 on its first two attempts only
-    overlap:shard=0:delay=0.5           # stall shard 0 by half a second
+    enumerate:shard=0:kill              # kill the worker running shard 0, every attempt
+    enumerate:shard=1:raise:times=2     # fail shard 1 on its first two attempts only
+    enumerate:shard=0:delay=0.5         # stall shard 0 by half a second
     driver:after=overlap:kill           # kill the driver right after the overlap phase
 
 Rules are ``;``-separated.  ``times=N`` limits a rule to the first N
 attempts of its site (so a transient fault heals under retry); without
 it the rule fires on every attempt (a permanent fault, forcing the
-supervisor's serial degradation).  Worker processes receive the plan as
-its spec string inside their task tuple — no shared state, works under
-both fork and spawn start methods.
+supervisor's serial degradation).  Enumeration is the only phase that
+runs on a worker pool, so ``enumerate`` is the only worker site: a
+worker rule naming another phase could never fire, and parsing rejects
+it.  Driver rules take any of the three phase boundaries.  Worker
+processes receive the plan as its spec string inside their task tuple
+— no shared state, works under both fork and spawn start methods.
 """
 
 from __future__ import annotations
@@ -37,7 +40,11 @@ __all__ = ["FaultPlan", "FaultRule", "InjectedFault", "FAULT_PLAN_ENV"]
 
 FAULT_PLAN_ENV = "REPRO_FAULT_PLAN"
 
-_SITES = ("enumerate", "overlap", "percolate", "driver")
+#: The pipeline phases, in order: the boundaries a driver rule can name.
+_PHASES = ("enumerate", "overlap", "percolate")
+#: The one phase whose tasks run on a worker pool.
+_WORKER_SITE = "enumerate"
+_SITES = _PHASES + ("driver",)
 _ACTIONS = ("kill", "raise", "delay")
 
 #: Exit status of a worker (or driver) killed by an injected fault —
@@ -119,7 +126,7 @@ def _parse_rule(text: str) -> FaultRule:
             index = int(part.split("=", 1)[1])
         elif part.startswith("after="):
             after = part.split("=", 1)[1]
-            if after not in _SITES:
+            if after not in _PHASES:
                 raise ValueError(f"unknown phase in fault rule {text!r}: {after!r}")
         elif part.startswith("times="):
             times = int(part.split("=", 1)[1])
@@ -129,6 +136,11 @@ def _parse_rule(text: str) -> FaultRule:
         raise ValueError(f"fault rule {text!r} needs a site and an action")
     if site == "driver" and after is None:
         raise ValueError(f"driver fault rule {text!r} needs after=<phase>")
+    if site not in ("driver", _WORKER_SITE):
+        raise ValueError(
+            f"fault rule {text!r} targets {site!r}, which runs no worker tasks; "
+            f"worker rules fire only at {_WORKER_SITE!r}"
+        )
     return FaultRule(site=site, action=action, index=index, after=after,
                      seconds=seconds, times=times)
 
@@ -137,12 +149,12 @@ def _parse_rule(text: str) -> FaultRule:
 class FaultPlan:
     """A deterministic set of :class:`FaultRule`\\ s.
 
-    >>> plan = FaultPlan.parse("percolate:batch=0:raise:times=1")
-    >>> plan.fire("percolate", index=0, attempt=1)  # healed on retry
-    >>> plan.fire("percolate", index=0, attempt=0)
+    >>> plan = FaultPlan.parse("enumerate:shard=0:raise:times=1")
+    >>> plan.fire("enumerate", index=0, attempt=1)  # healed on retry
+    >>> plan.fire("enumerate", index=0, attempt=0)
     Traceback (most recent call last):
         ...
-    repro.runner.faults.InjectedFault: injected fault at percolate[0] (attempt 0)
+    repro.runner.faults.InjectedFault: injected fault at enumerate[0] (attempt 0)
     """
 
     rules: tuple[FaultRule, ...] = ()

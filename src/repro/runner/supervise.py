@@ -3,7 +3,7 @@
 ``ProcessPoolExecutor`` has exactly one failure story: a dead worker
 breaks the whole pool and every in-flight future raises
 ``BrokenProcessPool``.  For a multi-hour CPM run that turns one OOM-
-killed percolation batch into a lost run.  :class:`PoolSupervisor`
+killed enumeration shard into a lost run.  :class:`PoolSupervisor`
 wraps the pool with the policy a long run actually needs:
 
 * **per-round timeout** — a dispatch round that exceeds its budget
@@ -105,8 +105,8 @@ class PoolSupervisor:
     One supervisor instance drives one phase's dispatch; it owns the
     pool lifecycle (creation, resurrection after breakage, shutdown).
     ``initializer``/``initargs`` are re-applied on every pool rebuild,
-    so process-shared payloads (the packed overlap wire) survive worker
-    death.
+    so process-shared payloads (the CSR arrays of a sharded enumeration)
+    survive worker death.
     """
 
     def __init__(

@@ -1,13 +1,14 @@
-"""Sharded CPM pipeline: degeneracy-partitioned enumeration, i-shard
-bucketed overlap counting and boundary-stitched percolation.
+"""Sharded CPM enumeration: degeneracy-partitioned Bron–Kerbosch.
 
-``repro.shard`` scales :class:`~repro.core.lightweight
-.LightweightParallelCPM` past single-process task parallelism: the
-``shards`` knob (``run_cpm(..., shards=4)`` / ``--shards auto``)
-partitions every phase's *data* across workers while keeping outputs
-byte-identical to the serial path.  See :mod:`.plan` for the
+``repro.shard`` fans the one LP-CPM phase that gains from a worker
+pool — maximal-clique enumeration — out of
+:class:`~repro.core.lightweight.LightweightParallelCPM`: the ``shards``
+knob (``run_cpm(..., shards=4)`` / ``--shards auto``) partitions the
+Bron–Kerbosch subtrees across workers while keeping output
+byte-identical to the serial path.  Overlap counting and percolation
+stay serial in the driver for both kernels.  See :mod:`.plan` for the
 partitioning scheme, :mod:`.workers` for the worker-side memory model
-and :mod:`.pipeline` for the stitching arguments; docs/performance.md
+and :mod:`.pipeline` for the reassembly argument; docs/performance.md
 covers when sharding wins (and when it loses at small scale).
 """
 

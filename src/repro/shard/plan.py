@@ -28,7 +28,6 @@ __all__ = [
     "plan_shards",
     "prefix_count",
     "resolve_shards",
-    "split_contiguous",
 ]
 
 
@@ -100,20 +99,6 @@ def plan_shards(forward_degrees: Sequence[int], n_shards: int) -> ShardPlan:
         owners=tuple(tuple(sorted(owned)) for owned in owners),
         costs=tuple(sum(costs[v] for v in owned) for owned in owners),
     )
-
-
-def split_contiguous(items: list, n: int) -> list[list]:
-    """Split ``items`` into up to ``n`` contiguous chunks (never empty)."""
-    if not items:
-        return [[]]
-    n = min(n, len(items))
-    size, extra = divmod(len(items), n)
-    chunks, start = [], 0
-    for w in range(n):
-        end = start + size + (1 if w < extra else 0)
-        chunks.append(items[start:end])
-        start = end
-    return chunks
 
 
 def prefix_count(sorted_desc: Sequence[int], k: int) -> int:

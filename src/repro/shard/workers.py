@@ -1,11 +1,11 @@
-"""Worker-side task functions of the sharded CPM pipeline.
+"""Worker-side task function of the sharded enumeration phase.
 
-Every function here is a module-level picklable callable dispatched
+:func:`enumerate_shard` is a module-level picklable callable dispatched
 through :class:`~repro.runner.supervise.PoolSupervisor` (or invoked
-directly in the driver when the run does not fan out: one worker or
-one shard).  Static per-phase
-payload travels once per worker process via the pool initializer
-(:func:`install_shared`); tasks carry only their shard-specific part.
+directly in the driver when the run has one worker).  The static
+payload — the CSR arrays — travels once per worker process via the
+pool initializer (:func:`install_shared`); tasks carry only their
+shard-specific part.
 
 Memory model: enumeration workers never receive the bitset adjacency
 (O(n²/8) bytes per process at scale).  They receive the CSR arrays
@@ -22,20 +22,13 @@ from __future__ import annotations
 
 import time
 from array import array
-from bisect import bisect_right
 
 from ..core.cliques import CliqueEnumerationStats, maximal_cliques_bitset
-from ..core.unionfind import IntUnionFind
 from ..graph.csr import CSRGraph
 from ..obs.tracing import max_rss_kib
 from ..obs.worker import current_metrics, worker_span
 
-__all__ = [
-    "install_shared",
-    "enumerate_shard",
-    "count_shard_words",
-    "reduce_shard_bucket",
-]
+__all__ = ["install_shared", "enumerate_shard"]
 
 # Installed once per worker process by the pool initializer; the driver
 # installs the same payload before dispatch so serial execution and the
@@ -44,21 +37,18 @@ _SHARED: dict = {}
 
 
 def install_shared(payload: dict) -> None:
-    """Install the phase payload this process's shard tasks read.
+    """Install the payload this process's shard tasks read.
 
     Runs as the worker-pool initializer (once per worker, not per
     task) and in the driver process itself, so serial dispatch and the
     supervisor's degradation fallback see the same shared state.
     Replacing the dict wholesale also drops the per-process row memo
-    built against a previous phase's payload.
+    built against a previous run's payload.
     """
     global _SHARED
     _SHARED = payload
 
 
-# ----------------------------------------------------------------------
-# Enumeration
-# ----------------------------------------------------------------------
 class _RowMemo(dict):
     """Big-int adjacency rows by dense id, built from the CSR arrays on
     first read and kept for the rest of the phase."""
@@ -136,105 +126,3 @@ def enumerate_shard(task: tuple[int, tuple[int, ...]]) -> tuple[dict, dict]:
         "max_rss_kib": max_rss_kib(),
     }
     return by_vertex, stats
-
-
-# ----------------------------------------------------------------------
-# Overlap counting, bucketed by i-shard
-# ----------------------------------------------------------------------
-def count_shard_words(task: tuple[int, list[list[int]]]) -> tuple[list[dict], dict]:
-    """Worker: co-occurrence counts over one chunk of the node index,
-    partitioned by the ``i``-shard of each packed pair word.
-
-    ``task`` carries one chunk of per-node counting-eligible clique-id
-    lists; the shared payload carries the pair-packing ``shift`` and
-    the ascending clique-id ``bounds`` that split ``[0, n_counting)``
-    into i-shards.  Returning one word→count dict *per i-shard* lets
-    the driver merge and bucketize one shard at a time instead of
-    materialising the global counter — the Baudin truncation already
-    capped j, this caps the merge's working set.
-    """
-    chunk_id, lists = task
-    shift = _SHARED["shift"]
-    bounds = _SHARED["bounds"]
-    t0, c0 = time.perf_counter(), time.process_time()
-    with worker_span("worker.shard.count", shard=chunk_id, nodes=len(lists)) as span:
-        by_shard: list[dict[int, int]] = [{} for _ in range(len(bounds) - 1)]
-        incidences = 0
-        pair_updates = 0
-        for cids in lists:
-            n = len(cids)
-            incidences += n
-            pair_updates += n * (n - 1) // 2
-            for a in range(n):
-                ca = cids[a]
-                counts = by_shard[bisect_right(bounds, ca) - 1]
-                base = ca << shift
-                for b in range(a + 1, n):
-                    word = base | cids[b]
-                    counts[word] = counts.get(word, 0) + 1
-        distinct = sum(len(counts) for counts in by_shard)
-        span.set("pairs", distinct)
-        registry = current_metrics()
-        if registry is not None:
-            registry.inc("worker.overlap.pair_updates", pair_updates)
-            registry.inc("worker.overlap.distinct_pairs", distinct)
-            registry.observe("worker.overlap.shard_nodes", len(lists))
-    stats = {
-        "nodes": len(lists),
-        "incidences": incidences,
-        "pair_updates": pair_updates,
-        "distinct_pairs": distinct,
-        "wall_seconds": time.perf_counter() - t0,
-        "cpu_seconds": time.process_time() - c0,
-        "max_rss_kib": max_rss_kib(),
-    }
-    return by_shard, stats
-
-
-# ----------------------------------------------------------------------
-# Percolation: per-bucket union-find reduction
-# ----------------------------------------------------------------------
-def reduce_shard_bucket(task: tuple[int, int, bytes]) -> tuple[int, bytes, dict]:
-    """Worker: contract one (activation order, i-shard) slice of pairs.
-
-    Runs a local union-find over the slice's packed words and re-emits
-    each connected component as a spanning chain of consecutive-pair
-    words — at most ``touched - 1`` words out, however dense the slice
-    was.  Because every original word is spanned by its component's
-    chain, unioning the reduced slices of all shards reproduces the
-    exact connectivity of the unsharded bucket, so the driver's single
-    stitching sweep yields identical components.
-    """
-    chunk_id, k_act, blob = task
-    n_cliques = _SHARED["n_cliques"]
-    shift = _SHARED["shift"]
-    t0, c0 = time.perf_counter(), time.process_time()
-    with worker_span("worker.shard.reduce", shard=chunk_id, k_act=k_act) as span:
-        words = array("q")
-        words.frombytes(blob)
-        uf = IntUnionFind(n_cliques)
-        merges = uf.union_packed(words, shift)
-        mask = (1 << shift) - 1
-        touched = sorted({w >> shift for w in words} | {w & mask for w in words})
-        out = array("q")
-        for group in uf.groups_of(touched):
-            prev = group[0]
-            for cur in group[1:]:
-                out.append((prev << shift) | cur)
-                prev = cur
-        span.set("pairs_in", len(words))
-        span.set("pairs_out", len(out))
-        registry = current_metrics()
-        if registry is not None:
-            registry.inc("worker.shard.reduced_pairs_in", len(words))
-            registry.inc("worker.shard.reduced_pairs_out", len(out))
-    stats = {
-        "k_act": k_act,
-        "pairs_in": len(words),
-        "pairs_out": len(out),
-        "union_merges": merges,
-        "wall_seconds": time.perf_counter() - t0,
-        "cpu_seconds": time.process_time() - c0,
-        "max_rss_kib": max_rss_kib(),
-    }
-    return k_act, out.tobytes(), stats

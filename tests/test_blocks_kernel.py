@@ -36,10 +36,12 @@ from repro.core._blocks_compat import (
     require_numpy,
 )
 from repro.core import cliques
+from repro.core.blocks import count_overlaps_blocks
 from repro.core.cliques import maximal_cliques_bitset
 from repro.core.lightweight import KERNELS, LightweightParallelCPM, resolve_kernel
+from repro.core.overlap import count_overlaps_bitset
 from repro.core.percolation import percolate_wire
-from repro.shard.pipeline import sharded_enumerate_dense, sharded_overlap_dense
+from repro.shard.pipeline import sharded_enumerate_dense
 from repro.shard.plan import prefix_count
 from repro.graph import CSRGraph, Graph, ring_of_cliques
 from repro.obs.inspect import diff_manifests
@@ -161,6 +163,12 @@ class TestReindex:
                 assert maximal_cliques_bitset(csr, min_size=min_size) == on
 
 
+def _counter_args(dense):
+    """The overlap counters' arguments for size-descending dense cliques."""
+    sizes = [len(c) for c in dense]
+    return dense, sizes, prefix_count(sizes, 3), max(1, len(sizes).bit_length())
+
+
 @needs_numpy
 class TestWireEquivalence:
     """The vectorized overlap/percolation stages vs the references."""
@@ -176,17 +184,12 @@ class TestWireEquivalence:
         import numpy as np
 
         graph = random_graph(55, 0.25, seed=seed)
-        dense_graphs = []
-        for kernel in ("blocks", "bitset"):
-            cpm = LightweightParallelCPM(graph, kernel=kernel)
-            dense, _cliques, n_nodes = sharded_enumerate_dense(cpm, None)
-            sizes = [len(c) for c in dense]
-            if kernel == "blocks":
-                wire, counted = cpm._overlap_blocks(dense, sizes)
-            else:
-                wire, counted = sharded_overlap_dense(cpm, dense, sizes, n_nodes, None)
-            dense_graphs.append((wire, counted))
-        (fast_wire, fast_counted), (ref_wire, ref_counted) = dense_graphs
+        cpm = LightweightParallelCPM(graph, kernel="blocks")
+        dense, _cliques = sharded_enumerate_dense(cpm, None)
+        args = _counter_args(dense)
+        fast_wire, fast_counted, fast_stats = count_overlaps_blocks(*args)
+        ref_wire, ref_counted, ref_stats = count_overlaps_bitset(*args)
+        assert fast_stats.keys() - {"batches"} == ref_stats.keys()
         assert fast_counted == ref_counted
         assert fast_wire.n_cliques == ref_wire.n_cliques
         assert fast_wire.shift == ref_wire.shift
@@ -204,9 +207,9 @@ class TestWireEquivalence:
     def test_percolation_groups_match_union_find(self, seed):
         graph = random_graph(50, 0.3, seed=seed)
         cpm = LightweightParallelCPM(graph, kernel="bitset")
-        dense, _cliques, n_nodes = sharded_enumerate_dense(cpm, None)
+        dense, _cliques = sharded_enumerate_dense(cpm, None)
         sizes = [len(c) for c in dense]
-        wire, _ = sharded_overlap_dense(cpm, dense, sizes, n_nodes, None)
+        wire, _, _ = count_overlaps_bitset(*_counter_args(dense))
         orders = list(range(max(sizes), 1, -1))
         eligibles = [prefix_count(sizes, k) for k in orders]
         fast, fast_stats = percolate_wire("blocks", orders, eligibles, wire)

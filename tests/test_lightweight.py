@@ -6,7 +6,6 @@ import pytest
 
 from repro.core import LightweightParallelCPM, extract_hierarchy
 from repro.graph import Graph, erdos_renyi, overlapping_cliques, ring_of_cliques
-from repro.shard.plan import split_contiguous
 
 
 def _signature(hierarchy):
@@ -74,17 +73,3 @@ class TestStats:
         empty.add_node(1)
         with pytest.raises(ValueError):
             LightweightParallelCPM(empty).run()
-
-
-class TestSharding:
-    def test_shard_balance(self):
-        shards = split_contiguous(list(range(10)), 3)
-        assert [len(s) for s in shards] == [4, 3, 3]
-        assert sum(shards, []) == list(range(10))
-
-    def test_shard_more_workers_than_items(self):
-        shards = split_contiguous([1, 2], 5)
-        assert shards == [[1], [2]]
-
-    def test_shard_empty(self):
-        assert split_contiguous([], 4) == [[]]

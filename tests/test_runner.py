@@ -24,37 +24,37 @@ from repro.runner.faults import FAULT_PLAN_ENV
 
 class TestFaultPlanParsing:
     def test_parse_single_rule(self):
-        plan = FaultPlan.parse("percolate:batch=0:kill")
+        plan = FaultPlan.parse("enumerate:batch=0:kill")
         assert len(plan.rules) == 1
         rule = plan.rules[0]
-        assert rule.site == "percolate"
+        assert rule.site == "enumerate"
         assert rule.action == "kill"
         assert rule.index == 0
         assert rule.times is None
 
     def test_parse_multiple_rules(self):
-        plan = FaultPlan.parse("overlap:shard=1:raise:times=2; driver:after=overlap:kill")
+        plan = FaultPlan.parse("enumerate:shard=1:raise:times=2; driver:after=overlap:kill")
         assert len(plan.rules) == 2
         assert plan.rules[0].times == 2
         assert plan.rules[1].site == "driver"
         assert plan.rules[1].after == "overlap"
 
     def test_parse_delay(self):
-        plan = FaultPlan.parse("percolate:delay=0.25")
+        plan = FaultPlan.parse("enumerate:delay=0.25")
         assert plan.rules[0].action == "delay"
         assert plan.rules[0].seconds == 0.25
 
     def test_spec_round_trips(self):
-        spec = "percolate:batch=1:raise:times=2;driver:after=enumerate:kill"
+        spec = "enumerate:batch=1:raise:times=2;driver:after=percolate:kill"
         assert FaultPlan.parse(spec).spec == spec
 
     def test_empty_spec_is_falsy(self):
         assert not FaultPlan.parse("")
-        assert FaultPlan.parse("percolate:raise")
+        assert FaultPlan.parse("enumerate:raise")
 
     def test_rejects_unknown_component(self):
         with pytest.raises(ValueError, match="cannot parse"):
-            FaultPlan.parse("percolate:bogus=3:kill")
+            FaultPlan.parse("enumerate:bogus=3:kill")
 
     def test_rejects_driver_rule_without_after(self):
         with pytest.raises(ValueError, match="after"):
@@ -62,58 +62,71 @@ class TestFaultPlanParsing:
 
     def test_rejects_rule_without_action(self):
         with pytest.raises(ValueError, match="needs a site and an action"):
-            FaultPlan.parse("percolate:batch=0")
+            FaultPlan.parse("enumerate:batch=0")
+
+    @pytest.mark.parametrize(
+        "spec", ["percolate:batch=0:kill", "overlap:shard=0:raise:times=1"]
+    )
+    def test_rejects_worker_rule_outside_enumerate(self, spec):
+        # Only enumeration runs on a pool: a rule aimed at any other
+        # phase could never fire, and a fault test would pass vacuously.
+        with pytest.raises(ValueError, match="'enumerate'"):
+            FaultPlan.parse(spec)
+
+    @pytest.mark.parametrize("phase", ["enumerate", "overlap", "percolate"])
+    def test_driver_rules_keep_every_phase_boundary(self, phase):
+        assert FaultPlan.parse(f"driver:after={phase}:kill").rules[0].after == phase
 
     def test_from_env(self, monkeypatch):
         monkeypatch.delenv(FAULT_PLAN_ENV, raising=False)
         assert FaultPlan.from_env() is None
-        monkeypatch.setenv(FAULT_PLAN_ENV, "percolate:batch=0:raise")
+        monkeypatch.setenv(FAULT_PLAN_ENV, "enumerate:batch=0:raise")
         plan = FaultPlan.from_env()
-        assert plan is not None and plan.rules[0].site == "percolate"
+        assert plan is not None and plan.rules[0].site == "enumerate"
 
 
 class TestFaultPlanFiring:
     def test_raise_rule_fires_at_matching_site(self):
-        plan = FaultPlan.parse("percolate:batch=0:raise")
+        plan = FaultPlan.parse("enumerate:batch=0:raise")
         with pytest.raises(InjectedFault) as exc:
-            plan.fire("percolate", index=0, attempt=0)
-        assert exc.value.site == "percolate"
-        plan.fire("percolate", index=1, attempt=0)  # other index: no fault
+            plan.fire("enumerate", index=0, attempt=0)
+        assert exc.value.site == "enumerate"
+        plan.fire("enumerate", index=1, attempt=0)  # other index: no fault
         plan.fire("overlap", index=0, attempt=0)  # other site: no fault
 
     def test_times_limits_attempts(self):
-        plan = FaultPlan.parse("percolate:raise:times=2")
+        plan = FaultPlan.parse("enumerate:raise:times=2")
         for attempt in (0, 1):
             with pytest.raises(InjectedFault):
-                plan.fire("percolate", attempt=attempt)
-        plan.fire("percolate", attempt=2)  # healed
+                plan.fire("enumerate", attempt=attempt)
+        plan.fire("enumerate", attempt=2)  # healed
 
     def test_boundary_rule_only_fires_at_its_phase(self):
         plan = FaultPlan.parse("driver:after=overlap:raise")
         plan.fire_boundary("enumerate")
-        plan.fire("overlap", index=0)  # driver rules never fire at worker sites
+        plan.fire("enumerate", index=0)  # driver rules never fire at worker sites
         with pytest.raises(InjectedFault):
             plan.fire_boundary("overlap")
 
     def test_delay_rule_sleeps(self):
-        plan = FaultPlan.parse("overlap:delay=0.05")
+        plan = FaultPlan.parse("enumerate:delay=0.05")
         t0 = time.perf_counter()
-        plan.fire("overlap", index=0)
+        plan.fire("enumerate", index=0)
         assert time.perf_counter() - t0 >= 0.04
 
     def test_injected_fault_pickles_round_trip(self):
         # A fault raised in a worker crosses the process boundary as a
         # pickle; a bad reduce turns a task failure into a broken pool.
-        fault = InjectedFault("percolate", 3, 1)
+        fault = InjectedFault("enumerate", 3, 1)
         clone = pickle.loads(pickle.dumps(fault))
         assert isinstance(clone, InjectedFault)
-        assert (clone.site, clone.index, clone.attempt) == ("percolate", 3, 1)
+        assert (clone.site, clone.index, clone.attempt) == ("enumerate", 3, 1)
 
     def test_rule_matches(self):
-        rule = FaultRule(site="overlap", action="raise", index=2, times=1)
-        assert rule.matches("overlap", 2, 0)
-        assert not rule.matches("overlap", 2, 1)
-        assert not rule.matches("overlap", 0, 0)
+        rule = FaultRule(site="enumerate", action="raise", index=2, times=1)
+        assert rule.matches("enumerate", 2, 0)
+        assert not rule.matches("enumerate", 2, 1)
+        assert not rule.matches("enumerate", 0, 0)
         assert not rule.matches("percolate", 2, 0)
 
 
@@ -188,9 +201,7 @@ class TestCheckpointStore:
         assert set(PHASES) == {
             "shard_enumerate",
             "enumerate",
-            "shard_overlap",
             "overlap",
-            "shard_percolate",
             "percolate",
             "session",
         }
@@ -205,7 +216,7 @@ class TestPoolSupervisor:
         sleeps = []
         sup = PoolSupervisor(
             workers=2,
-            phase="percolate",
+            phase="enumerate",
             fault_plan=FaultPlan.parse(plan) if plan else None,
             sleep=sleeps.append,
             **kwargs,
@@ -220,37 +231,37 @@ class TestPoolSupervisor:
 
     def test_rejects_single_worker(self):
         with pytest.raises(ValueError, match="workers >= 2"):
-            PoolSupervisor(workers=1, phase="percolate")
+            PoolSupervisor(workers=1, phase="enumerate")
 
     def test_transient_raise_heals_with_backoff(self):
-        sup, sleeps = self._supervisor("percolate:batch=0:raise:times=1")
+        sup, sleeps = self._supervisor("enumerate:batch=0:raise:times=1")
         assert sup.run(_square, [2, 3]) == [4, 9]
         assert not sup.degraded
         assert len(sleeps) == 1  # one retry round
 
     def test_permanent_raise_degrades_to_fallback(self):
         sup, _ = self._supervisor(
-            "percolate:batch=1:raise", config=RunnerConfig(max_retries=1)
+            "enumerate:batch=1:raise", config=RunnerConfig(max_retries=1)
         )
         assert sup.run(_square, [2, 3], fallback=_square) == [4, 9]
         assert sup.degraded
 
     def test_permanent_raise_without_fallback_raises(self):
         sup, _ = self._supervisor(
-            "percolate:batch=0:raise", config=RunnerConfig(max_retries=0)
+            "enumerate:batch=0:raise", config=RunnerConfig(max_retries=0)
         )
         with pytest.raises(BatchRetryExhausted):
             sup.run(_square, [2, 3])
 
     def test_worker_kill_restarts_pool(self):
-        sup, _ = self._supervisor("percolate:batch=0:kill:times=1")
+        sup, _ = self._supervisor("enumerate:batch=0:kill:times=1")
         assert sup.run(_square, [2, 3]) == [4, 9]
         assert sup.restarts >= 1
         assert not sup.degraded
 
     def test_stalled_batch_times_out(self):
         sup, _ = self._supervisor(
-            "percolate:batch=0:delay=30:times=1",
+            "enumerate:batch=0:delay=30:times=1",
             config=RunnerConfig(batch_timeout=0.5),
         )
         t0 = time.perf_counter()
@@ -259,7 +270,7 @@ class TestPoolSupervisor:
 
     def test_on_result_sees_every_batch(self):
         seen = {}
-        sup, _ = self._supervisor("percolate:batch=0:raise", config=RunnerConfig(max_retries=0))
+        sup, _ = self._supervisor("enumerate:batch=0:raise", config=RunnerConfig(max_retries=0))
         sup.run(_square, [2, 3], fallback=_square, on_result=seen.__setitem__)
         assert seen == {0: 4, 1: 9}
 
@@ -287,7 +298,7 @@ class TestWorkerTelemetryUnderFaults:
         metrics = MetricsRegistry()
         sup = PoolSupervisor(
             workers=2,
-            phase="percolate",
+            phase="enumerate",
             fault_plan=FaultPlan.parse(plan) if plan else None,
             tracer=tracer,
             metrics=metrics,
@@ -313,7 +324,7 @@ class TestWorkerTelemetryUnderFaults:
             assert by_id[record.parent_id].name == "worker.task"
 
     def test_retried_batch_counts_once(self):
-        sup, tracer, metrics = self._observed("percolate:batch=0:raise:times=1")
+        sup, tracer, metrics = self._observed("enumerate:batch=0:raise:times=1")
         assert sup.run(_counted_square, [2, 3]) == [4, 9]
         tracer.close()
         # The failed attempt shipped nothing: one call per batch, and
@@ -326,7 +337,7 @@ class TestWorkerTelemetryUnderFaults:
 
     def test_degraded_batch_counts_once_in_driver(self):
         sup, tracer, metrics = self._observed(
-            "percolate:batch=1:raise", config=RunnerConfig(max_retries=1)
+            "enumerate:batch=1:raise", config=RunnerConfig(max_retries=1)
         )
         assert sup.run(_counted_square, [2, 3], fallback=_counted_square) == [4, 9]
         tracer.close()
@@ -349,7 +360,7 @@ class TestWorkerTelemetryUnderFaults:
         assert "worker.test.calls" not in metrics.to_dict()["counters"]
 
     def test_uninstrumented_supervisor_defaults_telemetry_off(self):
-        sup = PoolSupervisor(workers=2, phase="percolate")
+        sup = PoolSupervisor(workers=2, phase="enumerate")
         assert sup.telemetry is False
         assert sup.run(_counted_square, [3]) == [9]
 

@@ -5,8 +5,8 @@ pipeline kernel, running with any shard count — serial dispatch or a
 worker pool, interrupted and resumed mid-shard, or degraded by worker
 kills — must produce the same hierarchy document, the same community
 tree and the same packed query artifact as the single-process
-pipeline.  The matrix also pins which implementation ran (blocks keeps
-its numpy phases under any shard count), and that the serial set
+pipeline.  The matrix also pins which implementation ran (only
+enumeration fans out, at any shard count), and that the serial set
 oracle refuses every fanned-out cell by name.  These
 tests pin that contract on a ring-of-cliques oracle small enough to
 sweep every combination.
@@ -140,16 +140,15 @@ def _run_cell(graph, kernel, **options):
     return document, cpm, {r.name for r in tracer.records}
 
 
-def _assert_implementation(kernel, shards, names):
-    """The phases ran the kernel's implementation, not another's."""
-    if kernel == "blocks":
-        # Blocks' numpy phases run whole-array in the driver at any
-        # shard count; only enumeration fans out.
-        assert "cpm.blocks.count" in names
-        assert "worker.shard.count" not in names
-        assert "shard.reduce" not in names
-    elif kernel == "bitset" and shards > 1:
-        assert "shard.reduce" in names
+def _assert_implementation(kernel, names):
+    """The phases ran the kernel's implementation, not another's.
+
+    Only enumeration fans out: no kernel counts overlaps or pre-reduces
+    percolation buckets in shard tasks.
+    """
+    assert ("cpm.blocks.count" in names) == (kernel == "blocks")
+    assert "worker.shard.count" not in names
+    assert "shard.reduce" not in names
 
 
 @pytest.mark.parametrize("kernel", KERNEL_PARAMS)
@@ -161,7 +160,7 @@ class TestShardCountInvariance:
             return
         document, cpm, names = cell
         assert document == baselines[kernel]
-        _assert_implementation(kernel, cpm.shards, names)
+        _assert_implementation(kernel, names)
 
     def test_pool_execution_is_byte_identical(self, graph, baselines, kernel, shards):
         cell = _run_cell(graph, kernel, workers=2, shards=shards)
@@ -170,7 +169,7 @@ class TestShardCountInvariance:
         document, cpm, names = cell
         assert document == baselines[kernel]
         assert not cpm.stats.degraded
-        _assert_implementation(kernel, cpm.shards, names)
+        _assert_implementation(kernel, names)
 
 
 class TestShardedEnumeration:
@@ -202,8 +201,26 @@ class TestShardedEnumeration:
             assert sharded == serial
 
 
+class TestOverlapWire:
+    """Overlap counting is serial, so the wire cannot depend on shards."""
+
+    @pytest.mark.parametrize("kernel", INTEGER_KERNELS)
+    def test_wire_checksum_is_shard_invariant(self, kernel, tmp_path):
+        graph = random_graph(40, 0.3, seed=7)
+        checksums = set()
+        for shards in (1, 2, 4):
+            store = CheckpointStore(tmp_path / str(shards))
+            LightweightParallelCPM(
+                graph, kernel=kernel, shards=shards, checkpoint=store
+            ).run()
+            overlap = store.load_phase("overlap")
+            assert overlap["wire"].n_pairs > 0
+            checksums.add(overlap["wire_checksum"])
+        assert len(checksums) == 1
+
+
 class TestWorkerUtilisation:
-    """The gauge divides by the processes that ran the counting."""
+    """The gauge is the counter's busy share of ``cpm.overlap``."""
 
     @pytest.mark.parametrize(
         "kernel, shards",
@@ -261,7 +278,7 @@ class TestShardResume:
         assert partial["signature"] == 4 and len(partial["done"]) == 4
         partial["done"] = dict(sorted(partial["done"].items())[:2])
         store.store_phase("shard_enumerate", partial)
-        for phase in ("enumerate", "shard_overlap", "overlap", "shard_percolate", "percolate"):
+        for phase in ("enumerate", "overlap", "percolate"):
             store.phase_path(phase).unlink(missing_ok=True)
 
         resumed = self._sharded(graph, store, resume=True)
@@ -273,7 +290,7 @@ class TestShardResume:
         old partition's partial results."""
         store = CheckpointStore(tmp_path / "ckpt")
         self._sharded(graph, store).run()
-        for phase in ("enumerate", "shard_overlap", "overlap", "shard_percolate", "percolate"):
+        for phase in ("enumerate", "overlap", "percolate"):
             store.phase_path(phase).unlink(missing_ok=True)
         resumed = self._sharded(graph, store, resume=True, shards=2)
         assert hierarchy_to_dict(resumed.run()) == baselines["bitset"]
