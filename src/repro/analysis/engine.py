@@ -6,8 +6,9 @@ is a function of the community member sets and the graph adjacency.
 The analyses used to recompute them independently with Python set
 loops (``core/metrics.py``); :class:`MetricsEngine` instead sweeps the
 whole hierarchy once over the degeneracy-ordered
-:class:`~repro.graph.csr.CSRGraph` snapshot that the bitset CPM kernel
-already built:
+:class:`~repro.graph.csr.CSRGraph` snapshot that the CPM run already
+built, reading its graph-width :meth:`~repro.graph.csr.CSRGraph.bitsets`
+rows (the sweep is their only reader; they are built on first use):
 
 * each community becomes one membership bitset (an arbitrary-precision
   int), so a member's internal degree is
@@ -352,7 +353,7 @@ class MetricsEngine:
                 results = [_sweep_order_set(task, self.graph) for task in tasks]
             else:
                 csr = self._ensure_csr()
-                bitsets, degs, nbytes = csr.bitsets, csr.degrees(), (csr.n + 7) >> 3
+                bitsets, degs, nbytes = csr.bitsets(), csr.degrees(), (csr.n + 7) >> 3
                 rank = self._node_rank()
                 memo: dict = {}
                 results = [

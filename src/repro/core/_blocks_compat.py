@@ -1,8 +1,9 @@
 """Optional-numpy guard for the ``blocks`` kernel.
 
-numpy is an optional ``[perf]`` extra: the ``blocks`` CPM kernel and
-the ``blocks`` analysis engine need it, everything else in the package
-runs without it.  This module is the single place that probes for the
+numpy is an optional ``[perf]`` extra: only the ``blocks`` CPM
+kernel's overlap and percolation phases need it; everything else in
+the package, clique enumeration and the analysis sweep included, runs
+without it.  This module is the single place that probes for the
 dependency, so the import is attempted exactly once and every feature
 gate reads the same answer.
 

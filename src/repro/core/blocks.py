@@ -3,9 +3,8 @@
 The third CPM kernel (``--kernel blocks``) keeps the degeneracy-ordered
 :class:`~repro.graph.csr.CSRGraph` snapshot and the enumerator of the
 bitset kernel — :func:`~.cliques.maximal_cliques_bitset`, the one
-integer Bron–Kerbosch, whose neighbourhood re-index already uses numpy
-when it is importable — and replaces the two phases where batching
-wins with whole-array numpy passes.  (A numpy ``bitwise_count`` pivot
+integer Bron–Kerbosch, which needs no numpy — and replaces the two
+phases where batching wins with whole-array numpy passes.  (A numpy ``bitwise_count`` pivot
 argmax was prototyped for enumeration in three variants — per-call,
 whole-graph batched, and column-pruned — and *lost* to the scalar scan
 at AS-graph scale because the median pivot scan examines ~3.5

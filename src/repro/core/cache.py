@@ -103,10 +103,9 @@ class CliqueCache:
         try:
             with open(path, "rb") as fh:
                 return pickle.load(fh)
-        except FileNotFoundError:
-            return None
-        except (OSError, pickle.UnpicklingError, EOFError, AttributeError):
-            # A torn or stale-schema entry is a miss, not an error; the
+        except Exception:
+            # A missing, torn, stale-schema or foreign entry is a miss,
+            # not an error (unpickling can raise almost anything); the
             # rewrite after recomputation repairs it.
             return None
 

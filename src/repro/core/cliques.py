@@ -19,8 +19,9 @@ Two enumerators implement the same recursion:
   every integer path (both CPM kernels, the shard tasks, the
   incremental session): operates on a
   :class:`~repro.graph.csr.CSRGraph`, with P and X as arbitrary-
-  precision int bitmasks, leaf-sized subproblems resolved inline and
-  wide top-level subtrees re-indexed onto their own neighbourhood.
+  precision int bitmasks over each top-level subtree's own
+  neighbourhood (local rows built from the CSR arrays, no numpy) and
+  leaf-sized subproblems resolved inline.
   Emits cliques as tuples of dense ids; both enumerators produce
   exactly the same cliques (the maximal cliques of a graph are
   unique), which ``tests/test_kernels_equivalence.py`` asserts against
@@ -34,6 +35,7 @@ the direct-definition CPM variant.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
 from collections.abc import Hashable, Iterable, Iterator
 from dataclasses import dataclass
@@ -77,15 +79,6 @@ class CliqueEnumerationStats:
     branches: int = 0
     pivot_candidates: int = 0
     emitted: int = 0
-
-
-#: Candidate count at or above which a top-level subtree of
-#: :func:`maximal_cliques_bitset` is re-indexed onto its own
-#: neighbourhood.  Below it the one-off numpy gather costs more than
-#: the big-int width it saves; above it the whole subtree runs on masks
-#: one or two machine words wide (the degeneracy order bounds |N(v)|
-#: far under the graph's bit width).
-_LOCAL_REMAP_MIN = 12
 
 
 def maximal_cliques(
@@ -183,44 +176,42 @@ def maximal_cliques_bitset(
         ``X ∩ N(u) ∩ N(w)`` is empty; non-adjacent — ``R ∪ {u}`` and
         ``R ∪ {w}`` are tested independently.
 
-    * **neighbourhood re-index** — a top-level subtree with at least
-      ``_LOCAL_REMAP_MIN`` candidates is re-indexed onto ``S = N(v)``
-      before recursing: the forward neighbour lists of ``S`` are
-      gathered from the CSR arrays and matched into ``S`` with
-      ``searchsorted``, so its masks are ``|S|`` bits wide instead of
-      ``n``.  ``S`` is
+    * **local rows** — every top-level subtree rooted at ``v`` runs on
+      ``S = N(v)`` re-indexed to positions ``0 .. |S| - 1``: the
+      forward (higher-id) lists of ``S`` are walked out of the CSR
+      arrays and matched into ``S`` with a ``{id: position}`` dict, so
+      its masks are ``|S|`` bits wide instead of ``n``.  Only edges
+      with an end after ``v`` are gathered: an earlier neighbour's row
+      needs no bits of the other earlier neighbours, since excluded
+      nodes are only ever tested against candidates.  ``S`` is
       ascending, so local bit order equals global bit order and the
       pivots, branches and emitted tuples are exactly those of the
-      un-indexed recursion.  The re-index needs numpy; without it every
-      subtree runs on the global rows.
+      recursion over graph-width rows.
 
-    Adjacency is read only through ``csr.bitsets`` (big-int rows indexed
-    by dense id; a shard task passes a lazily filled row memo) and the
-    ``csr.indptr``/``csr.indices`` arrays.  ``vertices`` (default: all,
-    ascending) are the top-level subtrees to expand; each emitted tuple
-    starts with its subtree's vertex.  Returns one tuple of dense ids
-    per maximal clique; map them back with ``csr.to_labels``.  ``stats``
-    counts every resolved subproblem, inline leaves included, as a call.
+    Adjacency is read only through the ``csr.indptr``/``csr.indices``
+    arrays and the cached :meth:`~repro.graph.csr.CSRGraph.forward_starts`
+    view, so the driver, the shard workers and the incremental session
+    all run this one path, with or without numpy.  ``vertices``
+    (default: all, ascending) are the top-level subtrees to expand;
+    each emitted tuple starts with its subtree's vertex.  Returns one
+    tuple of dense ids per maximal clique; map them back with
+    ``csr.to_labels``.  ``stats`` counts every resolved subproblem,
+    inline leaves included, as a call.
     """
     if min_size < 1:
         raise ValueError(f"min_size must be >= 1, got {min_size}")
-    # Imported here, not at module load: probing for numpy costs every
-    # process that imports the package but never enumerates.
-    from . import _blocks_compat
-
-    bits = csr.bitsets
     indptr = csr.indptr
+    indices = csr.indices
+    forward = csr.forward_starts()
     cliques: list[tuple[int, ...]] = []
     emit = cliques.append
     stack: list[int] = []
     append = stack.append
     pop = stack.pop
     counters = [0, 0, 0]  # calls, branches, pivot_candidates
-    identity = range(csr.n)
-    # The rows of the subtree being expanded, and the dense id of each
-    # row's bit position: (bits, identity), or a re-indexed neighbourhood.
-    adj = bits
-    ids = identity
+    # small/expand read ``adj`` (the local rows of the subtree being
+    # expanded) and ``ids`` (the dense id of each row's bit position),
+    # both set per top-level vertex below.
 
     def small(p: int, x: int, c: int) -> None:
         counters[0] += 1
@@ -281,59 +272,34 @@ def maximal_cliques_bitset(
             x |= low
             branch ^= low
 
-    arrays = None
-
-    def reindex(v: int, c: int) -> tuple:
-        """(ids, rows, p, x) of v's subtree re-indexed onto S = N(v)."""
-        nonlocal arrays
-        if arrays is None:
-            np = _blocks_compat.require_numpy("the neighbourhood re-index")
-            ptr = np.frombuffer(indptr, dtype=indptr.typecode)
-            idx = np.frombuffer(csr.indices, dtype=csr.indices.typecode)
-            # Where each vertex's forward (higher-id) neighbours start.
-            owner = np.repeat(np.arange(len(ptr) - 1), np.diff(ptr))
-            backward = np.concatenate(([0], np.cumsum(idx < owner)))
-            arrays = (np, idx, ptr[:-1] + backward[ptr[1:]] - backward[ptr[:-1]], ptr[1:])
-        np, idx, forward_start, stop = arrays
-        lo, hi = indptr[v], indptr[v + 1]
+    for v in range(csr.n) if vertices is None else vertices:
+        lo, mid, hi = indptr[v], forward[v], indptr[v + 1]
+        ids = indices[lo:hi]
         size = hi - lo
-        s = idx[lo:hi]
-        # Every edge inside S, once: gather the forward lists of S in one
-        # ragged index (degeneracy order keeps them short, even for hubs)
-        # and find each neighbour's position in S (ascending, so
-        # searchsorted); a miss is a neighbour outside S.
-        first = forward_start[s]
-        lens = stop[s] - first
-        ends = np.cumsum(lens)
-        nbrs = idx[np.arange(ends[-1]) + np.repeat(first - (ends - lens), lens)]
-        pos = np.minimum(np.searchsorted(s, nbrs), size - 1)
-        hit = s[pos] == nbrs
-        i = np.repeat(np.arange(size), lens)[hit]
-        j = pos[hit]
-        row_bits = (size + 7) & ~7
-        flat = np.zeros(size * row_bits, np.uint8)
-        flat[i * row_bits + j] = 1
-        flat[j * row_bits + i] = 1
-        buf = np.packbits(flat, bitorder="little").tobytes()
-        step = row_bits >> 3
-        rows = [int.from_bytes(buf[k : k + step], "little") for k in range(0, len(buf), step)]
-        x = (1 << (size - c)) - 1
-        return csr.indices[lo:hi], rows, ((1 << size) - 1) ^ x, x
-
-    remap = _blocks_compat.HAVE_NUMPY
-    for v in identity if vertices is None else vertices:
-        nv = bits[v]
-        later = (nv >> (v + 1)) << (v + 1)
-        c = later.bit_count()
-        if remap and c >= _LOCAL_REMAP_MIN:
-            ids, adj, later, earlier = reindex(v, c)
-        else:
-            ids, adj, earlier = identity, bits, nv & ((1 << v) - 1)
+        c = hi - mid
+        e = size - c  # earlier neighbours sit at positions [0, e)
+        # Every edge of S with an end after v, once: walk each member's
+        # forward list from the first id after v; a miss is outside S.
+        where = dict(zip(indices[mid:hi], range(e, size))).get
+        adj = [0] * size
+        for i, w in enumerate(ids):
+            stop = indptr[w + 1]
+            start = forward[w] if i >= e else bisect_right(indices, v, forward[w], stop)
+            bit = 1 << i
+            row = 0
+            for u in indices[start:stop]:
+                j = where(u)
+                if j is not None:
+                    row |= 1 << j
+                    adj[j] |= bit
+            adj[i] |= row
+        x = (1 << e) - 1
+        p = ((1 << size) - 1) ^ x
         append(v)
         if c < 3:
-            small(later, earlier, c)
+            small(p, x, c)
         else:
-            expand(later, earlier)
+            expand(p, x)
         pop()
     if stats is not None:
         stats.calls += counters[0]

@@ -1,4 +1,4 @@
-"""Integer-relabelled CSR + bitset snapshot of a :class:`Graph`.
+"""Integer-relabelled CSR snapshot of a :class:`Graph`.
 
 The integer fast path of the LP-CPM pipeline (``docs/performance.md``)
 never touches Python sets or hashable node objects in its hot loops:
@@ -8,22 +8,25 @@ it relabels the graph once and runs on dense integers.  A
 * **labels** — dense id → original node object.  Ids are assigned in
   *degeneracy order* (Eppstein–Löffler–Strash), so the Bron–Kerbosch
   outer loop can split each node's neighborhood into "later" (candidate)
-  and "earlier" (excluded) ids with two shifts instead of set scans.
+  and "earlier" (excluded) ids at one offset into its CSR slice.
 * **indptr / indices** — classic compressed-sparse-row adjacency.
   ``indices[indptr[i]:indptr[i+1]]`` are the neighbor ids of ``i``,
   ascending; both are ``array`` objects, so the structure pickles as
   flat memory buffers.
-* **bitsets** — per-node neighborhood masks as arbitrary-precision
-  Python ints (bit ``j`` set iff ``{i, j}`` is an edge).  CPython's
-  big-int ``&``/``|``/``bit_count`` run word-at-a-time in C, which is
-  what makes the integer Bron–Kerbosch fast without numpy.  A shard
-  worker, which receives only the CSR arrays, passes a dict that
-  builds each row on first read in place of the list.
 
-These are the only adjacency views: the enumerator's numpy
-neighbourhood re-index gathers from the CSR arrays, and the analysis
-engine popcounts against the rows, so no dense ``n x ceil(n/64)``
-block matrix is ever materialised.
+The CSR arrays are the snapshot.  Two derived views are built from
+them lazily and cached, like :meth:`~CSRGraph.rank` and
+:meth:`~CSRGraph.degrees`:
+
+* :meth:`~CSRGraph.forward_starts` — where each node's forward
+  (higher-id) neighbours start in ``indices``; the enumerator builds
+  each subtree's local rows from them and the shard planner counts
+  forward degrees with them;
+* :meth:`~CSRGraph.bitsets` — per-node neighborhood masks as
+  arbitrary-precision Python ints (bit ``j`` set iff ``{i, j}`` is an
+  edge), ``n`` bits wide each.  Only the analysis popcount sweep reads
+  them, so CPM runs, shard workers and incremental sessions never
+  build graph-width rows.
 
 The snapshot is derived data: mutate the source :class:`Graph` and
 build a new snapshot.
@@ -32,6 +35,7 @@ build a new snapshot.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_right
 from collections.abc import Hashable, Sequence
 
 from .degeneracy import degeneracy_ordering
@@ -41,34 +45,31 @@ __all__ = ["CSRGraph"]
 
 
 class CSRGraph:
-    """Dense-integer CSR + bitset view of an undirected simple graph.
+    """Dense-integer CSR view of an undirected simple graph.
 
-    Derived views (:meth:`rank`, :meth:`degrees`) are built lazily and
-    cached on the snapshot.
+    Derived views (:meth:`rank`, :meth:`degrees`, :meth:`forward_starts`,
+    :meth:`bitsets`) are built lazily and cached on the snapshot.
 
     >>> from repro.graph import complete_graph
     >>> csr = CSRGraph.from_graph(complete_graph(4))
     >>> csr.n, csr.degree(0)
     (4, 3)
-    >>> bin(csr.bitsets[0])
+    >>> bin(csr.bitsets()[0])
     '0b1110'
     """
 
-    __slots__ = ("labels", "indptr", "indices", "bitsets", "_rank", "_degrees")
+    __slots__ = (
+        "labels", "indptr", "indices", "_rank", "_degrees", "_forward", "_bitsets"
+    )
 
-    def __init__(
-        self,
-        labels: Sequence[Hashable],
-        indptr: array,
-        indices: array,
-        bitsets: list[int] | dict[int, int],
-    ) -> None:
+    def __init__(self, labels: Sequence[Hashable], indptr: array, indices: array) -> None:
         self.labels = list(labels)
         self.indptr = indptr
         self.indices = indices
-        self.bitsets = bitsets
         self._rank: dict | None = None
         self._degrees: list[int] | None = None
+        self._forward: list[int] | None = None
+        self._bitsets: list[int] | None = None
 
     @classmethod
     def from_graph(cls, graph: Graph) -> "CSRGraph":
@@ -77,16 +78,10 @@ class CSRGraph:
         rank = {node: i for i, node in enumerate(order)}
         indptr = array("q", [0])
         indices = array("i")
-        bitsets: list[int] = []
         for node in order:
-            nbrs = sorted(rank[w] for w in graph.neighbors(node))
-            indices.extend(nbrs)
+            indices.extend(sorted(rank[w] for w in graph.neighbors(node)))
             indptr.append(len(indices))
-            mask = 0
-            for j in nbrs:
-                mask |= 1 << j
-            bitsets.append(mask)
-        return cls(order, indptr, indices, bitsets)
+        return cls(order, indptr, indices)
 
     # ------------------------------------------------------------------
     # Queries
@@ -111,10 +106,6 @@ class CSRGraph:
         """Neighbor ids of ``i``, ascending (a slice of the CSR arrays)."""
         return self.indices[self.indptr[i] : self.indptr[i + 1]]
 
-    def has_edge(self, i: int, j: int) -> bool:
-        """True iff ``{i, j}`` is an edge (one bitset probe)."""
-        return bool((self.bitsets[i] >> j) & 1)
-
     def to_labels(self, ids) -> list[Hashable]:
         """Map dense ids back to the original node objects."""
         labels = self.labels
@@ -137,6 +128,39 @@ class CSRGraph:
             indptr = self.indptr
             self._degrees = [indptr[i + 1] - indptr[i] for i in range(len(self.labels))]
         return self._degrees
+
+    def forward_starts(self) -> list[int]:
+        """Per-node offset into ``indices`` of the first neighbour with a
+        higher id, built lazily and cached.
+
+        ``indices[forward_starts()[i]:indptr[i + 1]]`` are the forward
+        neighbours of ``i``: the candidates of its Bron–Kerbosch subtree.
+        """
+        if self._forward is None:
+            indptr, indices = self.indptr, self.indices
+            self._forward = [
+                bisect_right(indices, i, indptr[i], indptr[i + 1])
+                for i in range(len(self.labels))
+            ]
+        return self._forward
+
+    def bitsets(self) -> list[int]:
+        """Per-node neighbourhood masks (bit ``j`` set iff ``{i, j}`` is an
+        edge), built lazily and cached.
+
+        Graph-width rows: the analysis popcount sweep reads them; the
+        enumerator builds its own subtree-local rows instead.
+        """
+        if self._bitsets is None:
+            indptr, indices = self.indptr, self.indices
+            rows = []
+            for i in range(len(self.labels)):
+                mask = 0
+                for j in indices[indptr[i] : indptr[i + 1]]:
+                    mask |= 1 << j
+                rows.append(mask)
+            self._bitsets = rows
+        return self._bitsets
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"CSRGraph(n={self.n}, edges={self.n_edges})"

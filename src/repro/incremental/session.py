@@ -720,7 +720,7 @@ def load_session(
 
     Validates the directory end to end before trusting it: the META
     must be a session entry (not a pipeline checkpoint) at the current
-    schema versions, the payload must deserialise, and the rebuilt
+    schema versions, the payload must deserialise to a dict, and the rebuilt
     graph's fingerprint must match the checksum the META was keyed
     with — any mismatch raises
     :class:`~repro.runner.checkpoint.CheckpointMismatchError` (a
@@ -744,6 +744,11 @@ def load_session(
         if payload is None:
             raise CheckpointError(
                 f"saved session at {store.root} has no readable session payload"
+            )
+        if not isinstance(payload, dict):
+            raise CheckpointError(
+                f"saved session at {store.root} holds a {type(payload).__name__} "
+                "payload, not a session"
             )
         if payload.get("schema") != SESSION_SCHEMA_VERSION:
             raise CheckpointMismatchError(

@@ -164,15 +164,14 @@ class CheckpointStore:
     def load_phase(self, phase: str) -> Any | None:
         """The stored payload for ``phase``, or None if absent/unreadable.
 
-        A torn or stale entry is treated as "not done" — the phase is
+        A torn, stale or foreign entry — any file that fails to unpickle,
+        whatever the exception — is treated as "not done": the phase is
         recomputed and the rewrite repairs the file.
         """
         try:
             with open(self.phase_path(phase), "rb") as fh:
                 return pickle.load(fh)
-        except FileNotFoundError:
-            return None
-        except (OSError, pickle.UnpicklingError, EOFError, AttributeError):
+        except Exception:
             return None
 
     def store_phase(self, phase: str, payload: Any) -> Path:

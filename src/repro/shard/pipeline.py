@@ -89,7 +89,7 @@ def _store_partial(ckpt: CheckpointStore | None, signature: int, done: dict) -> 
 _LOG = get_logger(component="shard")
 
 
-def _observe_plan(cpm, plan: ShardPlan, closure_rows: list[int]) -> None:
+def _observe_plan(cpm, plan: ShardPlan) -> None:
     cpm.metrics.set_gauge("shard.count", plan.n_shards)
     cpm.metrics.set_gauge("shard.imbalance", plan.imbalance())
     _LOG.info(
@@ -100,7 +100,6 @@ def _observe_plan(cpm, plan: ShardPlan, closure_rows: list[int]) -> None:
     for s in range(plan.n_shards):
         cpm.metrics.observe("shard.cost", plan.costs[s])
         cpm.metrics.observe("shard.vertices", len(plan.owners[s]))
-        cpm.metrics.observe("shard.closure_rows", closure_rows[s])
 
 
 # ----------------------------------------------------------------------
@@ -110,8 +109,8 @@ def sharded_enumerate_dense(cpm, ckpt: CheckpointStore | None):
     """Bron–Kerbosch over the CSR snapshot, for both pipeline kernels.
 
     One shard is a plain in-driver
-    :func:`~repro.core.cliques.maximal_cliques_bitset` call over
-    ``csr.bitsets``; more shards run the same enumerator over a
+    :func:`~repro.core.cliques.maximal_cliques_bitset` call over the
+    CSR snapshot; more shards run the same enumerator over a
     degeneracy-partitioned plan (:func:`_enumerate_shards`).  Returns
     ``(dense, cliques)``: dense-id cliques sorted by size descending
     and the same cliques over node labels — identical at every shard
@@ -144,24 +143,16 @@ def _enumerate_shards(
     """Fan the per-vertex subtrees out as shard tasks.
 
     Per-vertex reassembly in ascending id order reproduces the serial
-    emission sequence.  Workers get the CSR arrays, never the bitsets.
+    emission sequence.  Workers get the CSR arrays and nothing else.
     """
     n = csr.n
     indptr, indices = csr.indptr, csr.indices
     with cpm.tracer.span("shard.plan") as plan_span:
-        forward = [
-            sum(1 for u in indices[indptr[v] : indptr[v + 1]] if u > v) for v in range(n)
-        ]
-        plan = plan_shards(forward, cpm.shards)
-        closure_rows = []
-        for owned in plan.owners:
-            mask = 0
-            for v in owned:
-                mask |= csr.bitsets[v] | (1 << v)
-            closure_rows.append(mask.bit_count())
+        forward = csr.forward_starts()
+        plan = plan_shards([indptr[v + 1] - forward[v] for v in range(n)], cpm.shards)
         plan_span.set("shards", plan.n_shards)
         plan_span.set("imbalance", round(plan.imbalance(), 3))
-        _observe_plan(cpm, plan, closure_rows)
+        _observe_plan(cpm, plan)
 
     payload = {"indptr": indptr, "indices": indices}
     done = _load_partial(cpm, ckpt, plan.n_shards)

@@ -7,6 +7,7 @@ profile is near-instant, and dozens of analysis tests reuse both.
 
 from __future__ import annotations
 
+import pickle
 import random
 
 import pytest
@@ -14,6 +15,18 @@ import pytest
 from repro.analysis.context import AnalysisContext
 from repro.graph import Graph, ring_of_cliques
 from repro.topology.generator import GeneratorConfig, generate_topology
+
+
+#: Persisted-pickle bytes a store must survive: an unknown pickle
+#: protocol, a GLOBAL naming a module that does not exist, and a
+#: readable payload of the wrong shape (an int where a dict belongs).
+#: The first two fail to unpickle; the third unpickles fine.
+CORRUPT_PICKLES = {
+    "protocol-9": b"\x80\x09",
+    "missing-module": b"cnot_a_module\nX\n.",
+    "not-a-dict": pickle.dumps(5),
+}
+UNREADABLE_PICKLES = ["protocol-9", "missing-module"]
 
 
 @pytest.fixture(scope="session")

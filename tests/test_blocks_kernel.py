@@ -9,11 +9,13 @@ module pins everything around the kernel:
   and an explicit ``--kernel blocks`` exits 2 with an install hint on a
   numpy-less install (simulated by monkeypatching ``HAVE_NUMPY``, so
   both legs run regardless of which CI matrix cell executes them);
-* the snapshot's two adjacency views (big-int rows, CSR arrays)
-  against each other, bit for bit, and the absence of a dense block
-  matrix after a blocks run and an analysis sweep;
-* the enumerator's numpy neighbourhood re-index against the same
-  recursion without it, tuple for tuple;
+* the snapshot's lazy big-int rows against its CSR arrays, bit for
+  bit, and that no CPM run builds them (only the analysis sweep does);
+* the enumerator's emission sequence, tuple for tuple, against digests
+  recorded before its subtrees moved onto local rows, and against the
+  same recursion over un-indexed graph-width rows;
+* enumeration without numpy: a ``numpy``-blocked interpreter produces
+  the same hierarchy as this one;
 * the vectorized overlap counter against the sharded reference at the
   wire level (same buckets as multisets, same chains);
 * the min-label percolation sweep against the incremental union-find,
@@ -24,7 +26,12 @@ module pins everything around the kernel:
 
 from __future__ import annotations
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -35,12 +42,13 @@ from repro.core._blocks_compat import (
     numpy_version,
     require_numpy,
 )
-from repro.core import cliques
+from repro.api import run_cpm
 from repro.core.blocks import count_overlaps_blocks
 from repro.core.cliques import maximal_cliques_bitset
 from repro.core.lightweight import KERNELS, LightweightParallelCPM, resolve_kernel
 from repro.core.overlap import count_overlaps_bitset
 from repro.core.percolation import percolate_wire
+from repro.core.serialize import hierarchy_to_dict
 from repro.shard.pipeline import sharded_enumerate_dense
 from repro.shard.plan import prefix_count
 from repro.graph import CSRGraph, Graph, ring_of_cliques
@@ -103,29 +111,35 @@ class TestGuard:
 
 
 class TestBlockMatrix:
-    """The blocks kernel reads the snapshot's rows and CSR arrays; no
-    dense uint64 block matrix is built for it or for the analysis."""
+    """The snapshot's graph-width rows are a lazy, cached view of its
+    CSR arrays that only the analysis sweep builds; no CPM run does,
+    and no dense block matrix exists at all."""
 
     def test_blocks_match_bitsets_bit_for_bit(self):
         csr = CSRGraph.from_graph(random_graph(70, 0.2, seed=3))
-        for i, mask in enumerate(csr.bitsets):
+        for i, mask in enumerate(csr.bitsets()):
             row = 0
             for j in csr.neighbors(i):
                 row |= 1 << j
             assert row == mask
 
-    @needs_numpy
     def test_matrix_is_cached(self):
         from repro.analysis.engine import MetricsEngine
         from repro.core.tree import CommunityTree
 
         graph = ring_of_cliques(3, 4)
-        cpm = LightweightParallelCPM(graph, kernel="blocks")
-        hierarchy = cpm.run()
-        csr = cpm.csr
-        MetricsEngine(hierarchy, CommunityTree(hierarchy), graph, csr=csr).rows()
+        kernels = ("bitset", "blocks") if HAVE_NUMPY else ("bitset",)
+        for kernel in kernels:
+            for shards in (1, 2):
+                result = run_cpm(graph, kernel=kernel, workers=shards, shards=shards)
+                assert result.csr._bitsets is None, (kernel, shards)
+        csr = result.csr
+        MetricsEngine(result.hierarchy, CommunityTree(result.hierarchy), graph, csr=csr).rows()
+        assert csr._bitsets is not None
+        assert csr.bitsets() is csr.bitsets()
         assert csr.rank() is csr.rank()
         assert csr.degrees() is csr.degrees()
+        assert csr.forward_starts() is csr.forward_starts()
         assert not hasattr(csr, "blocks")
         assert not hasattr(csr, "_blocks")
 
@@ -140,27 +154,167 @@ def _wide_hub_graph() -> Graph:
     return graph
 
 
-@needs_numpy
-class TestReindex:
-    """The re-index changes the adjacency's width, never the recursion."""
+def _digest(cliques: list) -> str:
+    return hashlib.blake2b(repr(cliques).encode(), digest_size=16).hexdigest()
 
-    @pytest.mark.parametrize("remap_min", [cliques._LOCAL_REMAP_MIN, 3])
+
+class TestEmissionSequence:
+    """Local rows change the adjacency's width, never the recursion.
+
+    The digests were recorded from the enumerator that ran wide
+    subtrees on a numpy re-index and narrow ones on graph-width rows:
+    every tuple, its member order and the list order must stay put.
+    """
+
+    GRAPHS = {
+        "gnp-dense": lambda: random_graph(40, 0.5, seed=5),
+        "gnp-medium": lambda: random_graph(60, 0.3, seed=23),
+        "wide-hub": _wide_hub_graph,
+    }
+    #: ``min_size`` -> blake2b-128 of ``repr(maximal_cliques_bitset(...))``.
+    RECORDED = {
+        "gnp-dense": {
+            1: "ab4e181b1ad22f509870dc615d1a4f14",
+            2: "ab4e181b1ad22f509870dc615d1a4f14",
+            4: "136bdf2e6397f6d2373332db2d8e7e7e",
+        },
+        "gnp-medium": {
+            1: "ba52e595ac9be85c41005ff4a873ecf8",
+            2: "ba52e595ac9be85c41005ff4a873ecf8",
+            4: "ff265af42261223d7dc501d07a852cdd",
+        },
+        "wide-hub": {
+            1: "8fca4ffeacceb3f0bad69b05a92bd9e7",
+            2: "8fca4ffeacceb3f0bad69b05a92bd9e7",
+            4: "908270cec9550a5ff174fed9b19ad50b",
+        },
+    }
+
+    @pytest.mark.parametrize("name", sorted(GRAPHS))
+    def test_emission_sequence_matches_recorded(self, name):
+        csr = CSRGraph.from_graph(self.GRAPHS[name]())
+        for min_size, digest in self.RECORDED[name].items():
+            assert _digest(maximal_cliques_bitset(csr, min_size=min_size)) == digest
+
+    def test_default_profile_matches_recorded(self, default_dataset):
+        csr = CSRGraph.from_graph(default_dataset.graph)
+        cliques = maximal_cliques_bitset(csr, min_size=2)
+        assert len(cliques) == 4612
+        assert _digest(cliques) == "451249af80e20ec513bc9712b86346c6"
+
+
+def _unindexed_cliques(csr: CSRGraph, min_size: int, vertices: list[int]) -> list:
+    """The enumerator's recursion over graph-width rows, un-indexed.
+
+    The same Tomita pivot rule, lowest-bit branching and leaf inlining
+    as :func:`maximal_cliques_bitset`, but every mask is ``n`` bits wide
+    and bit ``j`` is dense id ``j`` — the reference the local rows must
+    reproduce tuple for tuple.
+    """
+    rows = csr.bitsets()
+    out: list[tuple[int, ...]] = []
+
+    def small(r: tuple, p: int, x: int, c: int) -> None:
+        if c == 0:
+            if x == 0 and len(r) >= min_size:
+                out.append(r)
+        elif c == 1:
+            u = p.bit_length() - 1
+            if x & rows[u] == 0 and len(r) + 1 >= min_size:
+                out.append((*r, u))
+        else:
+            low = p & -p
+            u, w = low.bit_length() - 1, (p ^ low).bit_length() - 1
+            if (rows[u] >> w) & 1:
+                if x & rows[u] & rows[w] == 0 and len(r) + 2 >= min_size:
+                    out.append((*r, u, w))
+            elif len(r) + 1 >= min_size:
+                out.extend((*r, z) for z in (u, w) if x & rows[z] == 0)
+
+    def expand(r: tuple, p: int, x: int) -> None:
+        c = p.bit_count()
+        if c < 3:
+            small(r, p, x, c)
+            return
+        best, pivot = -1, 0
+        m = p | x
+        while m:
+            low = m & -m
+            count = (rows[low.bit_length() - 1] & p).bit_count()
+            if count > best:
+                best, pivot = count, rows[low.bit_length() - 1]
+            m ^= low
+        branch = p & ~pivot
+        while branch:
+            low = branch & -branch
+            u = low.bit_length() - 1
+            expand((*r, u), p & rows[u], x & rows[u])
+            p ^= low
+            x |= low
+            branch ^= low
+
+    for v in vertices:
+        expand((v,), (rows[v] >> (v + 1)) << (v + 1), rows[v] & ((1 << v) - 1))
+    return out
+
+
+class TestReindex:
+    """Local rows re-index each subtree onto ``N(v)``; that changes the
+    adjacency's width, never the recursion.
+
+    ``width`` picks the top-level subtrees compared: those with at
+    least that many forward candidates (12 reaches only the wide ones,
+    3 nearly every subtree that recurses), passed as ``vertices``.
+    """
+
+    @pytest.mark.parametrize("width", [12, 3])
     @pytest.mark.parametrize(
         "graph",
         [random_graph(40, 0.5, seed=5), random_graph(60, 0.3, seed=23), _wide_hub_graph()],
         ids=["gnp-dense", "gnp-medium", "wide-hub"],
     )
-    def test_emission_sequence_matches_unindexed(self, graph, remap_min, monkeypatch):
-        monkeypatch.setattr(cliques, "_LOCAL_REMAP_MIN", remap_min)
+    def test_emission_sequence_matches_unindexed(self, graph, width):
         csr = CSRGraph.from_graph(graph)
-        assert any(
-            (row >> (v + 1)).bit_count() >= remap_min for v, row in enumerate(csr.bitsets)
-        )
+        forward = csr.forward_starts()
+        vertices = [v for v in range(csr.n) if csr.indptr[v + 1] - forward[v] >= width]
+        assert vertices
         for min_size in (1, 2, 4):
-            on = maximal_cliques_bitset(csr, min_size=min_size)
-            with monkeypatch.context() as off:
-                off.setattr(_blocks_compat, "HAVE_NUMPY", False)
-                assert maximal_cliques_bitset(csr, min_size=min_size) == on
+            local = maximal_cliques_bitset(csr, min_size=min_size, vertices=vertices)
+            assert local == _unindexed_cliques(csr, min_size, vertices)
+
+
+_NO_NUMPY_RUN = """
+import hashlib, json, random, sys
+sys.modules["numpy"] = None
+from repro.api import run_cpm
+from repro.core._blocks_compat import HAVE_NUMPY
+from repro.core.serialize import hierarchy_to_dict
+from repro.graph import erdos_renyi
+assert not HAVE_NUMPY
+graph = erdos_renyi(60, 0.3, random.Random(23))
+for shards in (1, 2):
+    result = run_cpm(graph, kernel="bitset", workers=shards, shards=shards)
+    document = json.dumps(hierarchy_to_dict(result.hierarchy), sort_keys=True)
+    print(hashlib.blake2b(document.encode(), digest_size=16).hexdigest())
+"""
+
+
+def test_enumeration_never_needs_numpy():
+    """One enumeration path: a numpy-blocked interpreter emits the same
+    hierarchy at shards 1 and 2 as this process does."""
+    result = run_cpm(random_graph(60, 0.3, seed=23), kernel="bitset")
+    document = json.dumps(hierarchy_to_dict(result.hierarchy), sort_keys=True)
+    expected = hashlib.blake2b(document.encode(), digest_size=16).hexdigest()
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_NUMPY_RUN],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [expected, expected]
 
 
 def _counter_args(dense):

@@ -18,7 +18,7 @@ from repro.core.lightweight import LightweightParallelCPM
 from repro.graph import ring_of_cliques
 from repro.obs import MetricsRegistry, RunManifest, Tracer
 
-from .conftest import random_graph
+from .conftest import CORRUPT_PICKLES, UNREADABLE_PICKLES, random_graph
 
 
 def _signature(hierarchy):
@@ -57,6 +57,12 @@ class TestCliqueCacheStore:
         cache.store("abc", "bitset", [1, 2, 3])
         path = cache.path_for("abc", "bitset")
         path.write_bytes(pickle.dumps([1, 2, 3])[:-4])
+        assert cache.load("abc", "bitset") is None
+
+    @pytest.mark.parametrize("blob", UNREADABLE_PICKLES)
+    def test_unreadable_entry_is_a_miss(self, tmp_path, blob):
+        cache = CliqueCache(tmp_path)
+        cache.path_for("abc", "bitset").write_bytes(CORRUPT_PICKLES[blob])
         assert cache.load("abc", "bitset") is None
 
     def test_env_var_overrides_location(self, tmp_path, monkeypatch):

@@ -29,6 +29,8 @@ from repro.incremental import (
 )
 from repro.runner.checkpoint import CheckpointError, CheckpointStore
 
+from .conftest import CORRUPT_PICKLES
+
 try:
     import numpy  # noqa: F401
 
@@ -349,6 +351,15 @@ class TestPersistence:
         payload["edges"] = payload["edges"][:-1]
         store.store_phase("session", payload)
         with pytest.raises(CheckpointError, match="integrity"):
+            load_session(tmp_path / "sess")
+
+    @pytest.mark.parametrize("blob", sorted(CORRUPT_PICKLES))
+    def test_corrupt_payload_fails_cleanly(self, tmp_path, blob):
+        session = CPMSession(ring_of_cliques(3, 4))
+        session.save(tmp_path / "sess")
+        store = CheckpointStore(tmp_path / "sess")
+        store.phase_path("session").write_bytes(CORRUPT_PICKLES[blob])
+        with pytest.raises(CheckpointError, match="payload"):
             load_session(tmp_path / "sess")
 
 

@@ -17,12 +17,14 @@ import random
 
 import pytest
 
-from repro.core import IntUnionFind, UnionFind, cliques
+from repro.core import IntUnionFind, UnionFind
 from repro.core._blocks_compat import HAVE_NUMPY
 from repro.core.cliques import maximal_cliques, maximal_cliques_bitset
 from repro.core.lightweight import LightweightParallelCPM
 from repro.core.percolation import extract_hierarchy, k_clique_communities_direct
 from repro.graph import CSRGraph, ring_of_cliques
+from repro.shard.pipeline import sharded_enumerate_dense
+from repro.shard.plan import prefix_count
 
 from .conftest import random_graph
 
@@ -73,21 +75,20 @@ class TestCliqueEnumeration:
         assert fast == reference
 
     @needs_numpy
-    def test_blocks_enumerates_the_same_cliques(self, graph, monkeypatch):
-        """The numpy re-index path, forced onto every subtree, agrees too.
+    def test_blocks_enumerates_the_same_cliques(self, graph):
+        """The blocks kernel's enumerate phase agrees too, in the driver
+        and fanned out over two shards.
 
-        Both kernels share the one integer enumerator; on a numpy
-        install it re-indexes wide subtrees onto their neighbourhood.
-        Lowering the threshold sends every subtree with a candidate
-        through that path, which the small test graphs otherwise rarely
-        reach.
+        Both kernels share the one integer enumerator; this reaches it
+        through the pipeline phase (snapshot, shard plan, label mapping)
+        rather than a direct call.
         """
-        monkeypatch.setattr(cliques, "_LOCAL_REMAP_MIN", 1)
         reference = {c for c in maximal_cliques(graph, min_size=2)}
-        csr = CSRGraph.from_graph(graph)
-        dense = maximal_cliques_bitset(csr, min_size=2)
-        assert len(dense) == len(reference)
-        assert {frozenset(csr.to_labels(clique)) for clique in dense} == reference
+        for shards in (1, 2):
+            cpm = LightweightParallelCPM(graph, kernel="blocks", workers=shards, shards=shards)
+            dense, cliques = sharded_enumerate_dense(cpm, None)
+            assert len(dense) == len(reference)
+            assert {frozenset(clique) for clique in cliques} == reference
 
     def test_min_size_filter_agrees(self, graph):
         csr = CSRGraph.from_graph(graph)
@@ -100,16 +101,17 @@ class TestCliqueEnumeration:
             assert fast == reference
 
     @needs_numpy
-    def test_blocks_min_size_filter_agrees(self, graph, monkeypatch):
-        monkeypatch.setattr(cliques, "_LOCAL_REMAP_MIN", 1)
-        csr = CSRGraph.from_graph(graph)
-        for min_size in (1, 3, 4):
+    def test_blocks_min_size_filter_agrees(self, graph):
+        """The pipeline's size filter — the prefix of the size-descending
+        clique list that each order ``k`` percolates — keeps exactly the
+        reference's cliques of at least ``k`` nodes."""
+        cpm = LightweightParallelCPM(graph, kernel="blocks")
+        _dense, cliques = sharded_enumerate_dense(cpm, None)
+        sizes = [len(clique) for clique in cliques]
+        for min_size in (2, 3, 4):
             reference = {c for c in maximal_cliques(graph, min_size=min_size)}
-            fast = {
-                frozenset(csr.to_labels(clique))
-                for clique in maximal_cliques_bitset(csr, min_size=min_size)
-            }
-            assert fast == reference
+            kept = {frozenset(clique) for clique in cliques[: prefix_count(sizes, min_size)]}
+            assert kept == reference
 
     def test_dense_ids_are_valid_and_distinct(self, graph):
         csr = CSRGraph.from_graph(graph)

@@ -21,6 +21,8 @@ from repro.runner import (
 from repro.obs import MetricsRegistry, Tracer, current_metrics, worker_span
 from repro.runner.faults import FAULT_PLAN_ENV
 
+from .conftest import CORRUPT_PICKLES, UNREADABLE_PICKLES
+
 
 class TestFaultPlanParsing:
     def test_parse_single_rule(self):
@@ -184,6 +186,13 @@ class TestCheckpointStore:
         store = CheckpointStore(tmp_path)
         store.open(checksum="abc", kernel="bitset", resume=False)
         store.phase_path("overlap").write_bytes(b"\x80\x04 torn")
+        assert store.load_phase("overlap") is None
+
+    @pytest.mark.parametrize("blob", UNREADABLE_PICKLES)
+    def test_unreadable_phase_file_reads_as_missing(self, tmp_path, blob):
+        store = CheckpointStore(tmp_path)
+        store.open(checksum="abc", kernel="bitset", resume=False)
+        store.phase_path("overlap").write_bytes(CORRUPT_PICKLES[blob])
         assert store.load_phase("overlap") is None
 
     def test_corrupt_meta_raises_on_resume(self, tmp_path):

@@ -19,11 +19,10 @@ import pytest
 
 from repro.api import build_query_artifact, run_cpm
 from repro.core._blocks_compat import HAVE_NUMPY
-from repro.core.cliques import _LOCAL_REMAP_MIN
 from repro.core.lightweight import KERNELS, LightweightParallelCPM
 from repro.core.serialize import hierarchy_to_dict
 from repro.core.tree import CommunityTree
-from repro.graph import CSRGraph, ring_of_cliques
+from repro.graph import ring_of_cliques
 from repro.obs import MetricsRegistry, Tracer
 from repro.obs.inspect import diff_manifests
 from repro.runner import CheckpointStore, FaultPlan
@@ -177,12 +176,7 @@ class TestShardedEnumeration:
 
     @pytest.fixture(scope="class")
     def dense_graph(self):
-        graph = random_graph(40, 0.5, seed=5)
-        csr = CSRGraph.from_graph(graph)
-        widest = max((row >> (v + 1)).bit_count() for v, row in enumerate(csr.bitsets))
-        # Some subtree is wide enough to be re-indexed inside a worker.
-        assert widest >= _LOCAL_REMAP_MIN
-        return graph
+        return random_graph(40, 0.5, seed=5)
 
     @staticmethod
     def _dense(graph, kernel, path, **options):
