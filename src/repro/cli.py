@@ -108,8 +108,8 @@ def _add_obs_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_cpm_arguments(parser: argparse.ArgumentParser) -> None:
-    """Attach the shared CPM kernel/cache selection flags."""
+def _add_kernel_arguments(parser: argparse.ArgumentParser) -> None:
+    """Attach the CPM kernel and cache flags (all a session open takes)."""
     parser.add_argument(
         "--kernel", choices=[*KERNELS, "auto"], default="bitset",
         help=(
@@ -120,18 +120,23 @@ def _add_cpm_arguments(parser: argparse.ArgumentParser) -> None:
         ),
     )
     parser.add_argument(
+        "--cache", action=argparse.BooleanOptionalAction, default=False,
+        help=(
+            "reuse/store clique+overlap results on disk, keyed by the graph "
+            "fingerprint ($REPRO_CACHE_DIR or ~/.cache/repro); --no-cache disables"
+        ),
+    )
+
+
+def _add_cpm_arguments(parser: argparse.ArgumentParser) -> None:
+    """Attach the kernel/cache flags plus the batch run's shard/runner flags."""
+    _add_kernel_arguments(parser)
+    parser.add_argument(
         "--shards", default="auto", metavar="N",
         help=(
             "split maximal-clique enumeration into N shards fanned out across "
             "--workers (default 'auto' = one shard per worker); overlap counting "
             "and percolation run serially at any N, and output is byte-identical"
-        ),
-    )
-    parser.add_argument(
-        "--cache", action=argparse.BooleanOptionalAction, default=False,
-        help=(
-            "reuse/store clique+overlap results on disk, keyed by the graph "
-            "fingerprint ($REPRO_CACHE_DIR or ~/.cache/repro); --no-cache disables"
         ),
     )
     parser.add_argument(
@@ -1036,7 +1041,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sopen.add_argument("dataset", help="dataset directory or edge-list file")
     p_sopen.add_argument("session_dir", help="directory to persist the session into")
-    _add_cpm_arguments(p_sopen)
+    _add_kernel_arguments(p_sopen)
     _add_obs_arguments(p_sopen)
     p_sopen.set_defaults(func=_cmd_session_open)
 

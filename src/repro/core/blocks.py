@@ -44,9 +44,7 @@ imports everywhere.
 
 from __future__ import annotations
 
-import time
-
-from ..obs.tracing import NULL_TRACER, Tracer, max_rss_kib
+from ..obs.tracing import NULL_TRACER, Tracer
 from ._blocks_compat import require_numpy
 from .overlap import OverlapWire
 
@@ -74,10 +72,10 @@ def count_overlaps_blocks(
     invariant); ``n_counting`` is the size>=3 prefix length and
     ``shift`` the pair-packing shift.  Returns ``(wire, n_counted,
     stats)`` where ``n_counted`` is the number of distinct co-occurring
-    pairs and ``stats`` is shaped like the report of
-    :func:`~.overlap.count_overlaps_bitset`, the serial counter this
-    replaces, so the driver aggregates both kernels identically.
-    ``tracer`` times the pass as ``cpm.blocks.count``.
+    pairs and ``stats`` is the report of
+    :func:`~.overlap.count_overlaps_bitset` (the serial counter this
+    replaces; :func:`~.overlap.count_overlaps` picks between them) plus
+    ``batches``.  ``tracer`` times the pass as ``cpm.blocks.count``.
 
     Counting semantics match the reference exactly: pairs are counted
     over the per-node id lists truncated to the eligible prefix, nodes
@@ -86,7 +84,6 @@ def count_overlaps_blocks(
     ``k_act = min(sizes[j], o + 1)``.
     """
     np = require_numpy("the 'blocks' kernel")
-    t0, c0 = time.perf_counter(), time.process_time()
     with tracer.span("cpm.blocks.count", cliques=len(dense)) as span:
         n_cliques = len(dense)
         # Pair words are (id << shift) | id; on every graph this
@@ -107,8 +104,9 @@ def count_overlaps_blocks(
         # k=2 chains: consecutive clique ids within each node run.
         same = nodes_s[:-1] == nodes_s[1:]
         chains = (cids_s[:-1][same] << shift) | cids_s[1:][same]
-        # Per-node runs; the eligible ids are an ascending prefix.
-        starts = np.flatnonzero(np.concatenate(([True], ~same)))
+        # Per-node runs (none without cliques); the eligible ids are an
+        # ascending prefix.
+        starts = np.flatnonzero(np.concatenate(([total > 0], ~same)))
         eligible_len = np.add.reduceat((cids_s < n_counting).astype(np.int64), starts)
         keep = eligible_len >= 2
         kept_starts = starts[keep]
@@ -168,17 +166,7 @@ def count_overlaps_blocks(
         )
         span.set("pairs", n_counted)
         span.set("batches", batches)
-    stats = {
-        "nodes": int(keep.sum()),
-        "incidences": total,
-        "pair_updates": pair_updates,
-        "batches": batches,
-        "distinct_pairs": n_counted,
-        "wall_seconds": time.perf_counter() - t0,
-        "cpu_seconds": time.process_time() - c0,
-        "max_rss_kib": max_rss_kib(),
-    }
-    return wire, n_counted, stats
+    return wire, n_counted, {"pair_updates": pair_updates, "batches": batches}
 
 
 def percolate_orders_blocks(

@@ -32,6 +32,7 @@ __all__ = [
     "default_cache_dir",
     "atomic_pickle_dump",
     "atomic_bytes_dump",
+    "has_fields",
 ]
 
 CACHE_SCHEMA_VERSION = 1
@@ -67,6 +68,14 @@ def atomic_pickle_dump(path: Path, payload: Any) -> Path:
     """Atomically pickle ``payload`` to ``path`` (highest protocol)."""
     return atomic_bytes_dump(
         path, pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+    )
+
+
+def has_fields(payload: Any, fields: dict[str, type]) -> bool:
+    """True iff ``payload`` is a dict holding every field at its type
+    (the shape check of every persisted-pickle reader)."""
+    return isinstance(payload, dict) and all(
+        isinstance(payload.get(name), kind) for name, kind in fields.items()
     )
 
 

@@ -85,10 +85,10 @@ from ..runner.faults import FaultPlan
 from ..runner.supervise import PoolSupervisor, RunnerConfig
 from ..shard.pipeline import sharded_enumerate_dense
 from ..shard.plan import prefix_count, resolve_shards
-from .cache import CliqueCache
+from .cache import CliqueCache, has_fields
 from .cliques import CliqueCensus
 from .communities import CommunityHierarchy
-from .overlap import OverlapWire, count_overlaps_bitset
+from .overlap import OverlapWire, count_overlaps
 from .percolation import CliqueOverlapIndex, build_hierarchy, extract_hierarchy, percolate_wire
 
 __all__ = [
@@ -96,6 +96,7 @@ __all__ = [
     "CPMRunStats",
     "KERNELS",
     "check_oracle_options",
+    "load_cached_run",
     "resolve_kernel",
 ]
 
@@ -158,6 +159,37 @@ class CPMRunStats:
     def total_seconds(self) -> float:
         """Sum of the three phase wall times."""
         return self.enumerate_seconds + self.overlap_seconds + self.percolate_seconds
+
+
+#: The shape of the cache entry and of each checkpoint phase the
+#: pipeline reads back; any other shape is a miss / a phase not done.
+_CACHE_FIELDS = {"cliques": list, "wire": OverlapWire, "counted_pairs": int}
+_PHASE_SHAPES = {
+    "enumerate": lambda p: has_fields(p, {"dense": list, "cliques": list}),
+    "overlap": lambda p: has_fields(
+        p, {"wire": OverlapWire, "counted_pairs": int, "wire_checksum": str}
+    ),
+    "percolate": lambda p: isinstance(p, dict)
+    and all(isinstance(k, int) and isinstance(g, list) for k, g in p.items()),
+}
+
+
+def load_cached_run(
+    cache: CliqueCache, checksum: str, kernel: str, metrics: MetricsRegistry
+) -> dict | None:
+    """The cached enumerate + overlap payload, or None on a miss.
+
+    The one cache probe of :class:`LightweightParallelCPM` and
+    :class:`~repro.incremental.CPMSession`: an entry that is absent,
+    unreadable or of the wrong shape is a miss.  Every probe counts
+    once in ``cache.hits`` or ``cache.misses``.
+    """
+    payload = cache.load(checksum, kernel)
+    if has_fields(payload, _CACHE_FIELDS):
+        metrics.inc("cache.hits")
+        return payload
+    metrics.inc("cache.misses")
+    return None
 
 
 def check_oracle_options(
@@ -274,11 +306,11 @@ class LightweightParallelCPM:
             if self.kernel == "set":
                 return self._run_oracle(min_k, max_k)
             checksum = self._graph_checksum()
-            payload = self._cache_lookup(checksum)
-            if payload is not None:
-                run_span.set("cache", "hit")
-            elif self.cache is not None:
-                run_span.set("cache", "miss")
+            payload = None
+            if self.cache is not None:
+                payload = load_cached_run(self.cache, checksum, self.kernel, self.metrics)
+                self.stats.cache_hit = payload is not None
+                run_span.set("cache", "hit" if self.stats.cache_hit else "miss")
             ckpt = self._open_checkpoint(checksum)
             if ckpt is not None:
                 run_span.set("checkpoint", str(ckpt.root))
@@ -299,18 +331,6 @@ class LightweightParallelCPM:
             return None
         return graph_fingerprint(self.graph)["checksum"]
 
-    def _cache_lookup(self, checksum: str | None) -> dict | None:
-        """Probe the cache; returns the stored payload or None."""
-        if self.cache is None:
-            return None
-        payload = self.cache.load(checksum, self.kernel)
-        if payload is None:
-            self.metrics.inc("cache.misses")
-        else:
-            self.metrics.inc("cache.hits")
-            self.stats.cache_hit = True
-        return payload
-
     def _open_checkpoint(self, checksum: str | None) -> CheckpointStore | None:
         """Bind the checkpoint store to this run (validating on resume)."""
         if self.checkpoint is None:
@@ -319,10 +339,12 @@ class LightweightParallelCPM:
         return self.checkpoint
 
     def _load_checkpoint_phase(self, ckpt: CheckpointStore | None, phase: str):
-        """A resumable phase payload, or None (not resuming / not stored)."""
+        """A resumable phase payload, or None (not resuming, not stored,
+        or of the wrong shape: the phase is then not done)."""
         if ckpt is None or not self.resume:
             return None
-        return ckpt.load_phase(phase)
+        payload = ckpt.load_phase(phase)
+        return payload if _PHASE_SHAPES[phase](payload) else None
 
     def _mark_resumed(self, phase: str) -> None:
         self.stats.resumed_phases = self.stats.resumed_phases + (phase,)
@@ -393,10 +415,7 @@ class LightweightParallelCPM:
         sizes = [len(c) for c in cliques]
         if wire is None:
             over_ck = self._load_checkpoint_phase(ckpt, "overlap")
-            if (
-                over_ck is not None
-                and over_ck.get("wire_checksum") == over_ck["wire"].checksum()
-            ):
+            if over_ck is not None and over_ck["wire_checksum"] == over_ck["wire"].checksum():
                 wire = over_ck["wire"]
                 n_counted = over_ck["counted_pairs"]
                 self._mark_resumed("overlap")
@@ -442,23 +461,16 @@ class LightweightParallelCPM:
     ) -> tuple[OverlapWire, int]:
         """Count truncated overlaps into the wire, serially in the driver.
 
-        The kernel only picks the counter — the numpy pass
-        (:func:`~.blocks.count_overlaps_blocks`) for ``"blocks"``, the
-        pure-Python one (:func:`~.overlap.count_overlaps_bitset`)
-        otherwise; both return the same wire and the same report, so the
+        :func:`~.overlap.count_overlaps` picks the kernel's counter;
+        both return the same wire and the same report, so the
         ``overlap.*`` metrics are recorded once for either.
         """
-        if self.kernel == "blocks":
-            from .blocks import count_overlaps_blocks as count
-        else:
-            count = count_overlaps_bitset
         with self.tracer.span("cpm.overlap") as span:
-            t0 = time.perf_counter()
             shift = max(1, len(sizes).bit_length())
-            wire, n_counted, stats = count(
-                dense, sizes, prefix_count(sizes, 3), shift, self.tracer
+            wire, n_counted, stats = count_overlaps(
+                self.kernel, dense, sizes, shift, self.tracer
             )
-            self._aggregate_shard_reports([stats], time.perf_counter() - t0)
+            self.metrics.inc("overlap.pair_updates", stats["pair_updates"])
             if self.kernel == "blocks":
                 self.metrics.inc("cpm.blocks.popcount_batches", stats["batches"])
                 self.metrics.inc("cpm.blocks.pair_words", stats["pair_updates"])
@@ -503,13 +515,11 @@ class LightweightParallelCPM:
         ckpt: CheckpointStore | None,
     ) -> tuple[dict[int, list[list[int]]], list[int]]:
         """Split orders into (already-checkpointed groups, orders still to run)."""
-        grouped: dict[int, list[list[int]]] = {}
-        if ckpt is not None and self.resume:
-            prior = ckpt.load_phase("percolate") or {}
-            grouped = {k: v for k, v in prior.items() if min_k <= k <= max_k}
-            if grouped:
-                self._mark_resumed("percolate")
-                self.metrics.inc("runner.resumed_orders", len(grouped))
+        prior = self._load_checkpoint_phase(ckpt, "percolate") or {}
+        grouped = {k: v for k, v in prior.items() if min_k <= k <= max_k}
+        if grouped:
+            self._mark_resumed("percolate")
+            self.metrics.inc("runner.resumed_orders", len(grouped))
         todo = [k for k in orders if k not in grouped]
         return grouped, todo
 
@@ -523,22 +533,6 @@ class LightweightParallelCPM:
         n_chunks = min(4, len(todo))
         size = -(-len(todo) // n_chunks)
         return [todo[i : i + size] for i in range(0, len(todo), size)]
-
-    def _aggregate_shard_reports(self, shard_reports: list[dict], elapsed: float) -> None:
-        """Fold overlap-count reports into metrics; the utilisation
-        gauge is the driver's busy share of the phase."""
-        busy = 0.0
-        for shard_stats in shard_reports:
-            busy += shard_stats["wall_seconds"]
-            self.metrics.observe("overlap.shard_seconds", shard_stats["wall_seconds"])
-            self.metrics.observe("overlap.shard_nodes", shard_stats["nodes"])
-            self.metrics.observe("overlap.shard_incidences", shard_stats["incidences"])
-            self.metrics.inc("overlap.pair_updates", shard_stats["pair_updates"])
-            self.metrics.observe("worker.max_rss_kib", shard_stats["max_rss_kib"])
-        if elapsed > 0:
-            self.metrics.set_gauge(
-                "overlap.worker_utilisation", min(1.0, busy / elapsed)
-            )
 
     # ------------------------------------------------------------------
     # The set kernel: the serial reference oracle

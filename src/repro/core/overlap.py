@@ -26,22 +26,26 @@ buffers whose ``bytes`` form goes into checkpoints and the on-disk
 cache as flat memory instead of a pickled list of tuples.
 :class:`OverlapWire` is that bundle, and :func:`count_overlaps_bitset`
 builds it in one serial pass (the blocks kernel's numpy twin is
-:func:`~.blocks.count_overlaps_blocks`).
+:func:`~.blocks.count_overlaps_blocks`).  :func:`count_overlaps` picks
+between the two by kernel; it is the one counter both the batch
+pipeline and :class:`~repro.incremental.CPMSession` open through.
 """
 
 from __future__ import annotations
 
-import time
 from array import array
 from bisect import bisect_left
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
-from ..obs.tracing import NULL_TRACER, Tracer, max_rss_kib
+from ..obs.tracing import NULL_TRACER, Tracer
+from ..shard.plan import prefix_count
 
 __all__ = [
     "OverlapWire",
     "build_node_index",
     "chain_pairs",
+    "count_overlaps",
     "count_overlaps_bitset",
     "truncate_index",
 ]
@@ -123,7 +127,7 @@ def truncate_index(index: list[list[int]], n_counting: int) -> list[list[int]]:
     return out
 
 
-def chain_pairs(index: list[list[int]], shift: int) -> array:
+def chain_pairs(index: Iterable[list[int]], shift: int) -> array:
     """Packed consecutive-id pairs reproducing order-2 connectivity.
 
     Unioning ``(cids[t], cids[t+1])`` for every node chains together
@@ -153,25 +157,24 @@ def count_overlaps_bitset(
 
     The bitset kernel's counter, and the numpy-less twin of
     :func:`~.blocks.count_overlaps_blocks`: same arguments, same
-    ``(wire, n_counted, stats)`` return, same wire content.  Pairs are
+    ``(wire, n_counted, stats)`` return, same wire content (call either
+    through :func:`count_overlaps`).  Pairs are
     counted into one word -> count dict over the per-node id lists
     truncated to the size >= 3 prefix (``n_counting``); overlap-1 pairs
     are dropped (the k = 2 chains cover them) and the rest are bucketed
     at ``k_act = min(sizes[j], o + 1)``.  ``n_counted`` is the number of
-    distinct co-occurring pairs.  ``tracer`` times the inverted-index
-    build as ``cpm.overlap.index``.
+    distinct co-occurring pairs and ``stats`` reports the
+    ``pair_updates`` the loop performed.  ``tracer`` times the
+    inverted-index build as ``cpm.overlap.index``.
     """
-    t0, c0 = time.perf_counter(), time.process_time()
     with tracer.span("cpm.overlap.index"):
         index = build_node_index(dense)
         counting = truncate_index(index, n_counting)
     counts: dict[int, int] = {}
     get = counts.get
-    incidences = 0
     pair_updates = 0
     for cids in counting:
         n = len(cids)
-        incidences += n
         pair_updates += n * (n - 1) // 2
         for a in range(n):
             base = cids[a] << shift
@@ -199,13 +202,26 @@ def count_overlaps_bitset(
         buckets={k: arr.tobytes() for k, arr in buckets.items()},
         chains=chains.tobytes(),
     )
-    stats = {
-        "nodes": len(counting),
-        "incidences": incidences,
-        "pair_updates": pair_updates,
-        "distinct_pairs": len(counts),
-        "wall_seconds": time.perf_counter() - t0,
-        "cpu_seconds": time.process_time() - c0,
-        "max_rss_kib": max_rss_kib(),
-    }
-    return wire, len(counts), stats
+    return wire, len(counts), {"pair_updates": pair_updates}
+
+
+def count_overlaps(
+    kernel: str,
+    dense: list[tuple[int, ...]],
+    sizes: list[int],
+    shift: int,
+    tracer: Tracer = NULL_TRACER,
+) -> tuple[OverlapWire, int, dict]:
+    """The kernel's overlap counter over size-descending dense cliques.
+
+    The twin of :func:`~.percolation.percolate_wire`: ``"blocks"``
+    runs the numpy pass (:func:`~.blocks.count_overlaps_blocks`), every
+    other kernel the pure-Python :func:`count_overlaps_bitset`.  Both
+    count the size >= 3 prefix of ``sizes`` and return the same
+    ``(wire, n_counted, stats)``; ``shift`` is the pair-packing shift.
+    """
+    if kernel == "blocks":
+        from .blocks import count_overlaps_blocks as count
+    else:
+        count = count_overlaps_bitset
+    return count(dense, sizes, prefix_count(sizes, 3), shift, tracer)

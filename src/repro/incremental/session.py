@@ -53,15 +53,14 @@ import time
 from array import array
 from collections import Counter
 from collections.abc import Hashable
-from itertools import combinations
 from os import PathLike
 from pathlib import Path
 
-from ..core.cache import CliqueCache
+from ..core.cache import CliqueCache, has_fields
 from ..core.cliques import local_maximal_cliques, maximal_cliques, maximal_cliques_bitset
 from ..core.communities import CommunityHierarchy
-from ..core.lightweight import check_oracle_options, resolve_kernel
-from ..core.overlap import OverlapWire
+from ..core.lightweight import check_oracle_options, load_cached_run, resolve_kernel
+from ..core.overlap import OverlapWire, chain_pairs, count_overlaps
 from ..core.percolation import build_hierarchy, percolate_wire
 from ..graph.csr import CSRGraph
 from ..graph.undirected import Graph
@@ -90,6 +89,13 @@ SESSION_SCHEMA_VERSION = 1
 #: META kernel-tag prefix distinguishing a persisted session from a
 #: pipeline checkpoint sharing the same directory format.
 _KERNEL_TAG = "session:"
+
+#: Field -> type of a persisted session payload (:func:`load_session`
+#: rejects any other shape).
+_SESSION_FIELDS = dict(
+    schema=int, kernel=str, nodes=list, edges=list, members=dict,
+    pair_kact=dict, groups=dict, next_id=int, applied=int,
+)
 
 #: Pair-packing shift for the session's persistent overlap wire.
 #: Fixed for the session's lifetime (stable clique ids only grow), so
@@ -167,13 +173,11 @@ class CPMSession:
         self.cache_hit = False
         with self.tracer.span("incr.open", kernel=self.kernel) as span:
             t0 = time.perf_counter()
-            cliques = self._initial_cliques(cache)
-            for members in cliques:
-                self._admit_silent(members)
-            if self._pair_kact or not self._members:
-                pass  # cache hit already installed the counted pairs
-            else:
-                self._count_pairs_initial()
+            cliques, wire = self._initial_state(cache)
+            self._members = dict(enumerate(map(frozenset, cliques)))
+            self._next_id = len(self._members)
+            self._build_index()
+            self._install_pairs(wire)
             self._rebuild_wire()
             top = self.max_clique_size
             if top >= 2:
@@ -187,75 +191,63 @@ class CPMSession:
     # ------------------------------------------------------------------
     # Construction internals
     # ------------------------------------------------------------------
-    def _initial_cliques(self, cache: CliqueCache | None) -> list[frozenset]:
-        """Enumerate (or cache-load) the maximal cliques, size-descending.
+    def _initial_state(self, cache: CliqueCache | None) -> tuple[list, OverlapWire]:
+        """The maximal cliques (size-descending) and their overlap wire.
 
-        On a cache hit the counted pairs are installed directly from
-        the stored payload's wire activation buckets too — the cache
-        is read-only here: a scratch build never writes it, because the
-        session does not materialise the exact payload layout
-        ``run_cpm`` persists.
+        Both come from the payload a previous ``run_cpm`` cached (the
+        cache is read-only here), or from the pipeline's enumerator and
+        its counter, :func:`~repro.core.overlap.count_overlaps`.  The
+        ``set`` oracle keeps its set-based enumeration and feeds the same
+        counter through a label -> int map.
         """
-        checksum = graph_fingerprint(self.graph)["checksum"]
-        payload = cache.load(checksum, self.kernel) if cache is not None else None
-        if payload is not None:
-            self.cache_hit = True
-            self.metrics.inc("cache.hits")
-            cliques = [frozenset(c) for c in payload["cliques"]]
-            wire = payload["wire"]
-            mask = (1 << wire.shift) - 1
-            pairs: dict[tuple[int, int], int] = {}
-            for k_act, blob in wire.buckets.items():
-                buf = array("q")
-                buf.frombytes(blob)
-                for word in buf:
-                    pairs[(word >> wire.shift, word & mask)] = k_act
-            self._pair_kact = pairs
-            return cliques
         if cache is not None:
-            self.metrics.inc("cache.misses")
+            checksum = graph_fingerprint(self.graph)["checksum"]
+            payload = load_cached_run(cache, checksum, self.kernel, self.metrics)
+            if payload is not None:
+                self.cache_hit = True
+                return payload["cliques"], payload["wire"]
         if self.kernel == "set":
-            return sorted(
-                maximal_cliques(self.graph, min_size=2), key=len, reverse=True
-            )
-        csr = CSRGraph.from_graph(self.graph)
-        dense = maximal_cliques_bitset(csr, min_size=2)
-        dense.sort(key=len, reverse=True)
-        to_label = csr.labels.__getitem__
-        return [frozenset(map(to_label, clique)) for clique in dense]
+            cliques = sorted(maximal_cliques(self.graph, min_size=2), key=len, reverse=True)
+            to_int = {node: i for i, node in enumerate(self.graph.nodes())}.__getitem__
+            dense = [tuple(map(to_int, clique)) for clique in cliques]
+        else:
+            csr = CSRGraph.from_graph(self.graph)
+            dense = maximal_cliques_bitset(csr, min_size=2)
+            dense.sort(key=len, reverse=True)
+            to_label = csr.labels.__getitem__
+            cliques = [tuple(map(to_label, clique)) for clique in dense]
+        sizes = [len(clique) for clique in dense]
+        shift = max(1, len(sizes).bit_length())
+        wire, _, _ = count_overlaps(self.kernel, dense, sizes, shift, self.tracer)
+        return cliques, wire
 
-    def _admit_silent(self, members: frozenset) -> int:
-        """Register a clique without overlap counting (initial install)."""
-        cid = self._next_id
-        self._next_id += 1
-        self._members[cid] = members
-        for node in members:
-            self._index.setdefault(node, set()).add(cid)
-        return cid
+    def _build_index(self) -> None:
+        """Rebuild the node -> live clique ids index from the members."""
+        self._index = {}
+        for cid, clique in self._members.items():
+            for node in clique:
+                self._index.setdefault(node, set()).add(cid)
 
-    def _count_pairs_initial(self) -> None:
-        """Baudin-style truncated overlap counts over the installed cliques.
+    def _install_pairs(self, wire: OverlapWire) -> None:
+        """Decode the wire's buckets into the retained pair state.
 
-        Only pairs of size>=3 cliques are counted (ids below the size-3
-        prefix boundary, since initial ids are size-descending) and
-        only counts >= 2 are kept: an overlap-1 pair matters solely at
-        k = 2, where the chain unions derived from the node index
-        already provide connectivity.  This is what bounds session
-        memory below the full clique-adjacency graph.
+        Initial ids are the wire's clique ids, so each word is an
+        ``(a, b)`` id pair at its bucket's activation order.  Only the
+        Baudin-truncated pairs (overlap >= 2) are retained; the k = 2
+        chains come from the node index.  Pairs hold the members' own
+        id objects: a fresh int per decoded endpoint held ~5 MiB more
+        on a 144k-pair session.
         """
-        n3 = prefix_count([len(self._members[c]) for c in range(self._next_id)], 3)
-        counts: Counter[tuple[int, int]] = Counter()
-        update = counts.update
-        for cids in self._index.values():
-            eligible = sorted(c for c in cids if c < n3)
-            if len(eligible) >= 2:
-                update(combinations(eligible, 2))
-        members = self._members
-        self._pair_kact = {
-            pair: min(len(members[pair[1]]), o + 1)
-            for pair, o in counts.items()
-            if o >= 2
-        }
+        ids = list(self._members)
+        shift = wire.shift
+        mask = (1 << shift) - 1
+        pairs: dict[tuple[int, int], int] = {}
+        for k_act, blob in wire.buckets.items():
+            buf = array("q")
+            buf.frombytes(blob)
+            for word in buf:
+                pairs[(ids[word >> shift], ids[word & mask])] = k_act
+        self._pair_kact = pairs
 
     def _rebuild_wire(self) -> None:
         """(Re)pack every retained pair into the persistent wire buckets.
@@ -616,16 +608,7 @@ class CPMSession:
         ids = sorted(members, key=lambda c: (-len(members[c]), c))
         sizes = [len(members[c]) for c in ids]
         shift = _WIRE_SHIFT
-        chains = array("q")
-        append = chains.append
-        for bucket in self._index.values():
-            if len(bucket) < 2:
-                continue
-            cids = sorted(bucket)
-            prev = cids[0]
-            for cur in cids[1:]:
-                append((prev << shift) | cur)
-                prev = cur
+        chains = chain_pairs(map(sorted, self._index.values()), shift)
         wire = OverlapWire(
             n_cliques=self._next_id,
             shift=shift,
@@ -701,10 +684,7 @@ class CPMSession:
         session._covers_cache = None
         session.cache_hit = False
         session.open_seconds = 0.0
-        session._index = {}
-        for cid, clique in session._members.items():
-            for node in clique:
-                session._index.setdefault(node, set()).add(cid)
+        session._build_index()
         session._rebuild_wire()
         session.metrics.inc("incr.sessions_loaded")
         return session
@@ -720,7 +700,8 @@ def load_session(
 
     Validates the directory end to end before trusting it: the META
     must be a session entry (not a pipeline checkpoint) at the current
-    schema versions, the payload must deserialise to a dict, and the rebuilt
+    schema versions, the payload must deserialise to a dict with every
+    session field at its type, and the rebuilt
     graph's fingerprint must match the checksum the META was keyed
     with — any mismatch raises
     :class:`~repro.runner.checkpoint.CheckpointMismatchError` (a
@@ -741,18 +722,14 @@ def load_session(
                 "not a saved session"
             )
         payload = store.load_phase("session")
-        if payload is None:
+        if not has_fields(payload, _SESSION_FIELDS):
             raise CheckpointError(
-                f"saved session at {store.root} has no readable session payload"
+                f"saved session at {store.root} has no readable session payload "
+                f"(a dict with the fields {sorted(_SESSION_FIELDS)})"
             )
-        if not isinstance(payload, dict):
-            raise CheckpointError(
-                f"saved session at {store.root} holds a {type(payload).__name__} "
-                "payload, not a session"
-            )
-        if payload.get("schema") != SESSION_SCHEMA_VERSION:
+        if payload["schema"] != SESSION_SCHEMA_VERSION:
             raise CheckpointMismatchError(
-                f"saved session at {store.root} uses schema {payload.get('schema')!r}, "
+                f"saved session at {store.root} uses schema {payload['schema']!r}, "
                 f"this build expects {SESSION_SCHEMA_VERSION}"
             )
         graph = Graph()

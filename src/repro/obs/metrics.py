@@ -297,7 +297,7 @@ class MetricsRegistry:
 
     >>> metrics = MetricsRegistry()
     >>> metrics.inc("cliques.enumerated", 3)
-    >>> metrics.observe("overlap.shard_seconds", 0.5)
+    >>> metrics.observe("shard.enumerate_seconds", 0.5)
     >>> metrics.counter("cliques.enumerated").value
     3
     """

@@ -28,6 +28,7 @@ runs under the ``enumerate`` site name, which keeps
 
 from __future__ import annotations
 
+from ..core.cache import has_fields
 from ..core.cliques import CliqueEnumerationStats, maximal_cliques_bitset
 from ..graph.csr import CSRGraph
 from ..obs.logging import get_logger
@@ -66,14 +67,18 @@ def _load_partial(cpm, ckpt: CheckpointStore | None, signature: int) -> dict:
 
     Partials are only trusted when the stored shard signature matches
     the current plan — resuming with a different ``--shards`` setting
-    recomputes the phase instead of stitching mismatched partitions.
+    recomputes the phase instead of stitching mismatched partitions —
+    and a payload of the wrong shape is no partial at all.
     """
     if ckpt is None or not cpm.resume:
         return {}
     stored = ckpt.load_phase("shard_enumerate")
-    if not stored or stored.get("signature") != signature:
+    if (
+        not has_fields(stored, {"signature": int, "done": dict})
+        or stored["signature"] != signature
+    ):
         return {}
-    done = stored.get("done") or {}
+    done = stored["done"]
     if done:
         cpm._mark_resumed("shard_enumerate")
         cpm.metrics.inc("runner.resumed_shards", len(done))
@@ -163,7 +168,9 @@ def _enumerate_shards(
         done[stats["shard"]] = by_vertex
         cpm.metrics.observe("shard.cliques", stats["cliques"])
         cpm.metrics.observe("shard.enumerate_seconds", stats["wall_seconds"])
-        cpm.metrics.observe("worker.max_rss_kib", stats["max_rss_kib"])
+        if cpm.workers > 1:
+            # Pool tasks only: an in-driver task would report the driver.
+            cpm.metrics.observe("worker.max_rss_kib", stats["max_rss_kib"])
         counts.calls += stats["bk_calls"]
         counts.branches += stats["bk_branches"]
         counts.pivot_candidates += stats["bk_pivot_candidates"]

@@ -18,15 +18,18 @@ from repro.topology.generator import GeneratorConfig, generate_topology
 
 
 #: Persisted-pickle bytes a store must survive: an unknown pickle
-#: protocol, a GLOBAL naming a module that does not exist, and a
-#: readable payload of the wrong shape (an int where a dict belongs).
-#: The first two fail to unpickle; the third unpickles fine.
+#: protocol, a GLOBAL naming a module that does not exist, and two
+#: readable payloads of the wrong shape (an int where a dict belongs,
+#: and a dict without the reader's fields).  The first two fail to
+#: unpickle; the last two unpickle fine and must fail the shape check.
 CORRUPT_PICKLES = {
     "protocol-9": b"\x80\x09",
     "missing-module": b"cnot_a_module\nX\n.",
     "not-a-dict": pickle.dumps(5),
+    "missing-key": pickle.dumps({"cliques": []}),
 }
 UNREADABLE_PICKLES = ["protocol-9", "missing-module"]
+WRONG_SHAPE_PICKLES = ["not-a-dict", "missing-key"]
 
 
 @pytest.fixture(scope="session")

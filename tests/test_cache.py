@@ -15,10 +15,13 @@ import pytest
 from repro.core import CliqueCache
 from repro.core.cache import CACHE_SCHEMA_VERSION, default_cache_dir
 from repro.core.lightweight import LightweightParallelCPM
+from repro.core.serialize import hierarchy_to_dict
 from repro.graph import ring_of_cliques
+from repro.incremental import CPMSession
 from repro.obs import MetricsRegistry, RunManifest, Tracer
+from repro.obs.manifest import graph_fingerprint
 
-from .conftest import CORRUPT_PICKLES, UNREADABLE_PICKLES, random_graph
+from .conftest import CORRUPT_PICKLES, UNREADABLE_PICKLES, WRONG_SHAPE_PICKLES, random_graph
 
 
 def _signature(hierarchy):
@@ -129,6 +132,44 @@ class TestCachedRuns:
         counters = metrics.to_dict()["counters"]
         assert not any(name.startswith("cache.") for name in counters)
         assert not cpm.stats.cache_hit
+
+
+@pytest.mark.parametrize("blob", WRONG_SHAPE_PICKLES)
+class TestWrongShapeEntry:
+    """An entry that unpickles to the wrong shape is a counted miss.
+
+    The batch pipeline and the session share one shape check, so both
+    recompute instead of raising on the payload.
+    """
+
+    @staticmethod
+    def _planted(tmp_path, graph, blob):
+        cache = CliqueCache(tmp_path)
+        checksum = graph_fingerprint(graph)["checksum"]
+        cache.path_for(checksum, "bitset").write_bytes(CORRUPT_PICKLES[blob])
+        return cache
+
+    def test_run_cpm_misses_and_repairs(self, tmp_path, blob):
+        graph = ring_of_cliques(4, 5)
+        cache = self._planted(tmp_path, graph, blob)
+        hierarchy, cpm, _, metrics = _run(graph, cache)
+        counters = metrics.to_dict()["counters"]
+        assert not cpm.stats.cache_hit
+        assert counters["cache.misses"] == 1 and "cache.hits" not in counters
+        assert _signature(hierarchy) == _signature(_run(graph, None)[0])
+        # The recomputed run rewrote the entry, so the next run hits.
+        assert _run(graph, cache)[1].stats.cache_hit
+
+    def test_session_open_misses(self, tmp_path, blob):
+        graph = ring_of_cliques(4, 5)
+        cache = self._planted(tmp_path, graph, blob)
+        metrics = MetricsRegistry()
+        session = CPMSession(graph, cache=cache, metrics=metrics)
+        counters = metrics.to_dict()["counters"]
+        assert not session.cache_hit
+        assert counters["cache.misses"] == 1 and "cache.hits" not in counters
+        fresh = LightweightParallelCPM(graph).run()
+        assert hierarchy_to_dict(session.hierarchy) == hierarchy_to_dict(fresh)
 
 
 class TestCacheCLI:

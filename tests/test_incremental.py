@@ -16,6 +16,7 @@ import pytest
 from repro.api import open_session, run_cpm
 from repro.cli import main
 from repro.core.cache import CliqueCache
+from repro.core.percolation import CliqueOverlapIndex
 from repro.core.serialize import hierarchy_to_dict
 from repro.core.tree import CommunityTree
 from repro.graph.generators import ring_of_cliques
@@ -202,6 +203,14 @@ class TestSessionBasics:
         assert session.hierarchy is None and session.n_cliques == 0
 
     @pytest.mark.parametrize("kernel", KERNELS)
+    def test_edgeless_graph_opens_on_every_kernel(self, kernel):
+        """Every kernel's overlap counter accepts zero cliques."""
+        graph = Graph()
+        graph.add_nodes_from(range(3))
+        session = CPMSession(graph, kernel=kernel)
+        assert session.n_cliques == 0 and session.n_overlap_pairs == 0
+
+    @pytest.mark.parametrize("kernel", KERNELS)
     def test_reuses_run_cpm_clique_cache(self, tmp_path, kernel):
         graph = ring_of_cliques(4, 5)
         cache = CliqueCache(tmp_path)
@@ -302,6 +311,69 @@ class TestDeltaFuzz:
             assert hierarchy_bytes(session.result().hierarchy) == fresh_bytes(
                 oracle, "bitset"
             )
+
+
+def oracle_pairs(graph: Graph) -> dict[frozenset, int]:
+    """Retained pairs by the set oracle: overlap >= 2 at its k_act.
+
+    Keyed by the pair's two member sets, so it compares against any
+    session's id-keyed pair state.
+    """
+    index = CliqueOverlapIndex.from_graph(graph)
+    cliques = index.cliques
+    return {
+        frozenset((cliques[i], cliques[j])): min(o + 1, len(cliques[i]), len(cliques[j]))
+        for (i, j), o in index.overlaps().items()
+        if o >= 2
+    }
+
+
+def session_pairs(session: CPMSession) -> dict[frozenset, int]:
+    """The session's retained pair state, keyed by member sets."""
+    members = session._members
+    return {
+        frozenset((members[a], members[b])): k_act
+        for (a, b), k_act in session._pair_kact.items()
+    }
+
+
+#: The TestDeltaFuzz graphs, built on demand.
+PAIR_GRAPHS = {
+    **{f"random-{seed}": (lambda s=seed: random_graph(28, 0.22, seed=s)) for seed in (0, 1, 2)},
+    "ring": lambda: ring_of_cliques(6, 6),
+}
+
+
+class TestPairState:
+    """The session's pair state against the set oracle's overlaps.
+
+    A session opens through the pipeline's overlap counter, from a
+    cache payload or freshly; either way the retained pairs must be the
+    oracle's overlap >= 2 pairs at ``k_act = min(o + 1, |A|, |B|)``.
+    """
+
+    @pytest.mark.parametrize("graph_name", sorted(PAIR_GRAPHS))
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_hit_and_miss_open_match_oracle(self, tmp_path, kernel, graph_name):
+        graph = PAIR_GRAPHS[graph_name]()
+        expected = oracle_pairs(graph)
+        miss = CPMSession(graph, kernel=kernel)
+        assert not miss.cache_hit
+        assert session_pairs(miss) == expected
+        delta = random_delta(graph, random.Random(5))
+        if kernel != "set":  # the oracle kernel takes no cache
+            cache = CliqueCache(tmp_path)
+            run_cpm(graph, kernel=kernel, cache=cache)
+            hit = CPMSession(graph, kernel=kernel, cache=cache)
+            assert hit.cache_hit
+            assert session_pairs(hit) == expected
+            assert hit.apply(delta) == miss.apply(delta)
+            assert session_pairs(hit) == session_pairs(miss)
+        else:
+            miss.apply(delta)
+        mutated = graph.copy()
+        apply_to_graph(mutated, delta)
+        assert session_pairs(miss) == oracle_pairs(mutated)
 
 
 class TestPersistence:
@@ -468,6 +540,28 @@ class TestSessionCLI:
         capsys.readouterr()
         assert main(["session", "apply", sess]) == 2
         assert "empty delta" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            ["--shards", "3"],
+            ["--checkpoint-dir", "D"],
+            ["--resume"],
+            ["--max-retries", "9"],
+            ["--batch-timeout", "1"],
+        ],
+        ids=lambda flag: flag[0],
+    )
+    def test_open_rejects_batch_run_flags(
+        self, dataset_dir, tmp_path, capsys, monkeypatch, flag
+    ):
+        """``session open`` takes --kernel and --cache, not the run flags."""
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["session", "open", dataset_dir, "sess", *flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "sess").exists() and not (tmp_path / "D").exists()
 
     def test_status_on_missing_session_exits_2(self, tmp_path, capsys):
         assert main(["session", "status", str(tmp_path / "nope")]) == 2

@@ -21,6 +21,8 @@ from repro.core.serialize import hierarchy_to_dict
 from repro.graph import ring_of_cliques
 from repro.runner import CheckpointStore, FaultPlan, InjectedFault
 
+from .conftest import CORRUPT_PICKLES, WRONG_SHAPE_PICKLES
+
 #: Every kernel, with 'blocks' skipped on numpy-less installs.
 KERNEL_PARAMS = [
     pytest.param(
@@ -195,3 +197,28 @@ class TestCheckpointHygiene:
         assert hierarchy_to_dict(resumed.run()) == baselines["bitset"]
         assert "overlap" not in resumed.stats.resumed_phases
         assert "enumerate" in resumed.stats.resumed_phases
+
+    @pytest.mark.parametrize("blob", WRONG_SHAPE_PICKLES)
+    @pytest.mark.parametrize("phase", ["enumerate", "overlap", "percolate"])
+    def test_wrong_shape_phase_recomputed_on_resume(
+        self, graph, baselines, tmp_path, phase, blob
+    ):
+        """A phase file that unpickles to the wrong shape is not done."""
+        store = CheckpointStore(tmp_path / "ckpt")
+        _interrupt_then_resume(graph, "bitset", tmp_path, "percolate")
+        store.phase_path(phase).write_bytes(CORRUPT_PICKLES[blob])
+        resumed = LightweightParallelCPM(graph, checkpoint=store, resume=True)
+        assert hierarchy_to_dict(resumed.run()) == baselines["bitset"]
+        assert phase not in resumed.stats.resumed_phases
+
+    @pytest.mark.parametrize("blob", WRONG_SHAPE_PICKLES)
+    def test_wrong_shape_shard_partials_recomputed_on_resume(
+        self, graph, baselines, tmp_path, blob
+    ):
+        store = CheckpointStore(tmp_path / "ckpt")
+        _interrupt_then_resume(graph, "bitset", tmp_path, "percolate", shards=2)
+        store.phase_path("enumerate").unlink()
+        store.phase_path("shard_enumerate").write_bytes(CORRUPT_PICKLES[blob])
+        resumed = LightweightParallelCPM(graph, shards=2, checkpoint=store, resume=True)
+        assert hierarchy_to_dict(resumed.run()) == baselines["bitset"]
+        assert resumed.stats.resumed_phases == ("overlap", "percolate")

@@ -214,22 +214,32 @@ class TestOverlapWire:
 
 
 class TestWorkerUtilisation:
-    """The gauge is the counter's busy share of ``cpm.overlap``."""
+    """``worker.max_rss_kib`` samples pool shard tasks, never the driver.
+
+    Overlap counting and one-worker shard tasks run in the driver, so
+    they report no worker RSS; the ``cpm.overlap`` span times the count.
+    """
 
     @pytest.mark.parametrize(
-        "kernel, shards",
+        "kernel, shards, workers",
         [
-            pytest.param("blocks", 2, marks=needs_numpy, id="blocks-numpy"),
-            pytest.param("bitset", 1, id="bitset-one-chunk"),
+            pytest.param("blocks", 2, 2, marks=needs_numpy, id="blocks-numpy"),
+            pytest.param("bitset", 1, 2, id="bitset-one-chunk"),
+            pytest.param("bitset", 2, 1, id="bitset-in-driver-shards"),
         ],
     )
-    def test_in_driver_counting_reads_above_half(self, tiny_dataset, kernel, shards):
+    def test_in_driver_counting_reads_above_half(
+        self, tiny_dataset, kernel, shards, workers
+    ):
         metrics = MetricsRegistry()
         cpm = LightweightParallelCPM(
-            tiny_dataset.graph, kernel=kernel, workers=2, shards=shards, metrics=metrics
+            tiny_dataset.graph, kernel=kernel, workers=workers, shards=shards, metrics=metrics
         )
         cpm.run()
-        assert metrics.to_dict()["gauges"]["overlap.worker_utilisation"] > 0.5
+        registry = metrics.to_dict()
+        rss = registry["histograms"].get("worker.max_rss_kib", {"count": 0})
+        assert rss["count"] == (shards if workers > 1 and shards > 1 else 0)
+        assert "overlap.worker_utilisation" not in registry["gauges"]
 
 
 @pytest.mark.parametrize("kernel", KERNEL_PARAMS)
