@@ -3,7 +3,7 @@ model, the k-clique community tree and the structural metrics of the
 paper's evaluation.
 """
 
-from .cache import CACHE_SCHEMA_VERSION, CliqueCache, default_cache_dir
+from .cache import CliqueCache, default_cache_dir
 from .cliques import (
     CliqueCensus,
     CliqueEnumerationStats,
@@ -65,7 +65,6 @@ __all__ = [
     "KERNELS",
     "OverlapWire",
     "CliqueCache",
-    "CACHE_SCHEMA_VERSION",
     "default_cache_dir",
     "CommunityTree",
     "TreeNode",

@@ -80,12 +80,12 @@ from ..graph.undirected import Graph
 from ..obs.manifest import graph_fingerprint
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracing import NULL_TRACER, Tracer
-from ..runner.checkpoint import CheckpointStore
+from ..runner.checkpoint import CheckpointStore, has_fields
 from ..runner.faults import FaultPlan
 from ..runner.supervise import PoolSupervisor, RunnerConfig
 from ..shard.pipeline import sharded_enumerate_dense
 from ..shard.plan import prefix_count, resolve_shards
-from .cache import CliqueCache, has_fields
+from .cache import CliqueCache
 from .cliques import CliqueCensus
 from .communities import CommunityHierarchy
 from .overlap import OverlapWire, count_overlaps
@@ -161,13 +161,13 @@ class CPMRunStats:
         return self.enumerate_seconds + self.overlap_seconds + self.percolate_seconds
 
 
-#: The shape of the cache entry and of each checkpoint phase the
-#: pipeline reads back; any other shape is a miss / a phase not done.
-_CACHE_FIELDS = {"cliques": list, "wire": OverlapWire, "counted_pairs": int}
+#: The shape of each checkpoint phase the pipeline reads back (a cache
+#: entry is an ``overlap`` phase); any other shape is a miss / a phase
+#: not done.
 _PHASE_SHAPES = {
     "enumerate": lambda p: has_fields(p, {"dense": list, "cliques": list}),
     "overlap": lambda p: has_fields(
-        p, {"wire": OverlapWire, "counted_pairs": int, "wire_checksum": str}
+        p, {"cliques": list, "wire": OverlapWire, "counted_pairs": int}
     ),
     "percolate": lambda p: isinstance(p, dict)
     and all(isinstance(k, int) and isinstance(g, list) for k, g in p.items()),
@@ -181,11 +181,11 @@ def load_cached_run(
 
     The one cache probe of :class:`LightweightParallelCPM` and
     :class:`~repro.incremental.CPMSession`: an entry that is absent,
-    unreadable or of the wrong shape is a miss.  Every probe counts
-    once in ``cache.hits`` or ``cache.misses``.
+    filed under another identity, corrupt or of the wrong shape is a
+    miss.  Every probe counts once in ``cache.hits`` or ``cache.misses``.
     """
     payload = cache.load(checksum, kernel)
-    if has_fields(payload, _CACHE_FIELDS):
+    if _PHASE_SHAPES["overlap"](payload):
         metrics.inc("cache.hits")
         return payload
     metrics.inc("cache.misses")
@@ -372,12 +372,6 @@ class LightweightParallelCPM:
             telemetry=self._observing,
         )
 
-    def _cache_store(self, checksum: str | None, payload: dict) -> None:
-        if self.cache is None or checksum is None:
-            return
-        self.cache.store(checksum, self.kernel, payload)
-        self.metrics.inc("cache.writes")
-
     # ------------------------------------------------------------------
     # The pipeline (bitset and blocks)
     # ------------------------------------------------------------------
@@ -415,24 +409,24 @@ class LightweightParallelCPM:
         sizes = [len(c) for c in cliques]
         if wire is None:
             over_ck = self._load_checkpoint_phase(ckpt, "overlap")
-            if over_ck is not None and over_ck["wire_checksum"] == over_ck["wire"].checksum():
+            if over_ck is not None:
                 wire = over_ck["wire"]
                 n_counted = over_ck["counted_pairs"]
                 self._mark_resumed("overlap")
             else:
                 wire, n_counted = self._overlap(dense, sizes)
-                self._cache_store(
-                    checksum, {"cliques": cliques, "wire": wire, "counted_pairs": n_counted}
-                )
+                overlap = {"cliques": cliques, "wire": wire, "counted_pairs": n_counted}
                 if ckpt is not None:
-                    ckpt.store_phase(
-                        "overlap",
-                        {
-                            "wire": wire,
-                            "counted_pairs": n_counted,
-                            "wire_checksum": wire.checksum(),
-                        },
-                    )
+                    ckpt.store_phase("overlap", overlap)
+                if self.cache is not None:
+                    # A cache that cannot be written costs the next run
+                    # a recompute, never this run its result.
+                    try:
+                        self.cache.store(checksum, self.kernel, overlap)
+                    except OSError:
+                        self.metrics.inc("cache.write_errors")
+                    else:
+                        self.metrics.inc("cache.writes")
         self._boundary("overlap")
         t2 = time.perf_counter()
         self.stats.overlap_seconds = t2 - t1

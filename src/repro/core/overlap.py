@@ -73,26 +73,6 @@ class OverlapWire:
     buckets: dict[int, bytes] = field(default_factory=dict)
     chains: bytes = b""
 
-    def checksum(self) -> str:
-        """Content digest of the wire (BLAKE2b over every buffer).
-
-        Used by the checkpoint/resume path to verify that a persisted
-        wire deserialised intact before percolation trusts it — a
-        mismatch is treated like a torn checkpoint and the overlap
-        phase is recomputed.
-        """
-        import hashlib
-
-        digest = hashlib.blake2b(digest_size=16)
-        digest.update(f"{self.n_cliques}:{self.shift}:{self.n_pairs}:"
-                      f"{self.n_chain_pairs}".encode())
-        for k_act in sorted(self.buckets):
-            digest.update(f"|{k_act}|".encode())
-            digest.update(self.buckets[k_act])
-        digest.update(b"|chains|")
-        digest.update(self.chains)
-        return digest.hexdigest()
-
 
 def build_node_index(cliques: list[tuple[int, ...]]) -> list[list[int]]:
     """Inverted node -> clique-id index over dense-id cliques.

@@ -56,7 +56,7 @@ from collections.abc import Hashable
 from os import PathLike
 from pathlib import Path
 
-from ..core.cache import CliqueCache, has_fields
+from ..core.cache import CliqueCache
 from ..core.cliques import local_maximal_cliques, maximal_cliques, maximal_cliques_bitset
 from ..core.communities import CommunityHierarchy
 from ..core.lightweight import check_oracle_options, load_cached_run, resolve_kernel
@@ -69,9 +69,11 @@ from ..obs.manifest import graph_fingerprint
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracing import NULL_TRACER, Tracer
 from ..runner.checkpoint import (
+    CHECKPOINT_SCHEMA_VERSION,
     CheckpointError,
     CheckpointMismatchError,
     CheckpointStore,
+    has_fields,
 )
 from ..shard.plan import prefix_count
 from .delta import CPMUpdate, EdgeDelta, diff_covers
@@ -714,6 +716,12 @@ def load_session(
         if meta is None:
             raise CheckpointError(
                 f"no saved session at {store.root}: META.json is missing"
+            )
+        if meta.get("schema") != CHECKPOINT_SCHEMA_VERSION:
+            raise CheckpointMismatchError(
+                f"{store.root} was written with checkpoint schema {meta.get('schema')!r}, "
+                f"this build reads schema {CHECKPOINT_SCHEMA_VERSION}; re-open and save "
+                "the session again"
             )
         kernel_tag = str(meta.get("kernel", ""))
         if not kernel_tag.startswith(_KERNEL_TAG):

@@ -52,12 +52,10 @@ file names.
 
 from __future__ import annotations
 
-import io
 import json
 import mmap as mmap_module
 import struct
 from array import array
-from hashlib import blake2b
 from os import PathLike
 from pathlib import Path
 
@@ -66,6 +64,7 @@ from ..core.tree import CommunityTree
 from ..obs.manifest import graph_fingerprint
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracing import NULL_TRACER, Tracer
+from ..runner.checkpoint import FRAME, atomic_bytes_dump, frame_digest
 
 __all__ = ["ARTIFACT_VERSION", "ArtifactError", "BandSpec", "QueryArtifact", "build_artifact"]
 
@@ -73,9 +72,6 @@ __all__ = ["ARTIFACT_VERSION", "ArtifactError", "BandSpec", "QueryArtifact", "bu
 ARTIFACT_VERSION = 1
 
 _MAGIC = b"RQART"
-_DIGEST_SIZE = 16
-#: magic + version byte + payload digest.
-_PREAMBLE = struct.Struct(f"<5sB{_DIGEST_SIZE}s")
 #: Section table: all u64 — n_nodes, n_communities, then offset/length
 #: pairs for meta, nodes, index, postings, tops, bitsets.
 _HEADER = struct.Struct("<14Q")
@@ -500,7 +496,7 @@ class QueryArtifact:
         bits_blob = bytes(self._bits)
 
         sections = [meta_blob, nodes_blob, bytes(index_blob), post_blob, tops_blob, bits_blob]
-        cursor = _PREAMBLE.size + _HEADER.size
+        cursor = FRAME.size + _HEADER.size
         table: list[int] = [self.n_nodes, self.n_communities]
         for blob in sections:
             table.extend((cursor, len(blob)))
@@ -508,15 +504,12 @@ class QueryArtifact:
         return _HEADER.pack(*table) + b"".join(sections)
 
     def save(self, path: str | PathLike) -> Path:
-        """Write the packed artifact; returns the path."""
-        payload = self._payload()
-        digest = blake2b(payload, digest_size=_DIGEST_SIZE).digest()
-        target = Path(path)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        with target.open("wb") as handle:
-            handle.write(_PREAMBLE.pack(_MAGIC, ARTIFACT_VERSION, digest))
-            handle.write(payload)
-        return target
+        """Write the packed artifact atomically; returns the path.
+
+        The file is replaced, never truncated in place, so a process
+        serving the old bytes through mmap keeps reading them.
+        """
+        return atomic_bytes_dump(Path(path), self.to_bytes())
 
     @classmethod
     def load(
@@ -566,22 +559,22 @@ class QueryArtifact:
     @classmethod
     def _parse(cls, buffer, mm, target: Path, *, verify: bool) -> "QueryArtifact":
         _check(
-            len(buffer) >= _PREAMBLE.size + _HEADER.size,
+            len(buffer) >= FRAME.size + _HEADER.size,
             f"{target} is not a query artifact (file too small)",
         )
-        magic, version, digest = _PREAMBLE.unpack_from(buffer, 0)
+        magic, version, digest = FRAME.unpack_from(buffer, 0)
         _check(magic == _MAGIC, f"{target} is not a query artifact (bad magic)")
         _check(
             version == ARTIFACT_VERSION,
             f"{target} has artifact version {version}, expected {ARTIFACT_VERSION}",
         )
         if verify:
-            actual = blake2b(buffer[_PREAMBLE.size :], digest_size=_DIGEST_SIZE).digest()
+            actual = frame_digest(buffer[FRAME.size :])
             _check(
                 actual == digest,
                 f"{target} failed its integrity check (corrupt or truncated)",
             )
-        header = _HEADER.unpack_from(buffer, _PREAMBLE.size)
+        header = _HEADER.unpack_from(buffer, FRAME.size)
         n_nodes, n_communities = header[0], header[1]
         spans = list(zip(header[2::2], header[3::2]))
         for off, length in spans:
@@ -676,12 +669,8 @@ class QueryArtifact:
 
     def to_bytes(self) -> bytes:
         """The full packed file as bytes (preamble + payload)."""
-        buffer = io.BytesIO()
         payload = self._payload()
-        digest = blake2b(payload, digest_size=_DIGEST_SIZE).digest()
-        buffer.write(_PREAMBLE.pack(_MAGIC, ARTIFACT_VERSION, digest))
-        buffer.write(payload)
-        return buffer.getvalue()
+        return FRAME.pack(_MAGIC, ARTIFACT_VERSION, frame_digest(payload)) + payload
 
     def __repr__(self) -> str:
         return (

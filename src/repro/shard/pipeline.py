@@ -28,11 +28,10 @@ runs under the ``enumerate`` site name, which keeps
 
 from __future__ import annotations
 
-from ..core.cache import has_fields
 from ..core.cliques import CliqueEnumerationStats, maximal_cliques_bitset
 from ..graph.csr import CSRGraph
 from ..obs.logging import get_logger
-from ..runner.checkpoint import CheckpointStore
+from ..runner.checkpoint import CheckpointStore, has_fields
 from .plan import ShardPlan, plan_shards
 from .workers import enumerate_shard, install_shared
 

@@ -3,25 +3,45 @@
 The contract: a second run over the same graph skips enumeration +
 overlap entirely (no ``cpm.enumerate``/``cpm.overlap`` spans, a
 ``cache.hits`` counter instead) while producing the identical
-hierarchy; a different graph, kernel, or schema version misses; torn
-entries degrade to misses.
+hierarchy; a different graph, kernel, or schema version misses; torn,
+corrupt and foreign entries degrade to misses; a cache that cannot be
+written costs a counted write error, never the run's result.
 """
 
 import json
 import pickle
+import shutil
 
 import pytest
 
+from repro.api import run_cpm
 from repro.core import CliqueCache
-from repro.core.cache import CACHE_SCHEMA_VERSION, default_cache_dir
+from repro.core._blocks_compat import HAVE_NUMPY
+from repro.core.cache import default_cache_dir
 from repro.core.lightweight import LightweightParallelCPM
 from repro.core.serialize import hierarchy_to_dict
 from repro.graph import ring_of_cliques
 from repro.incremental import CPMSession
 from repro.obs import MetricsRegistry, RunManifest, Tracer
 from repro.obs.manifest import graph_fingerprint
+from repro.runner.checkpoint import CHECKPOINT_SCHEMA_VERSION
+from repro.topology.generator import GeneratorConfig, generate_topology
 
-from .conftest import CORRUPT_PICKLES, UNREADABLE_PICKLES, WRONG_SHAPE_PICKLES, random_graph
+from .conftest import (
+    CORRUPT_PICKLES,
+    UNREADABLE_PICKLES,
+    WRONG_SHAPE_PICKLES,
+    flip_stored_byte,
+    random_graph,
+)
+
+#: The pipeline kernels that take a cache, blocks skipped without numpy.
+CACHE_KERNELS = [
+    "bitset",
+    pytest.param(
+        "blocks", marks=pytest.mark.skipif(not HAVE_NUMPY, reason="blocks kernel needs numpy")
+    ),
+]
 
 
 def _signature(hierarchy):
@@ -48,24 +68,33 @@ class TestCliqueCacheStore:
         assert cache.load("deadbeef", "bitset") is None
         cache.store("deadbeef", "bitset", {"answer": 42})
         assert cache.load("deadbeef", "bitset") == {"answer": 42}
+        entry = cache.entry("deadbeef", "bitset")
+        assert entry.load_phase("overlap") == {"answer": 42}
+        assert entry.meta()["checksum"] == "deadbeef"
 
     def test_kernel_and_schema_partition_the_key(self, tmp_path):
         cache = CliqueCache(tmp_path)
         cache.store("abc", "bitset", 1)
         assert cache.load("abc", "set") is None
-        assert f"v{CACHE_SCHEMA_VERSION}" in cache.path_for("abc", "bitset").name
+        entry = cache.entry("abc", "bitset")
+        assert f"v{CHECKPOINT_SCHEMA_VERSION}" in entry.root.name
+        # An entry whose META names an older schema is a miss.
+        meta = entry.meta()
+        entry.meta_path.write_text(json.dumps({**meta, "schema": 1}), encoding="utf-8")
+        assert cache.load("abc", "bitset") is None
 
     def test_torn_entry_is_a_miss(self, tmp_path):
         cache = CliqueCache(tmp_path)
-        cache.store("abc", "bitset", [1, 2, 3])
-        path = cache.path_for("abc", "bitset")
-        path.write_bytes(pickle.dumps([1, 2, 3])[:-4])
+        path = cache.store("abc", "bitset", [1, 2, 3])
+        path.write_bytes(path.read_bytes()[:-4])
         assert cache.load("abc", "bitset") is None
 
     @pytest.mark.parametrize("blob", UNREADABLE_PICKLES)
     def test_unreadable_entry_is_a_miss(self, tmp_path, blob):
         cache = CliqueCache(tmp_path)
-        cache.path_for("abc", "bitset").write_bytes(CORRUPT_PICKLES[blob])
+        entry = cache.entry("abc", "bitset")
+        entry.open(checksum="abc", kernel="bitset", resume=False)
+        entry.phase_path("overlap").write_bytes(CORRUPT_PICKLES[blob])
         assert cache.load("abc", "bitset") is None
 
     def test_env_var_overrides_location(self, tmp_path, monkeypatch):
@@ -146,7 +175,7 @@ class TestWrongShapeEntry:
     def _planted(tmp_path, graph, blob):
         cache = CliqueCache(tmp_path)
         checksum = graph_fingerprint(graph)["checksum"]
-        cache.path_for(checksum, "bitset").write_bytes(CORRUPT_PICKLES[blob])
+        cache.store(checksum, "bitset", pickle.loads(CORRUPT_PICKLES[blob]))
         return cache
 
     def test_run_cpm_misses_and_repairs(self, tmp_path, blob):
@@ -170,6 +199,150 @@ class TestWrongShapeEntry:
         assert counters["cache.misses"] == 1 and "cache.hits" not in counters
         fresh = LightweightParallelCPM(graph).run()
         assert hierarchy_to_dict(session.hierarchy) == hierarchy_to_dict(fresh)
+
+
+def _refile(root, source: str, target: str) -> None:
+    """Copy every cache entry filed under checksum ``source`` to ``target``."""
+    for path in list(root.iterdir()):
+        if source in path.name:
+            dest = path.with_name(path.name.replace(source, target))
+            (shutil.copytree if path.is_dir() else shutil.copy2)(path, dest)
+
+
+def _entry_file(root):
+    """The one payload file a single-entry cache holds."""
+    (path,) = [p for p in root.rglob("*") if p.is_file() and p.name != "META.json"]
+    return path
+
+
+@pytest.mark.parametrize("kernel", CACHE_KERNELS)
+class TestForeignEntry:
+    """An entry filed under another graph's key is a counted miss.
+
+    Graph A's entry is copied to graph B's checksum: the META identity
+    check refuses it, so B recomputes instead of returning A's
+    communities.
+    """
+
+    @pytest.fixture(scope="class")
+    def graphs(self, tiny_dataset):
+        return generate_topology(GeneratorConfig.tiny(), seed=42).graph, tiny_dataset.graph
+
+    @staticmethod
+    def _planted(tmp_path, graphs, kernel):
+        graph_a, graph_b = graphs
+        run_cpm(graph_a, kernel=kernel, cache=tmp_path)
+        _refile(
+            tmp_path,
+            graph_fingerprint(graph_a)["checksum"],
+            graph_fingerprint(graph_b)["checksum"],
+        )
+        return CliqueCache(tmp_path)
+
+    def test_run_cpm_misses(self, tmp_path, graphs, kernel):
+        cache = self._planted(tmp_path, graphs, kernel)
+        metrics = MetricsRegistry()
+        result = run_cpm(graphs[1], kernel=kernel, cache=cache, metrics=metrics)
+        counters = metrics.to_dict()["counters"]
+        assert not result.stats.cache_hit
+        assert counters["cache.misses"] == 1 and "cache.hits" not in counters
+        fresh = run_cpm(graphs[1], kernel=kernel)
+        assert hierarchy_to_dict(result.hierarchy) == hierarchy_to_dict(fresh.hierarchy)
+
+    def test_session_open_misses(self, tmp_path, graphs, kernel):
+        cache = self._planted(tmp_path, graphs, kernel)
+        metrics = MetricsRegistry()
+        session = CPMSession(graphs[1], kernel=kernel, cache=cache, metrics=metrics)
+        counters = metrics.to_dict()["counters"]
+        assert not session.cache_hit
+        assert counters["cache.misses"] == 1 and "cache.hits" not in counters
+        fresh = run_cpm(graphs[1], kernel=kernel)
+        assert hierarchy_to_dict(session.hierarchy) == hierarchy_to_dict(fresh.hierarchy)
+
+
+@pytest.mark.parametrize("kernel", CACHE_KERNELS)
+class TestFlippedByteEntry:
+    """One flipped bit in an entry's wire is a counted miss.
+
+    The flipped entry still unpickles to a well-shaped payload; only
+    the frame digest tells it apart, so the run recomputes instead of
+    percolating a corrupt wire.
+    """
+
+    @staticmethod
+    def _flipped(tmp_path, graph, kernel):
+        cache = CliqueCache(tmp_path)
+        run_cpm(graph, kernel=kernel, cache=cache)
+        payload = cache.load(graph_fingerprint(graph)["checksum"], kernel)
+        flip_stored_byte(_entry_file(tmp_path), payload, in_bytes=True)
+        return cache
+
+    def test_run_cpm_misses_and_repairs(self, tmp_path, kernel):
+        graph = ring_of_cliques(6, 6)
+        cache = self._flipped(tmp_path, graph, kernel)
+        metrics = MetricsRegistry()
+        result = run_cpm(graph, kernel=kernel, cache=cache, metrics=metrics)
+        counters = metrics.to_dict()["counters"]
+        assert not result.stats.cache_hit
+        assert counters["cache.misses"] == 1 and "cache.hits" not in counters
+        fresh = run_cpm(graph, kernel=kernel)
+        assert hierarchy_to_dict(result.hierarchy) == hierarchy_to_dict(fresh.hierarchy)
+        assert result.stats.n_overlap_pairs == fresh.stats.n_overlap_pairs
+        # The recomputed run rewrote the entry, so the next run hits.
+        assert run_cpm(graph, kernel=kernel, cache=cache).stats.cache_hit
+
+    def test_session_open_misses(self, tmp_path, kernel):
+        graph = ring_of_cliques(6, 6)
+        cache = self._flipped(tmp_path, graph, kernel)
+        metrics = MetricsRegistry()
+        session = CPMSession(graph, kernel=kernel, cache=cache, metrics=metrics)
+        counters = metrics.to_dict()["counters"]
+        assert not session.cache_hit
+        assert counters["cache.misses"] == 1 and "cache.hits" not in counters
+        fresh = run_cpm(graph, kernel=kernel)
+        assert hierarchy_to_dict(session.hierarchy) == hierarchy_to_dict(fresh.hierarchy)
+
+
+class TestUnwritableCache:
+    """A cache location that cannot be written fails no run.
+
+    The write error is counted in ``cache.write_errors`` and the run
+    returns the result it computed.
+    """
+
+    @pytest.fixture()
+    def blocked(self, tmp_path):
+        blocker = tmp_path / "a-file"
+        blocker.write_text("not a directory", encoding="utf-8")
+        return blocker / "sub"
+
+    def test_run_cpm_returns_its_result(self, blocked):
+        graph = ring_of_cliques(4, 5)
+        metrics = MetricsRegistry()
+        result = run_cpm(graph, cache=str(blocked), metrics=metrics)
+        counters = metrics.to_dict()["counters"]
+        assert counters["cache.write_errors"] == 1
+        assert counters["cache.misses"] == 1 and "cache.writes" not in counters
+        assert hierarchy_to_dict(result.hierarchy) == hierarchy_to_dict(
+            run_cpm(graph).hierarchy
+        )
+
+    def test_cli_prints_the_communities(
+        self, blocked, tmp_path, monkeypatch, tiny_dataset, capsys
+    ):
+        from repro.cli import main
+
+        bundle = tmp_path / "bundle"
+        tiny_dataset.save(bundle)
+        manifest = tmp_path / "m.json"
+        args = ["communities", str(bundle), "--max-k", "5", "--members"]
+        assert main(args + ["--metrics", str(manifest)]) == 0
+        expected = capsys.readouterr().out
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(blocked))
+        assert main(args + ["--cache", "--metrics", str(manifest)]) == 0
+        assert capsys.readouterr().out == expected
+        counters = RunManifest.load(manifest).metrics["counters"]
+        assert counters["cache.write_errors"] == 1
 
 
 class TestCacheCLI:

@@ -9,6 +9,7 @@ after every batch.
 """
 
 import json
+import pickle
 import random
 
 import pytest
@@ -28,9 +29,9 @@ from repro.incremental import (
     diff_covers,
     load_session,
 )
-from repro.runner.checkpoint import CheckpointError, CheckpointStore
+from repro.runner.checkpoint import CheckpointError, CheckpointMismatchError, CheckpointStore
 
-from .conftest import CORRUPT_PICKLES
+from .conftest import CORRUPT_PICKLES, WRONG_SHAPE_PICKLES, flip_stored_byte
 
 try:
     import numpy  # noqa: F401
@@ -430,8 +431,29 @@ class TestPersistence:
         session = CPMSession(ring_of_cliques(3, 4))
         session.save(tmp_path / "sess")
         store = CheckpointStore(tmp_path / "sess")
-        store.phase_path("session").write_bytes(CORRUPT_PICKLES[blob])
+        if blob in WRONG_SHAPE_PICKLES:
+            store.store_phase("session", pickle.loads(CORRUPT_PICKLES[blob]))
+        else:
+            store.phase_path("session").write_bytes(CORRUPT_PICKLES[blob])
         with pytest.raises(CheckpointError, match="payload"):
+            load_session(tmp_path / "sess")
+
+    def test_flipped_byte_fails_cleanly(self, tmp_path):
+        """One flipped bit still unpickles; the frame digest refuses it."""
+        session = CPMSession(ring_of_cliques(3, 4))
+        session.apply(EdgeDelta(insertions=[(0, 5)]))
+        session.save(tmp_path / "sess")
+        store = CheckpointStore(tmp_path / "sess")
+        flip_stored_byte(store.phase_path("session"), store.load_phase("session"))
+        with pytest.raises(CheckpointError, match="payload"):
+            load_session(tmp_path / "sess")
+
+    def test_old_schema_directory_is_named(self, tmp_path):
+        CPMSession(ring_of_cliques(3, 4)).save(tmp_path / "sess")
+        store = CheckpointStore(tmp_path / "sess")
+        meta = store.meta()
+        store.meta_path.write_text(json.dumps({**meta, "schema": 1}), encoding="utf-8")
+        with pytest.raises(CheckpointMismatchError, match="checkpoint schema 1"):
             load_session(tmp_path / "sess")
 
 

@@ -14,9 +14,14 @@ from __future__ import annotations
 import http.client
 import io
 import json
+import os
+import subprocess
+import sys
+import textwrap
 import threading
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import pytest
 
@@ -245,6 +250,36 @@ class TestRoundTrip:
         art.close()
         # The bitsets were detached to bytes; lookups still work.
         assert art.members(0) == members
+
+    def test_save_over_a_mapped_artifact_keeps_the_reader_alive(self, tmp_path):
+        """Saving over a path replaces the file instead of truncating it
+        in place, so a process still reading the old bytes through mmap
+        keeps working (in-place truncation killed it with SIGBUS)."""
+        script = textwrap.dedent(
+            f"""
+            from repro.api import build_query_artifact, load_query_artifact, run_cpm
+            from repro.graph import ring_of_cliques
+
+            path = {str(tmp_path / "served.rqart")!r}
+            big, small = ring_of_cliques(300, 6), ring_of_cliques(3, 4)
+            build_query_artifact(run_cpm(big), big).save(path)
+            served = load_query_artifact(path, mmap=True)
+            before = [served.members(o) for o in range(served.n_communities)]
+            build_query_artifact(run_cpm(small), small).save(path)
+            after = [served.members(o) for o in range(served.n_communities)]
+            assert after == before
+            assert load_query_artifact(path).n_communities < served.n_communities
+            """
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=120,
+        )
+        assert proc.returncode == 0, (proc.returncode, proc.stderr)
 
 
 # ----------------------------------------------------------------------

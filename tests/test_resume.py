@@ -21,7 +21,7 @@ from repro.core.serialize import hierarchy_to_dict
 from repro.graph import ring_of_cliques
 from repro.runner import CheckpointStore, FaultPlan, InjectedFault
 
-from .conftest import CORRUPT_PICKLES, WRONG_SHAPE_PICKLES
+from .conftest import CORRUPT_PICKLES, WRONG_SHAPE_PICKLES, flip_stored_byte
 
 #: Every kernel, with 'blocks' skipped on numpy-less installs.
 KERNEL_PARAMS = [
@@ -137,7 +137,7 @@ class TestPartialPercolationResume:
         store = CheckpointStore(tmp_path / "ckpt")
         _interrupt_then_resume(graph, kernel, tmp_path, "percolate", shards=shards)
         # Truncate the percolate checkpoint to a strict subset of orders.
-        full = pickle.loads(store.phase_path("percolate").read_bytes())
+        full = store.load_phase("percolate")
         assert len(full) > 2
         kept = dict(sorted(full.items(), reverse=True)[:2])
         store.store_phase("percolate", kept)
@@ -206,7 +206,7 @@ class TestCheckpointHygiene:
         """A phase file that unpickles to the wrong shape is not done."""
         store = CheckpointStore(tmp_path / "ckpt")
         _interrupt_then_resume(graph, "bitset", tmp_path, "percolate")
-        store.phase_path(phase).write_bytes(CORRUPT_PICKLES[blob])
+        store.store_phase(phase, pickle.loads(CORRUPT_PICKLES[blob]))
         resumed = LightweightParallelCPM(graph, checkpoint=store, resume=True)
         assert hierarchy_to_dict(resumed.run()) == baselines["bitset"]
         assert phase not in resumed.stats.resumed_phases
@@ -218,7 +218,23 @@ class TestCheckpointHygiene:
         store = CheckpointStore(tmp_path / "ckpt")
         _interrupt_then_resume(graph, "bitset", tmp_path, "percolate", shards=2)
         store.phase_path("enumerate").unlink()
-        store.phase_path("shard_enumerate").write_bytes(CORRUPT_PICKLES[blob])
+        store.store_phase("shard_enumerate", pickle.loads(CORRUPT_PICKLES[blob]))
         resumed = LightweightParallelCPM(graph, shards=2, checkpoint=store, resume=True)
         assert hierarchy_to_dict(resumed.run()) == baselines["bitset"]
         assert resumed.stats.resumed_phases == ("overlap", "percolate")
+
+    @pytest.mark.parametrize("phase", ["shard_enumerate", "enumerate", "overlap", "percolate"])
+    def test_flipped_byte_phase_recomputed_on_resume(self, graph, baselines, tmp_path, phase):
+        """A phase file with one flipped bit still unpickles to a
+        well-shaped payload; its frame digest fails, so it is not done."""
+        store = CheckpointStore(tmp_path / "ckpt")
+        _interrupt_then_resume(graph, "bitset", tmp_path, "percolate", shards=2)
+        if phase == "shard_enumerate":
+            store.phase_path("enumerate").unlink()
+        flip_stored_byte(store.phase_path(phase), store.load_phase(phase))
+        resumed = LightweightParallelCPM(graph, shards=2, checkpoint=store, resume=True)
+        assert hierarchy_to_dict(resumed.run()) == baselines["bitset"]
+        assert phase not in resumed.stats.resumed_phases
+        clean = LightweightParallelCPM(graph)
+        clean.run()
+        assert resumed.stats.n_overlap_pairs == clean.stats.n_overlap_pairs

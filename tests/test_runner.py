@@ -21,7 +21,7 @@ from repro.runner import (
 from repro.obs import MetricsRegistry, Tracer, current_metrics, worker_span
 from repro.runner.faults import FAULT_PLAN_ENV
 
-from .conftest import CORRUPT_PICKLES, UNREADABLE_PICKLES
+from .conftest import CORRUPT_PICKLES, UNREADABLE_PICKLES, flip_stored_byte
 
 
 class TestFaultPlanParsing:
@@ -145,7 +145,7 @@ class TestCheckpointStore:
         store = CheckpointStore(tmp_path)
         store.open(checksum="abc", kernel="set", resume=False)
         assert store.meta_path.exists()
-        meta = store._read_meta()
+        meta = store.meta()
         assert meta["schema"] == CHECKPOINT_SCHEMA_VERSION
         assert meta["checksum"] == "abc"
         assert meta["kernel"] == "set"
@@ -194,6 +194,25 @@ class TestCheckpointStore:
         store.open(checksum="abc", kernel="bitset", resume=False)
         store.phase_path("overlap").write_bytes(CORRUPT_PICKLES[blob])
         assert store.load_phase("overlap") is None
+
+    def test_flipped_byte_reads_as_missing(self, tmp_path):
+        """A bit flip that still unpickles fails the frame digest."""
+        store = CheckpointStore(tmp_path)
+        store.open(checksum="abc", kernel="bitset", resume=False)
+        store.store_phase("percolate", {4: [[0, 1]]})
+        flip_stored_byte(store.phase_path("percolate"), {4: [[0, 1]]})
+        assert store.load_phase("percolate") is None
+
+    def test_holds_checks_identity_read_only(self, tmp_path):
+        store = CheckpointStore(tmp_path / "entry")
+        assert not store.holds(checksum="abc", kernel="bitset")
+        assert not store.root.exists()
+        store.open(checksum="abc", kernel="bitset", resume=False)
+        assert store.holds(checksum="abc", kernel="bitset")
+        assert not store.holds(checksum="xyz", kernel="bitset")
+        assert not store.holds(checksum="abc", kernel="blocks")
+        store.meta_path.write_text("[]", encoding="utf-8")
+        assert not store.holds(checksum="abc", kernel="bitset")
 
     def test_corrupt_meta_raises_on_resume(self, tmp_path):
         store = CheckpointStore(tmp_path)

@@ -13,7 +13,6 @@ sweep every combination.
 """
 
 import json
-import pickle
 
 import pytest
 
@@ -201,16 +200,15 @@ class TestOverlapWire:
     @pytest.mark.parametrize("kernel", INTEGER_KERNELS)
     def test_wire_checksum_is_shard_invariant(self, kernel, tmp_path):
         graph = random_graph(40, 0.3, seed=7)
-        checksums = set()
+        wires = []
         for shards in (1, 2, 4):
             store = CheckpointStore(tmp_path / str(shards))
             LightweightParallelCPM(
                 graph, kernel=kernel, shards=shards, checkpoint=store
             ).run()
-            overlap = store.load_phase("overlap")
-            assert overlap["wire"].n_pairs > 0
-            checksums.add(overlap["wire_checksum"])
-        assert len(checksums) == 1
+            wires.append(store.load_phase("overlap")["wire"])
+        assert wires[0].n_pairs > 0
+        assert wires[1:] == [wires[0], wires[0]]
 
 
 class TestWorkerUtilisation:
@@ -278,7 +276,7 @@ class TestShardResume:
         results is completed, not recomputed from scratch."""
         store = CheckpointStore(tmp_path / "ckpt")
         self._sharded(graph, store).run()
-        partial = pickle.loads(store.phase_path("shard_enumerate").read_bytes())
+        partial = store.load_phase("shard_enumerate")
         assert partial["signature"] == 4 and len(partial["done"]) == 4
         partial["done"] = dict(sorted(partial["done"].items())[:2])
         store.store_phase("shard_enumerate", partial)
