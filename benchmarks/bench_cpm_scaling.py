@@ -9,25 +9,24 @@ constant — the property that makes scaled-down reproduction valid.
 
 import gc
 
-from repro.core._blocks_compat import HAVE_NUMPY
 from repro.core.lightweight import LightweightParallelCPM
 from repro.obs import Tracer
 from repro.report.figures import ascii_table
 from repro.topology.generator import GeneratorConfig, generate_topology
 
 
-def _run_at_scale(scale: float, kernel: str):
+def _run_at_scale(scale: float):
     dataset = generate_topology(GeneratorConfig(scale=scale), seed=42)
-    cpm = LightweightParallelCPM(dataset.graph, kernel=kernel)
+    cpm = LightweightParallelCPM(dataset.graph)
     hierarchy = cpm.run()
     return dataset, cpm.stats, hierarchy
 
 
-def test_cpm_scaling_sweep(benchmark, emit, bench_record, bench_kernel):
+def test_cpm_scaling_sweep(benchmark, emit, bench_record):
     rows = []
     results = {}
     for scale in (0.25, 0.5, 1.0):
-        dataset, stats, hierarchy = _run_at_scale(scale, bench_kernel)
+        dataset, stats, hierarchy = _run_at_scale(scale)
         results[scale] = (dataset, stats, hierarchy)
         # Per-scale CPM wall time, persisted in the manifest config so
         # check_bench_regression.py can gate on it commit-to-commit.
@@ -44,7 +43,7 @@ def test_cpm_scaling_sweep(benchmark, emit, bench_record, bench_kernel):
             ]
         )
     # The timed target: the reference scale.
-    benchmark(lambda: LightweightParallelCPM(results[1.0][0].graph, kernel=bench_kernel).run())
+    benchmark(lambda: LightweightParallelCPM(results[1.0][0].graph).run())
 
     table = ascii_table(
         ["scale", "ASes", "links", "maximal cliques", "CPM seconds", "max k", "communities"],
@@ -59,61 +58,42 @@ def test_cpm_scaling_sweep(benchmark, emit, bench_record, bench_kernel):
 
 
 def test_cpm_kernel_comparison(dataset, emit, bench_record):
-    """bitset vs blocks on the reference-scale graph, one manifest.
+    """The production kernel's end-to-end time at the reference scale.
 
-    Each kernel runs the full pipeline three times under its own live
-    tracer (the instrumented conditions CI gates in) with a
-    ``gc.collect()`` first, and the *fastest* run's wall time lands in
-    the manifest config as ``cpm_run_seconds_<kernel>`` — min-of-N on
-    a collected heap measures the kernels rather than whatever garbage
-    the earlier benches left behind or whatever the host stole from a
-    shared vCPU, which keeps the committed baseline reproducible
-    enough for a 1.25x gate.
-    check_bench_regression.py gates each kernel's trajectory
-    separately, so a committed baseline where blocks runs ~3x faster
-    than bitset keeps that margin from silently eroding.  The per-run
-    tracers are deliberately *not* merged into the manifest: two
-    kernels would write colliding ``cpm.*`` span names and the gate
+    The pipeline runs three times under its own live tracer (the
+    instrumented conditions CI gates in) with a ``gc.collect()`` first,
+    and the *fastest* run's wall time lands in the manifest config as
+    ``cpm_run_seconds_blocks`` — min-of-N on a collected heap measures
+    the pipeline rather than whatever garbage the earlier benches left
+    behind or whatever the host stole from a shared vCPU, which keeps
+    the committed baseline reproducible enough for a 1.25x gate.  The
+    per-run tracers are deliberately *not* merged into the manifest:
+    the runs would write colliding ``cpm.*`` span names and the gate
     only reads the first.
     """
-    kernels = ["bitset"] + (["blocks"] if HAVE_NUMPY else [])
-    rows = []
-    seconds = {}
-    for kernel in kernels:
-        best = None
-        for _ in range(3):
-            gc.collect()
-            tracer = Tracer()
-            cpm = LightweightParallelCPM(dataset.graph, kernel=kernel, tracer=tracer)
-            hierarchy = cpm.run()
-            tracer.close()
-            if best is None or cpm.stats.total_seconds < best[0].stats.total_seconds:
-                best = (cpm, hierarchy)
-        cpm, hierarchy = best
-        seconds[kernel] = cpm.stats.total_seconds
-        bench_record[f"cpm_run_seconds_{kernel}"] = round(cpm.stats.total_seconds, 4)
-        rows.append(
+    best = None
+    for _ in range(3):
+        gc.collect()
+        tracer = Tracer()
+        cpm = LightweightParallelCPM(dataset.graph, tracer=tracer)
+        hierarchy = cpm.run()
+        tracer.close()
+        if best is None or cpm.stats.total_seconds < best[0].stats.total_seconds:
+            best = (cpm, hierarchy)
+    cpm, hierarchy = best
+    bench_record["cpm_run_seconds_blocks"] = round(cpm.stats.total_seconds, 4)
+
+    table = ascii_table(
+        ["kernel", "maximal cliques", "CPM seconds", "max k", "communities"],
+        [
             [
-                kernel,
+                cpm.kernel,
                 cpm.stats.n_cliques,
                 round(cpm.stats.total_seconds, 3),
                 hierarchy.max_k,
                 hierarchy.total_communities,
             ]
-        )
-    if "blocks" in seconds:
-        # Informational (not gated): bigger is better, so the wall-time
-        # gate on cpm_run_seconds_blocks is what protects the speedup.
-        bench_record["cpm_blocks_speedup"] = round(
-            seconds["bitset"] / seconds["blocks"], 2
-        )
-
-    table = ascii_table(
-        ["kernel", "maximal cliques", "CPM seconds", "max k", "communities"],
-        rows,
+        ],
         title="LP-CPM kernel comparison (reference scale, instrumented)",
     )
     emit("cpm_kernel_comparison", table)
-
-    # Every kernel extracts the identical hierarchy.
-    assert len({(r[1], r[3], r[4]) for r in rows}) == 1

@@ -38,21 +38,19 @@ def _dataset_at(scale: float):
     return generate_topology(GeneratorConfig(scale=scale), seed=42)
 
 
-def _run(graph, kernel: str, *, workers: int = 1, shards: int = 1):
-    cpm = LightweightParallelCPM(graph, kernel=kernel, workers=workers, shards=shards)
+def _run(graph, *, workers: int = 1, shards: int = 1):
+    cpm = LightweightParallelCPM(graph, workers=workers, shards=shards)
     hierarchy = cpm.run()
     return cpm.stats, hierarchy
 
 
-def test_cpm_sharded_sweep(emit, bench_record, bench_kernel):
+def test_cpm_sharded_sweep(emit, bench_record):
     """Scale-1/4/10 wall-time curve under the sharded pipeline."""
     rows = []
     max_ks = set()
     for scale in (1.0, 4.0, 10.0):
         dataset = _dataset_at(scale)
-        stats, hierarchy = _run(
-            dataset.graph, bench_kernel, workers=_WORKERS, shards=_SHARDS
-        )
+        stats, hierarchy = _run(dataset.graph, workers=_WORKERS, shards=_SHARDS)
         bench_record[f"cpm_sharded_seconds_scale_{scale:g}"] = round(
             stats.total_seconds, 4
         )
@@ -83,13 +81,11 @@ def test_cpm_sharded_sweep(emit, bench_record, bench_kernel):
     assert rows[0][3] < rows[1][3] < rows[2][3]
 
 
-def test_cpm_shard_speedup(emit, bench_record, bench_kernel):
+def test_cpm_shard_speedup(emit, bench_record):
     """Sharded-vs-serial wall time at scale-4, byte-identical output."""
     dataset = _dataset_at(_SPEEDUP_SCALE)
-    serial_stats, serial_hierarchy = _run(dataset.graph, bench_kernel)
-    sharded_stats, sharded_hierarchy = _run(
-        dataset.graph, bench_kernel, workers=_WORKERS, shards=_SHARDS
-    )
+    serial_stats, serial_hierarchy = _run(dataset.graph)
+    sharded_stats, sharded_hierarchy = _run(dataset.graph, workers=_WORKERS, shards=_SHARDS)
     # The sharded pipeline must not buy speed with a different answer.
     assert hierarchy_to_dict(sharded_hierarchy) == hierarchy_to_dict(serial_hierarchy)
 

@@ -1,7 +1,7 @@
 """Fault smoke — the resilient runner under a permanently killed worker.
 
 CI's ``fault-smoke`` job runs the scale-0.5 topology with two workers
-(so two enumeration shards, on the bench kernel) and a fault plan that
+(so two enumeration shards) and a fault plan that
 SIGKILL-kills the worker holding enumeration shard 0 on *every*
 attempt — enumeration is the one phase that runs on a worker pool.
 The supervised pool must ride through the broken pools (bounded
@@ -33,15 +33,14 @@ CKPT_DIR = Path(__file__).parent / "output" / "fault_smoke_ckpt"
 FAULT_PLAN = "enumerate:shard=0:kill"
 
 
-def test_fault_smoke_degraded_completion(emit, bench_record, bench_kernel):
+def test_fault_smoke_degraded_completion(emit, bench_record):
     dataset = generate_topology(GeneratorConfig(scale=0.5), seed=42)
-    baseline = run_cpm(dataset.graph, kernel=bench_kernel)
+    baseline = run_cpm(dataset.graph)
 
     shutil.rmtree(CKPT_DIR, ignore_errors=True)
     metrics = MetricsRegistry()
     faulted = run_cpm(
         dataset.graph,
-        kernel=bench_kernel,
         workers=2,
         checkpoint=CheckpointStore(CKPT_DIR),
         runner=RunnerConfig(max_retries=2, backoff_base=0.01),

@@ -59,10 +59,9 @@ def committed_manifests(ref: str) -> dict[str, dict]:
 #: prefixes.  ``cpm.*`` covers extraction phases; ``analysis.*`` covers
 #: the metric-engine sweep (``bench_analysis_metrics.py``); ``query.*``
 #: and ``query_lookup_seconds_*`` cover the query-service read path
-#: (``bench_query_service.py``); ``cpm_run_seconds_<kernel>`` gates
-#: each CPM kernel's end-to-end wall time separately
-#: (``bench_cpm_scaling.py``), so the blocks kernel's speed margin
-#: over bitset cannot silently erode; ``cpm_seconds_scale_<scale>``
+#: (``bench_query_service.py``); ``cpm_run_seconds_blocks`` gates the
+#: production kernel's end-to-end wall time at the reference scale
+#: (``bench_cpm_scaling.py``); ``cpm_seconds_scale_<scale>``
 #: gates every point of the scaling curve (``bench_cpm_scaling.py``'s
 #: sweep), not just the reference scale, and
 #: ``cpm_sharded_seconds_scale_<scale>`` does the same for the sharded

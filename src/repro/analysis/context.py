@@ -60,7 +60,7 @@ class AnalysisContext:
         dataset: ASDataset,
         *,
         workers: int = 1,
-        kernel: str = "bitset",
+        kernel: str = "blocks",
         shards: int | str = "auto",
         cache: CliqueCache | None = None,
         checkpoint: CheckpointStore | None = None,

@@ -220,8 +220,8 @@ class MetricsEngine:
     ``engine`` selects the popcount fast path (``"bitset"``, default)
     or the set-based reference (``"set"``); both produce bit-identical
     numbers and both sweep serially.  ``csr`` reuses an existing
-    :class:`~repro.graph.csr.CSRGraph` snapshot (e.g. the one the
-    bitset CPM kernel built); without one the engine snapshots the
+    :class:`~repro.graph.csr.CSRGraph` snapshot (e.g. the one the CPM
+    pipeline built); without one the engine snapshots the
     graph itself on first use.
 
     The sweep is lazy and memoized: the first call to :meth:`rows`,

@@ -5,7 +5,7 @@ one function::
 
     from repro import run_cpm
 
-    result = run_cpm(graph, k_range=(2, None), workers=4, kernel="bitset")
+    result = run_cpm(graph, k_range=(2, None), workers=4)
     result.hierarchy[4]          # the k=4 community cover
     result.stats.total_seconds   # phase timings
     save_result(result, "communities.json")
@@ -43,7 +43,7 @@ from pathlib import Path
 
 from .core.cache import CliqueCache
 from .core.communities import CommunityCover, CommunityHierarchy
-from .core.lightweight import KERNELS, CPMRunStats, LightweightParallelCPM
+from .core.lightweight import CPMRunStats, LightweightParallelCPM
 from .core.serialize import hierarchy_from_dict, hierarchy_to_dict
 from .graph.csr import CSRGraph
 from .graph.undirected import Graph
@@ -81,7 +81,7 @@ class CPMResult:
     delegates to the hierarchy: ``result[4]`` is the k=4 cover.
 
     ``csr`` is the degeneracy-ordered :class:`~repro.graph.csr
-    .CSRGraph` snapshot the bitset kernel built during enumeration —
+    .CSRGraph` snapshot the pipeline built during enumeration —
     downstream consumers (the analysis engine) reuse it instead of
     re-deriving the ordering.  It is ``None`` for the set kernel, for
     cache-hit runs that never touched the graph, and for results loaded
@@ -180,7 +180,7 @@ def run_cpm(
     graph: Graph,
     *,
     k_range: tuple[int, int | None] | int = (2, None),
-    kernel: str = "bitset",
+    kernel: str = "blocks",
     workers: int = 1,
     shards: int | str = "auto",
     cache: CliqueCache | bool | str | PathLike | None = None,
@@ -196,10 +196,8 @@ def run_cpm(
     ``k_range`` is ``(min_k, max_k)`` with ``max_k=None`` meaning "up
     to the largest clique" (a bare int extracts that single order).
     ``kernel`` is one of ``repro.core.lightweight.KERNELS`` or
-    ``"auto"`` (``blocks`` when numpy — the ``[perf]`` extra — is
-    importable, degrading to ``bitset`` otherwise); requesting
-    ``"blocks"`` explicitly without numpy raises a ``ValueError``
-    subclass with an install hint.  ``shards`` (an int, or the default
+    ``"auto"`` (``blocks``); any other name raises a ``ValueError``
+    that names the accepted ones.  ``shards`` (an int, or the default
     ``"auto"`` — one shard per worker) fans clique enumeration out
     across ``workers`` via :mod:`repro.shard`; overlap counting and
     percolation always run serially in the driver.  Output is
@@ -218,8 +216,6 @@ def run_cpm(
     see ``docs/api.md`` for the migration table.
     """
     min_k, max_k = k_range if isinstance(k_range, tuple) else (k_range, k_range)
-    if kernel != "auto" and kernel not in KERNELS:
-        raise ValueError(f"kernel must be one of {KERNELS} or 'auto', got {kernel!r}")
     cpm = LightweightParallelCPM(
         graph,
         workers=workers,
@@ -243,7 +239,7 @@ def run_cpm(
 def open_session(
     source,
     *,
-    kernel: str = "bitset",
+    kernel: str = "blocks",
     cache: CliqueCache | bool | str | PathLike | None = None,
     tracer: Tracer | None = None,
     metrics: MetricsRegistry | None = None,
@@ -258,8 +254,9 @@ def open_session(
     state; feed it :class:`~repro.incremental.EdgeDelta` batches via
     ``session.apply`` and read ``session.result()`` — always
     byte-identical to a fresh :func:`run_cpm` on the mutated graph.
-    ``cache`` accepts the same coercions as :func:`run_cpm` and is
-    probed read-only for the initial clique payload.
+    ``kernel`` is ``"blocks"`` or ``"auto"`` (the set oracle has no
+    session); ``cache`` accepts the same coercions as :func:`run_cpm`
+    and is probed read-only for the initial clique payload.
     """
     from .incremental import CPMSession
     from .incremental.session import _graph_from_csr
@@ -337,8 +334,8 @@ def build_query_artifact(
     """Freeze a :func:`run_cpm` result into a serveable query artifact.
 
     Builds the community tree, sweeps the Chapter-4 metric table
-    (reusing the result's CSR snapshot when the bitset kernel kept
-    one), and packs everything into an immutable
+    (reusing the result's CSR snapshot when the run kept one), and
+    packs everything into an immutable
     :class:`~repro.query.artifact.QueryArtifact` keyed by ``graph``'s
     fingerprint.  ``bands`` optionally carries IXP-share-derived
     crown/trunk/root boundaries (:func:`repro.analysis.bands

@@ -14,7 +14,7 @@ and ``--metrics PATH`` (JSON :class:`repro.obs.RunManifest` with the
 graph fingerprint, per-phase wall/CPU/peak-memory, the core counters
 and — at ``--resource-interval`` seconds — a sampled RSS/CPU series) —
 the observability artifacts described in ``docs/observability.md`` —
-plus ``--kernel {bitset,blocks,set,auto}`` to pick the CPM kernel and
+plus ``--kernel {auto,blocks,set}`` to pick the CPM kernel and
 ``--cache/--no-cache`` to reuse clique/overlap results across runs
 (``docs/performance.md``).  Observability files are flushed even when
 the run fails, so a crashed pipeline still leaves a valid trace.
@@ -58,8 +58,9 @@ from .analysis.engine import ENGINES
 from .query.engine import TOP_METRICS
 from .api import run_cpm, save_result
 from .core.cache import CliqueCache
-from .core.lightweight import KERNELS
+from .core.lightweight import KERNELS, resolve_kernel
 from .graph.io import read_edgelist
+from .incremental.session import SESSION_KERNELS
 from .obs import (
     NULL_TRACER,
     MetricsRegistry,
@@ -108,16 +109,25 @@ def _add_obs_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_kernel_arguments(parser: argparse.ArgumentParser) -> None:
-    """Attach the CPM kernel and cache flags (all a session open takes)."""
+def _add_kernel_arguments(
+    parser: argparse.ArgumentParser, kernels: tuple[str, ...], kernel_help: str
+) -> None:
+    """Attach the CPM kernel and cache flags (all a session open takes).
+
+    ``--kernel`` takes ``auto`` or a name in ``kernels``; anything else
+    exits 2 with :func:`~repro.core.lightweight.resolve_kernel`'s error.
+    """
+
+    def kernel_name(value: str) -> str:
+        try:
+            resolve_kernel(value, kernels)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+
     parser.add_argument(
-        "--kernel", choices=[*KERNELS, "auto"], default="bitset",
-        help=(
-            "CPM kernel: the integer fast path (default), the numpy-vectorized "
-            "blocks kernel ([perf] extra), the serial set-based reference oracle "
-            "(no --workers/--shards > 1, --cache or --checkpoint-dir), or auto "
-            "(blocks when numpy is installed, else bitset)"
-        ),
+        "--kernel", type=kernel_name, default="blocks",
+        metavar="{" + ",".join(("auto", *kernels)) + "}", help=kernel_help,
     )
     parser.add_argument(
         "--cache", action=argparse.BooleanOptionalAction, default=False,
@@ -130,7 +140,13 @@ def _add_kernel_arguments(parser: argparse.ArgumentParser) -> None:
 
 def _add_cpm_arguments(parser: argparse.ArgumentParser) -> None:
     """Attach the kernel/cache flags plus the batch run's shard/runner flags."""
-    _add_kernel_arguments(parser)
+    _add_kernel_arguments(
+        parser,
+        KERNELS,
+        "CPM kernel: blocks (default; auto is blocks) or set, the serial "
+        "set-based reference oracle (no --workers/--shards > 1, --cache or "
+        "--checkpoint-dir)",
+    )
     parser.add_argument(
         "--shards", default="auto", metavar="N",
         help=(
@@ -206,9 +222,9 @@ def _run_settings(args: argparse.Namespace) -> dict:
     """The comparability-critical settings stamped into the manifest.
 
     The kernel is recorded *resolved* (``auto`` → the kernel that
-    actually ran) together with the numpy version (or ``None`` on a
-    numpy-less install), so two manifests can be told apart by the
-    numerical stack — ``repro obs diff`` warns when they disagree.
+    actually ran) together with the numpy version, so two manifests can
+    be told apart by the numerical stack — ``repro obs diff`` warns
+    when the kernels disagree.
     """
     settings = {
         key: value
@@ -228,14 +244,10 @@ def _run_settings(args: argparse.Namespace) -> dict:
         except ValueError:
             settings["shards"] = args.shards
     if "kernel" in settings:
-        from .core._blocks_compat import numpy_version
-        from .core.lightweight import resolve_kernel
+        import numpy
 
-        try:
-            settings["kernel"] = resolve_kernel(settings["kernel"])
-        except ValueError:
-            pass  # failed runs still flush a manifest; keep the request as-is
-        settings["numpy"] = numpy_version()
+        settings["kernel"] = resolve_kernel(settings["kernel"])
+        settings["numpy"] = numpy.__version__
     return settings
 
 
@@ -1041,7 +1053,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sopen.add_argument("dataset", help="dataset directory or edge-list file")
     p_sopen.add_argument("session_dir", help="directory to persist the session into")
-    _add_kernel_arguments(p_sopen)
+    _add_kernel_arguments(
+        p_sopen, SESSION_KERNELS, "CPM kernel: blocks (default; auto is blocks)"
+    )
     _add_obs_arguments(p_sopen)
     p_sopen.set_defaults(func=_cmd_session_open)
 

@@ -30,11 +30,17 @@ __all__ = ["MatchResult", "jaccard", "match_covers", "recall_at", "omega_index"]
 
 def jaccard(a: Iterable[Hashable], b: Iterable[Hashable]) -> float:
     """|A ∩ B| / |A ∪ B| (1.0 for two empty sets)."""
-    set_a, set_b = set(a), set(b)
-    union = set_a | set_b
+    set_a, set_b = _as_set(a), _as_set(b)
+    shared = len(set_a & set_b)
+    union = len(set_a) + len(set_b) - shared
     if not union:
         return 1.0
-    return len(set_a & set_b) / len(union)
+    return shared / union
+
+
+def _as_set(members: Iterable[Hashable]) -> set | frozenset:
+    """``members`` itself when it already is a set, else a set copy."""
+    return members if isinstance(members, (set, frozenset)) else set(members)
 
 
 @dataclass(frozen=True)
@@ -69,8 +75,8 @@ def match_covers(
     Candidate pairs are generated through a shared-member index, so
     disjoint communities are never scored.
     """
-    sets_a = [set(c) for c in cover_a]
-    sets_b = [set(c) for c in cover_b]
+    sets_a = [_as_set(c) for c in cover_a]
+    sets_b = [_as_set(c) for c in cover_b]
     index_b: dict[Hashable, list[int]] = {}
     for j, members in enumerate(sets_b):
         for node in members:
@@ -111,14 +117,14 @@ def recall_at(
     """
     if not reference:
         return 1.0
-    sets_candidate = [set(c) for c in candidate]
+    sets_candidate = [_as_set(c) for c in candidate]
     index: dict[Hashable, list[int]] = {}
     for j, members in enumerate(sets_candidate):
         for node in members:
             index.setdefault(node, []).append(j)
     found = 0
     for community in reference:
-        members = set(community)
+        members = _as_set(community)
         candidates = {j for node in members for j in index.get(node, ())}
         best = max((jaccard(members, sets_candidate[j]) for j in candidates), default=0.0)
         if best >= threshold:

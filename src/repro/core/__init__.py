@@ -41,7 +41,7 @@ from .serialize import (
     save_hierarchy,
 )
 from .tree import CommunityTree, NestingViolation, TreeNode, find_parent, verify_nesting
-from .unionfind import IntUnionFind, UnionFind
+from .unionfind import UnionFind
 from .weighted import intensity_sweep, weighted_k_clique_communities
 
 __all__ = [
@@ -80,7 +80,6 @@ __all__ = [
     "CommunityMetrics",
     "community_metrics",
     "UnionFind",
-    "IntUnionFind",
     "hierarchy_to_dict",
     "hierarchy_from_dict",
     "save_hierarchy",

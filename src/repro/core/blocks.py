@@ -1,57 +1,45 @@
-"""Vectorized ``blocks`` CPM kernel: numpy-batched overlap and percolation.
+"""The numpy passes of the CPM pipeline: overlap counting and percolation.
 
-The third CPM kernel (``--kernel blocks``) keeps the degeneracy-ordered
-:class:`~repro.graph.csr.CSRGraph` snapshot and the enumerator of the
-bitset kernel — :func:`~.cliques.maximal_cliques_bitset`, the one
-integer Bron–Kerbosch, which needs no numpy — and replaces the two
-phases where batching wins with whole-array numpy passes.  (A numpy ``bitwise_count`` pivot
-argmax was prototyped for enumeration in three variants — per-call,
-whole-graph batched, and column-pruned — and *lost* to the scalar scan
-at AS-graph scale because the median pivot scan examines ~3.5
-candidates; ``docs/performance.md`` records the numbers.)
+Enumeration stays pure Python — :func:`~.cliques.maximal_cliques_bitset`,
+the one integer Bron–Kerbosch, over the degeneracy-ordered
+:class:`~repro.graph.csr.CSRGraph` snapshot.  (A numpy
+``bitwise_count`` pivot argmax was prototyped for enumeration in three
+variants — per-call, whole-graph batched, and column-pruned — and
+*lost* to the scalar scan at AS-graph scale because the median pivot
+scan examines ~3.5 candidates; ``docs/performance.md`` records the
+numbers.)  The two phases where batching wins are whole-array passes:
 
-* **Overlap counting** (:func:`count_overlaps_blocks`) — replaces the
-  per-pair ``Counter`` updates with array sweeps: clique memberships
+* **Overlap counting** (:func:`count_overlaps_blocks`, called through
+  :func:`~repro.core.overlap.count_overlaps`) — clique memberships
   are flattened and lex-sorted into per-node runs, run prefixes are
   truncated to the counting-eligible (size >= 3) cliques, every
   within-prefix pair is emitted as a packed ``(i << shift) | j`` word
   by one ragged repeat/cumsum gather (no per-run Python loop), and
   ``np.unique(..., return_counts=True)`` produces the exact overlap
   multiset.  Activation-order bucketing and the k=2 chain pairs are
-  plain array arithmetic.  The result is bit-for-bit the same
-  :class:`~repro.core.overlap.OverlapWire` content as the bitset
-  kernel's (bucket *bytes* differ only in intra-bucket pair order,
-  which union-find provably ignores).
-* **Percolation** (:func:`percolate_orders_blocks`, the numpy backend
-  of :func:`~repro.core.percolation.percolate_wire`) — the sweep
-  becomes min-label propagation over the packed pair arrays: hook each
-  endpoint's *root* label to the pair minimum (``np.minimum.at``),
-  then pointer-jump (``labels[labels]``) to a fixed point.  Group
-  extraction replicates :meth:`IntUnionFind.groups` ordering exactly
-  (largest first, ties by smallest member, members ascending), which
-  ``tests/test_blocks_kernel.py`` pins against the union-find oracle.
+  plain array arithmetic.
+* **Percolation** (:func:`percolate_orders_blocks`, called through
+  :func:`~repro.core.percolation.percolate_wire`) — min-label
+  propagation over the packed pair arrays: hook each endpoint's *root*
+  label to the pair minimum (``np.minimum.at``), then pointer-jump
+  (``labels[labels]``) to a fixed point.  Groups come largest first,
+  ties by smallest member, members ascending, which
+  ``tests/test_blocks_kernel.py`` pins against a
+  :class:`~.unionfind.UnionFind` reference.
 
-Everything downstream (wire format, checkpoints, hierarchy assembly)
-is shared with the bitset kernel, which is what makes the swap provably
-safe: identical clique sets + identical overlap counts + identical
-groups ⇒ byte-identical hierarchies, trees and query artifacts.
-
-The array stages require numpy (the ``[perf]`` extra): calling them
-without it raises a clean
-:class:`~._blocks_compat.BlocksUnavailableError` — the module itself
-imports everywhere.
+The set oracle (:class:`~.percolation.CliqueOverlapIndex`) computes
+the same overlaps and groups from frozensets; the wire tests check
+these passes against it, and the hierarchy tests check that identical
+cliques, overlap counts and groups give byte-identical hierarchies,
+trees and query artifacts.
 """
 
 from __future__ import annotations
 
-from ..obs.tracing import NULL_TRACER, Tracer
-from ._blocks_compat import require_numpy
-from .overlap import OverlapWire
+import numpy as np
 
-# The module itself imports everywhere (so pydoc/pkgutil walkers never
-# trip on a minimal install); the array stages gate on numpy at call
-# time via require_numpy, and kernel selection gates once up front in
-# ``resolve_kernel``.
+from ..obs.tracing import NULL_TRACER, Tracer
+from .overlap import OverlapWire
 
 __all__ = [
     "count_overlaps_blocks",
@@ -72,18 +60,16 @@ def count_overlaps_blocks(
     invariant); ``n_counting`` is the size>=3 prefix length and
     ``shift`` the pair-packing shift.  Returns ``(wire, n_counted,
     stats)`` where ``n_counted`` is the number of distinct co-occurring
-    pairs and ``stats`` is the report of
-    :func:`~.overlap.count_overlaps_bitset` (the serial counter this
-    replaces; :func:`~.overlap.count_overlaps` picks between them) plus
-    ``batches``.  ``tracer`` times the pass as ``cpm.blocks.count``.
+    pairs and ``stats`` reports the ``pair_updates`` (pair words
+    emitted before ``np.unique``).  ``tracer`` times the pass as
+    ``cpm.blocks.count``.
 
-    Counting semantics match the reference exactly: pairs are counted
-    over the per-node id lists truncated to the eligible prefix, nodes
-    with fewer than two eligible cliques contribute nothing, overlap-1
-    pairs are dropped from the buckets (the k=2 chains cover them), and
+    Counting semantics: pairs are counted over the per-node id lists
+    truncated to the eligible prefix, nodes with fewer than two
+    eligible cliques contribute nothing, overlap-1 pairs are dropped
+    from the buckets (the k=2 chains cover them), and
     ``k_act = min(sizes[j], o + 1)``.
     """
-    np = require_numpy("the 'blocks' kernel")
     with tracer.span("cpm.blocks.count", cliques=len(dense)) as span:
         n_cliques = len(dense)
         # Pair words are (id << shift) | id; on every graph this
@@ -115,15 +101,13 @@ def count_overlaps_blocks(
         # each prefix position q > 0 contributes q pairs as the larger
         # endpoint, partnered with every earlier position of its run.
         # Ids ascend within a run, so position order is id order and the
-        # packed word is (smaller id << shift) | larger id, exactly the
-        # reference's ascending-prefix pairs.
+        # packed word is (smaller id << shift) | larger id.
         n_incident = int(kept_len.sum())
         within = np.arange(n_incident, dtype=word_dtype) - np.repeat(
             np.cumsum(kept_len, dtype=word_dtype) - kept_len, kept_len
         )
         pos = np.repeat(kept_starts.astype(word_dtype), kept_len) + within
         pair_updates = int(within.sum())
-        batches = 1 if pair_updates else 0
         if pair_updates:
             j_pos = np.repeat(pos, within)
             grp_starts = np.cumsum(within, dtype=word_dtype) - within
@@ -165,8 +149,7 @@ def count_overlaps_blocks(
             chains=chains.astype("<i8", copy=False).tobytes(),
         )
         span.set("pairs", n_counted)
-        span.set("batches", batches)
-    return wire, n_counted, {"pair_updates": pair_updates, "batches": batches}
+    return wire, n_counted, {"pair_updates": pair_updates}
 
 
 def percolate_orders_blocks(
@@ -176,22 +159,21 @@ def percolate_orders_blocks(
 ) -> tuple[dict[int, list[list[int]]], int, int]:
     """Min-label percolation sweep over a packed wire, vectorized.
 
-    Drop-in twin of :func:`~.percolation.sweep_wire` (call it through
-    :func:`~.percolation.percolate_wire`): the same descending
-    incremental contract (a bucket at ``k_act`` is applied once, at
-    the first order ``k <= k_act``; chains fold in at k = 2) and the
-    same ``(groups_by_order, merges, pairs_applied)`` return, with the
-    union-find replaced by min-label propagation.  Each batch of pairs
-    hooks both endpoint *roots* to the pair minimum and pointer-jumps
-    to a fixed point — equal labels stay equal under that
-    transformation, so previously contracted components remain
-    contracted and connectivity through them is preserved.
+    Call it through :func:`~.percolation.percolate_wire`, which holds
+    the contract: ``orders`` strictly descending, a bucket at ``k_act``
+    applied once, at the first order ``k <= k_act``, and the chains
+    folded in at k = 2.  Returns ``(groups_by_order, merges,
+    pairs_applied)``.  Each batch of pairs hooks both endpoint *roots*
+    to the pair minimum and pointer-jumps to a fixed point — equal
+    labels stay equal under that transformation, so previously
+    contracted components remain contracted and connectivity through
+    them is preserved.
 
-    Group snapshots replicate ``IntUnionFind.groups`` ordering exactly:
-    member ids ascending (stable argsort of the label array), groups
-    largest-first with ties broken by smallest member.
+    Group snapshots order like a union-find's: member ids ascending
+    (stable argsort of the label array), groups largest-first with ties
+    broken by smallest (prefix form) or first-listed (explicit form)
+    member.
     """
-    np = require_numpy("the 'blocks' kernel")
     shift = wire.shift
     labels = np.arange(wire.n_cliques, dtype=np.int64)
     bucket_orders = sorted(wire.buckets, reverse=True)
@@ -237,9 +219,8 @@ def percolate_orders_blocks(
             members = None
             snapshot = labels[:eligible]
         else:
-            # Explicit-id form (``sweep_wire``'s groups_of twin):
-            # the incremental session passes stable ids that are
-            # not a prefix of the label array.
+            # Explicit-id form: the incremental session passes
+            # stable ids that are not a prefix of the label array.
             if len(eligible) == 0:
                 result[k] = []
                 continue
@@ -250,8 +231,7 @@ def percolate_orders_blocks(
         cuts = np.flatnonzero(np.diff(inverse[by_label])) + 1
         # Positions ascend within each split, so g[0] is both the
         # smallest member (prefix form) and the first-listed member
-        # (explicit form) — the exact tie-break of
-        # ``IntUnionFind.groups`` / ``groups_of``.
+        # (explicit form), the groups' tie-break.
         groups = list(np.split(by_label, cuts))
         groups.sort(key=lambda g: (-len(g), g[0]))
         if members is None:

@@ -43,10 +43,10 @@ class CliqueCache:
 
     >>> import tempfile
     >>> cache = CliqueCache(tempfile.mkdtemp())
-    >>> cache.load("abc", "bitset") is None
+    >>> cache.load("abc", "blocks") is None
     True
-    >>> _ = cache.store("abc", "bitset", {"sizes": [3, 2]})
-    >>> cache.load("abc", "bitset")["sizes"]
+    >>> _ = cache.store("abc", "blocks", {"sizes": [3, 2]})
+    >>> cache.load("abc", "blocks")["sizes"]
     [3, 2]
     """
 

@@ -16,7 +16,7 @@ Two enumerators implement the same recursion:
 * ``maximal_cliques`` — the set-based reference: R/P/X are Python
   sets of node objects.  Kept as the tested oracle.
 * ``maximal_cliques_bitset`` — the one integer enumerator, used by
-  every integer path (both CPM kernels, the shard tasks, the
+  every integer path (the CPM pipeline, the shard tasks, the
   incremental session): operates on a
   :class:`~repro.graph.csr.CSRGraph`, with P and X as arbitrary-
   precision int bitmasks over each top-level subtree's own
@@ -313,7 +313,6 @@ def local_maximal_cliques(
     graph: Graph,
     nodes: set[Hashable],
     *,
-    kernel: str = "set",
     stats: CliqueEnumerationStats | None = None,
 ) -> list[frozenset[Hashable]]:
     """Maximal cliques of the subgraph ``graph`` induces on ``nodes``.
@@ -326,19 +325,14 @@ def local_maximal_cliques(
     Isolated nodes of the induced subgraph count (they extend to
     triangles ``{u, v, w}``), hence ``min_size=1`` semantics.
 
-    ``kernel`` picks the enumerator: ``"set"`` runs the reference
-    enumerator directly; the integer kernels (``"bitset"`` /
-    ``"blocks"``) build a :class:`~repro.graph.csr.CSRGraph` over the
-    induced subgraph and run :func:`maximal_cliques_bitset` — the same
-    code path the full pipeline uses, exercised here on
-    neighborhood-sized inputs.  Both return the same clique set.
+    Builds a :class:`~repro.graph.csr.CSRGraph` over the induced
+    subgraph and runs :func:`maximal_cliques_bitset` — the same code
+    path the full pipeline uses, exercised here on neighborhood-sized
+    inputs.
     """
     if not nodes:
         return []
-    sub = graph.subgraph(nodes)
-    if kernel == "set":
-        return maximal_cliques(sub, min_size=1, stats=stats)
-    csr = CSRGraph.from_graph(sub)
+    csr = CSRGraph.from_graph(graph.subgraph(nodes))
     dense = maximal_cliques_bitset(csr, min_size=1, stats=stats)
     return [frozenset(csr.to_labels(clique)) for clique in dense]
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from collections.abc import Hashable, Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
 
 __all__ = [
     "Community",
@@ -153,10 +154,15 @@ class CommunityCover:
         self._communities = tuple(
             Community(k=k, index=i, members=members) for i, members in enumerate(ordered)
         )
-        self._by_node: dict[Hashable, list[Community]] = {}
+
+    @cached_property
+    def _by_node(self) -> dict[Hashable, list[Community]]:
+        """node -> communities containing it, built on first lookup."""
+        by_node: dict[Hashable, list[Community]] = {}
         for community in self._communities:
             for node in community.members:
-                self._by_node.setdefault(node, []).append(community)
+                by_node.setdefault(node, []).append(community)
+        return by_node
 
     def __len__(self) -> int:
         return len(self._communities)

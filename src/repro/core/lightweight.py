@@ -11,35 +11,30 @@ phase decomposes into independent shards.
 phases — **enumerate** maximal cliques, count their truncated
 **overlaps** into a packed :class:`~.overlap.OverlapWire`, and
 **percolate** every order k over that wire — followed by hierarchy
-assembly.  Each phase takes its implementation from the kernel; the
+assembly.  The kernel picks that pipeline or the reference oracle; the
 ``shards`` count only decides whether enumeration fans out through
 :mod:`repro.shard.pipeline`.  The rule is: *shards fan out
 enumeration; overlap and percolation run serially in the driver.*
 
-* ``kernel="bitset"`` (default) — the pure-Python integer path over a
+* ``kernel="blocks"`` (default) — the production path over a
   :class:`~repro.graph.csr.CSRGraph` snapshot (dense ids in degeneracy
   order).  Enumeration is :func:`~.cliques.maximal_cliques_bitset`,
-  the one integer Bron–Kerbosch both kernels share; overlap counting
-  (size >= 3 cliques only) is :func:`~.overlap.count_overlaps_bitset`
-  and percolation one union-find sweep over the wire.  It is the
-  serial fallback for installs without numpy.
-* ``kernel="blocks"`` — the vectorized path (requires the ``[perf]``
-  numpy extra; see :mod:`.blocks`).  Same CSR snapshot, enumerator
-  and wire; overlap counting and the min-label
-  percolation sweep are whole-array numpy passes.  ``--kernel auto``
-  selects it when numpy is importable and degrades to ``bitset``
-  otherwise (:func:`resolve_kernel`).
+  the one integer Bron–Kerbosch (pure Python); overlap counting
+  (size >= 3 cliques only, :func:`~.overlap.count_overlaps`) and the
+  min-label percolation sweep (:func:`~.percolation.percolate_wire`)
+  are whole-array numpy passes (:mod:`.blocks`).  ``kernel="auto"``
+  resolves to it (:func:`resolve_kernel`).
 * ``kernel="set"`` — the serial reference oracle:
   :func:`~.percolation.extract_hierarchy` over a
   :class:`~.percolation.CliqueOverlapIndex`, with the same
   ``cpm.*`` spans and :class:`CPMRunStats`.  It takes no workers,
-  shards, cache or checkpoint (:func:`check_oracle_options`).  All
+  shards, cache or checkpoint (:func:`check_oracle_options`).  Both
   kernels produce byte-identical hierarchies (same covers, same parent
   labels), which ``tests/test_kernels_equivalence.py`` asserts.
 
-With ``shards > 1`` enumeration fans out for both kernels (degeneracy-
-partitioned Bron–Kerbosch subtrees, reassembled in the serial emission
-order); it is the only phase a pool speeds up.  ``shards`` defaults to
+With ``shards > 1`` enumeration fans out (degeneracy-partitioned
+Bron–Kerbosch subtrees, reassembled in the serial emission order); it
+is the only phase a pool speeds up.  ``shards`` defaults to
 ``"auto"`` — one shard per worker — so ``workers=N`` alone runs the
 shard tasks on a pool of N processes.
 
@@ -100,30 +95,21 @@ __all__ = [
     "resolve_kernel",
 ]
 
-KERNELS = ("bitset", "blocks", "set")
+KERNELS = ("blocks", "set")
 
 
-def resolve_kernel(kernel: str) -> str:
-    """Resolve a kernel request (including ``"auto"``) to a KERNELS name.
+def resolve_kernel(kernel: str, kernels: tuple[str, ...] = KERNELS) -> str:
+    """Resolve a kernel request (including ``"auto"``) to a name in ``kernels``.
 
-    ``"auto"`` picks the fastest kernel the install supports: ``blocks``
-    when numpy (the ``[perf]`` extra) is importable, else ``bitset`` —
-    the documented degradation, so an ``auto`` run never fails on a
-    minimal install.  Explicit names pass through after validation;
-    requesting ``blocks`` without numpy raises
-    :class:`~._blocks_compat.BlocksUnavailableError` (a ``ValueError``)
-    here, before any phase starts.
+    The one kernel validator of the batch pipeline, the session
+    (``kernels=("blocks",)``) and the CLI: ``"auto"`` is ``blocks``,
+    any other name outside ``kernels`` raises a ``ValueError`` that
+    lists the accepted names.
     """
     if kernel == "auto":
-        from ._blocks_compat import HAVE_NUMPY
-
-        return "blocks" if HAVE_NUMPY else "bitset"
-    if kernel not in KERNELS:
-        raise ValueError(f"kernel must be one of {KERNELS} or 'auto', got {kernel!r}")
-    if kernel == "blocks":
-        from ._blocks_compat import require_numpy
-
-        require_numpy("kernel 'blocks'")
+        return "blocks"
+    if kernel not in kernels:
+        raise ValueError(f"kernel must be one of {kernels} or 'auto', got {kernel!r}")
     return kernel
 
 
@@ -144,7 +130,7 @@ class CPMRunStats:
     overlap_seconds: float = 0.0
     percolate_seconds: float = 0.0
     workers: int = 1
-    kernel: str = "bitset"
+    kernel: str = "blocks"
     #: Resolved shard count (1 = the unsharded single-process pipeline).
     shards: int = 1
     cache_hit: bool = False
@@ -220,18 +206,16 @@ def check_oracle_options(
     if refused:
         raise ValueError(
             "kernel 'set' is the serial reference oracle and does not take "
-            f"{', '.join(refused)}; use kernel 'bitset' or 'blocks' for those"
+            f"{', '.join(refused)}; use kernel 'blocks' for those"
         )
 
 
 class LightweightParallelCPM:
     """Extract the full k-clique community hierarchy of a graph.
 
-    ``kernel`` selects the pure-Python integer path (``"bitset"``,
-    default), the numpy-vectorized path (``"blocks"``, needs the
-    ``[perf]`` extra), the serial set-based reference oracle
-    (``"set"``), or ``"auto"`` (blocks when numpy is importable, else
-    bitset); all produce identical hierarchies.  ``shards`` (a count,
+    ``kernel`` selects the production path (``"blocks"``, default;
+    ``"auto"`` resolves to it) or the serial set-based reference oracle
+    (``"set"``); both produce identical hierarchies.  ``shards`` (a count,
     or ``"auto"`` — the default — for one shard per worker) decides
     how clique enumeration fans out across ``workers`` through
     :mod:`repro.shard`; output is byte-identical at every count.
@@ -254,7 +238,7 @@ class LightweightParallelCPM:
         graph: Graph,
         *,
         workers: int = 1,
-        kernel: str = "bitset",
+        kernel: str = "blocks",
         shards: int | str = "auto",
         cache: CliqueCache | None = None,
         checkpoint: CheckpointStore | None = None,
@@ -373,7 +357,7 @@ class LightweightParallelCPM:
         )
 
     # ------------------------------------------------------------------
-    # The pipeline (bitset and blocks)
+    # The pipeline (blocks)
     # ------------------------------------------------------------------
     def _run_pipeline(
         self,
@@ -453,21 +437,11 @@ class LightweightParallelCPM:
         dense: list[tuple[int, ...]],
         sizes: list[int],
     ) -> tuple[OverlapWire, int]:
-        """Count truncated overlaps into the wire, serially in the driver.
-
-        :func:`~.overlap.count_overlaps` picks the kernel's counter;
-        both return the same wire and the same report, so the
-        ``overlap.*`` metrics are recorded once for either.
-        """
+        """Count truncated overlaps into the wire, serially in the driver."""
         with self.tracer.span("cpm.overlap") as span:
             shift = max(1, len(sizes).bit_length())
-            wire, n_counted, stats = count_overlaps(
-                self.kernel, dense, sizes, shift, self.tracer
-            )
+            wire, n_counted, stats = count_overlaps(dense, sizes, shift, self.tracer)
             self.metrics.inc("overlap.pair_updates", stats["pair_updates"])
-            if self.kernel == "blocks":
-                self.metrics.inc("cpm.blocks.popcount_batches", stats["batches"])
-                self.metrics.inc("cpm.blocks.pair_words", stats["pair_updates"])
             self.metrics.inc("overlap.pairs", n_counted)
             self.metrics.inc("overlap.chain_pairs", wire.n_chain_pairs)
             span.set("pairs", n_counted)
@@ -489,7 +463,7 @@ class LightweightParallelCPM:
         with self.tracer.span("cpm.percolate", orders=len(orders), pairs=wire.n_pairs):
             for chunk in self._order_chunks(todo, ckpt):
                 eligibles = [prefix_count(sizes, k) for k in chunk]
-                part, batch = percolate_wire(self.kernel, chunk, eligibles, wire)
+                part, batch = percolate_wire(chunk, eligibles, wire)
                 grouped.update(part)
                 self.metrics.inc("percolate.skipped_pairs", batch["skipped_pairs"])
                 self.metrics.inc("percolate.union_merges", batch["union_merges"])

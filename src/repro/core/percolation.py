@@ -33,9 +33,9 @@ order — the structure the Lightweight Parallel CPM [11] parallelises.
 from __future__ import annotations
 
 import time
-from array import array
 from collections import Counter
-from collections.abc import Hashable, Sequence
+from collections.abc import Hashable, Mapping, Sequence
+from dataclasses import dataclass
 
 from ..graph.undirected import Graph
 from ..obs.metrics import MetricsRegistry
@@ -43,7 +43,7 @@ from ..obs.tracing import NULL_TRACER, Tracer
 from .cliques import CliqueEnumerationStats, k_cliques, maximal_cliques
 from .communities import CommunityCover, CommunityHierarchy, rank_member_sets
 from .overlap import OverlapWire
-from .unionfind import IntUnionFind, UnionFind
+from .unionfind import UnionFind
 
 __all__ = [
     "CliqueOverlapIndex",
@@ -51,13 +51,13 @@ __all__ = [
     "k_clique_communities_direct",
     "extract_hierarchy",
     "build_hierarchy",
+    "build_level",
+    "HierarchyLevel",
     "percolate_wire",
-    "sweep_wire",
 ]
 
 
 def percolate_wire(
-    kernel: str,
     orders: Sequence[int],
     eligibles: Sequence[int | Sequence[int]],
     wire: OverlapWire,
@@ -66,23 +66,30 @@ def percolate_wire(
 
     The single percolation entry point of the batch pipeline and of the
     incremental :class:`~repro.incremental.CPMSession`: the truncated
-    wire (Baudin et al.) is the only state percolation needs, so the
-    kernel only picks the backend — the numpy min-label sweep
-    (:func:`~.blocks.percolate_orders_blocks`) for ``"blocks"``, the
-    pure-Python union-find sweep (:func:`sweep_wire`) otherwise.  Both
-    honour the same contract (``orders`` strictly descending,
-    ``eligibles`` aligned as prefix counts or explicit id lists) and
-    return identically ordered groups.
+    wire (Baudin et al.) is the only state percolation needs.
+    ``orders`` must be strictly descending, with ``eligibles`` aligned:
+    each entry is either the *count* of cliques of size >= that order
+    (a prefix, for the batch pipeline whose clique ids are assigned in
+    size-descending order) or an explicit *list* of the eligible
+    clique ids (for the incremental session, whose stable lifetime ids
+    are not size-sorted).  A pair bucketed at activation order
+    ``k_act`` is usable at every ``k <= k_act``, so one sweep serves
+    the whole batch: walking orders downward, each bucket with
+    ``k_act >= k`` is merged exactly once and groups are snapshotted
+    over the eligible cliques.  At k = 2 the chain buffer is folded in
+    (order-2 connectivity over *all* cliques, including the 2-cliques
+    the counting phase excludes).  The sweep itself is the numpy
+    min-label pass :func:`~.blocks.percolate_orders_blocks`.
 
     Returns ``(groups_by_order, stats)``; ``stats`` is the self-timed
     report the pipeline aggregates into the ``percolate.*`` metrics.
     """
+    # Imported on first use, so commands that never percolate (query
+    # serving, the obs tools) start without numpy.
+    from .blocks import percolate_orders_blocks
+
     t0 = time.perf_counter()
-    if kernel == "blocks":
-        from .blocks import percolate_orders_blocks as sweep
-    else:
-        sweep = sweep_wire
-    result, merges, applied = sweep(orders, eligibles, wire)
+    result, merges, applied = percolate_orders_blocks(orders, eligibles, wire)
     pairs_in = wire.n_pairs + wire.n_chain_pairs
     stats = {
         "orders": len(orders),
@@ -92,56 +99,6 @@ def percolate_wire(
         "wall_seconds": time.perf_counter() - t0,
     }
     return result, stats
-
-
-def sweep_wire(
-    orders: Sequence[int],
-    eligibles: Sequence[int | Sequence[int]],
-    wire: OverlapWire,
-) -> tuple[dict[int, list[list[int]]], int, int]:
-    """One descending union-find sweep over a packed overlap wire.
-
-    ``orders`` must be strictly descending, with ``eligibles`` aligned:
-    each entry is either the *count* of cliques of size >= that order
-    (a prefix, for the batch pipeline whose clique ids are assigned in
-    size-descending order) or an explicit *list* of the eligible
-    clique ids (for the incremental session, whose stable lifetime ids
-    are not size-sorted).  A pair bucketed at activation order
-    ``k_act`` is usable at every ``k <= k_act``, so one
-    :class:`~.unionfind.IntUnionFind` serves the whole batch: walking
-    orders downward, each bucket with ``k_act >= k`` is merged exactly
-    once and groups are snapshotted over the eligible cliques.  At
-    k = 2 the chain buffer is folded in (order-2 connectivity over
-    *all* cliques, including the 2-cliques the counting phase
-    excludes).  Returns ``(groups_by_order, merges, pairs_applied)``;
-    call it through :func:`percolate_wire`.
-    """
-    uf = IntUnionFind(wire.n_cliques)
-    shift = wire.shift
-    bucket_orders = sorted(wire.buckets, reverse=True)
-    bi = 0
-    n_buckets = len(bucket_orders)
-    applied = 0
-    merges = 0
-    result: dict[int, list[list[int]]] = {}
-    for idx, k in enumerate(orders):
-        while bi < n_buckets and bucket_orders[bi] >= k:
-            buf = array("q")
-            buf.frombytes(wire.buckets[bucket_orders[bi]])
-            applied += len(buf)
-            merges += uf.union_packed(buf, shift)
-            bi += 1
-        if k == 2 and wire.chains:
-            buf = array("q")
-            buf.frombytes(wire.chains)
-            applied += len(buf)
-            merges += uf.union_packed(buf, shift)
-        eligible = eligibles[idx]
-        if isinstance(eligible, int):
-            result[k] = [] if eligible == 0 else uf.groups(eligible)
-        else:
-            result[k] = uf.groups_of(eligible)
-    return result, merges, applied
 
 
 class CliqueOverlapIndex:
@@ -279,10 +236,49 @@ def k_clique_communities(graph: Graph, k: int) -> CommunityCover:
     return CommunityCover(k, index.percolate(k))
 
 
+@dataclass(frozen=True)
+class HierarchyLevel:
+    """One order of a hierarchy, built from that order's groups alone.
+
+    ``membership`` maps each clique id in a group to its community's
+    label and ``representatives[i]`` is the first clique id of the
+    group behind community ``i`` — the two halves of the parent lookup
+    between adjacent orders (:func:`build_hierarchy`).
+    """
+
+    cover: CommunityCover
+    membership: dict[int, str]
+    representatives: tuple[int, ...]
+
+
+def build_level(
+    cliques: Sequence[frozenset] | Mapping[int, frozenset],
+    k: int,
+    groups: list[list[int]],
+) -> HierarchyLevel:
+    """The cover of order ``k`` and its clique-id labels, from ``groups``."""
+    member_sets = [frozenset().union(*map(cliques.__getitem__, group)) for group in groups]
+    # Rank groups exactly as CommunityCover will, so that group
+    # positions map onto community indices (rank_member_sets is
+    # stable, so even duplicate member sets stay aligned).
+    ranked = rank_member_sets(member_sets)
+    membership: dict[int, str] = {}
+    for community_index, group_position in enumerate(ranked):
+        label = f"k{k}id{community_index}"
+        for cid in groups[group_position]:
+            membership[cid] = label
+    return HierarchyLevel(
+        cover=CommunityCover(k, member_sets),
+        membership=membership,
+        representatives=tuple(groups[p][0] for p in ranked),
+    )
+
+
 def build_hierarchy(
-    cliques: Sequence[frozenset],
+    cliques: Sequence[frozenset] | Mapping[int, frozenset],
     groups_by_k: dict[int, list[list[int]]],
     *,
+    levels: dict[int, HierarchyLevel] | None = None,
     tracer: Tracer | None = None,
     metrics: MetricsRegistry | None = None,
 ) -> CommunityHierarchy:
@@ -295,34 +291,26 @@ def build_hierarchy(
     representative clique id *is* the parent — this is the uniqueness
     construction of the paper's Theorem 1, and it is immune to the
     ambiguity of node-set containment between overlapping communities.
+
+    ``levels``, when given, holds orders already built from the same
+    groups: those are reused as-is, and every order built here is
+    written back into it.  Parent links are always re-resolved, so an
+    incremental session only drops the levels whose groups it re-swept.
     """
     tracer = tracer if tracer is not None else NULL_TRACER
-    covers: dict[int, CommunityCover] = {}
+    levels = {} if levels is None else levels
     parent_labels: dict[str, str] = {}
-    previous_membership: dict[int, str] = {}
+    previous: HierarchyLevel | None = None
     with tracer.span("hierarchy.build", orders=len(groups_by_k)) as span:
         for k in sorted(groups_by_k):
-            groups = groups_by_k[k]
-            member_sets = []
-            for group in groups:
-                members: set = set()
-                for cid in group:
-                    members.update(cliques[cid])
-                member_sets.append(frozenset(members))
-            # Rank groups exactly as CommunityCover will, so that group
-            # positions map onto community indices (rank_member_sets is
-            # stable, so even duplicate member sets stay aligned).
-            ranked = rank_member_sets(member_sets)
-            covers[k] = CommunityCover(k, member_sets)
-            membership: dict[int, str] = {}
-            for community_index, group_position in enumerate(ranked):
-                label = f"k{k}id{community_index}"
-                for cid in groups[group_position]:
-                    membership[cid] = label
-                if previous_membership:
-                    representative = groups[group_position][0]
-                    parent_labels[label] = previous_membership[representative]
-            previous_membership = membership
+            level = levels.get(k)
+            if level is None:
+                level = levels[k] = build_level(cliques, k, groups_by_k[k])
+            if previous is not None and previous.membership:
+                for community, representative in zip(level.cover, level.representatives):
+                    parent_labels[community.label] = previous.membership[representative]
+            previous = level
+        covers = {k: levels[k].cover for k in sorted(groups_by_k)}
         hierarchy = CommunityHierarchy(covers, parent_labels=parent_labels)
         span.set("communities", hierarchy.total_communities)
     if metrics is not None:

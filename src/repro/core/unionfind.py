@@ -1,26 +1,20 @@
-"""Disjoint-set forests (union-find).
+"""Disjoint-set forest (union-find).
 
 The percolation step of CPM is connected components over the k-clique
 adjacency graph; union-find gives near-linear merging of clique
 adjacencies without materialising that (potentially huge) graph.
-Both structures implement path halving and union by size:
-
-* :class:`UnionFind` — over arbitrary hashable items, dict-backed.
-  The reference structure used by the set-based kernel and the
-  sequential oracle.
-* :class:`IntUnionFind` — over a fixed range ``[0, n)``, list-backed.
-  The integer fast path: no hashing, and :meth:`IntUnionFind.union_packed`
-  merges a whole packed pair buffer in one call so the hot loop stays
-  inside a single frame.  ``groups()`` orders identically to
-  :meth:`UnionFind.groups` for range-initialised inputs, which the
-  cross-kernel equivalence tests rely on.
+:class:`UnionFind` (path halving, union by size, over arbitrary
+hashable items) is the reference structure of the set-based oracle;
+the pipeline's numpy sweep (:mod:`repro.core.blocks`) orders its
+groups like :meth:`UnionFind.groups` does for range-initialised
+inputs, which the wire tests check.
 """
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Iterable, Sequence
+from collections.abc import Hashable, Iterable
 
-__all__ = ["UnionFind", "IntUnionFind"]
+__all__ = ["UnionFind"]
 
 
 class UnionFind:
@@ -92,124 +86,4 @@ class UnionFind:
         by_root: dict[Hashable, set[Hashable]] = {}
         for item in self._parent:
             by_root.setdefault(self.find(item), set()).add(item)
-        return sorted(by_root.values(), key=len, reverse=True)
-
-
-class IntUnionFind:
-    """Union-find over the dense integer range ``[0, n)``.
-
-    Parents and set sizes live in plain lists indexed by element, so
-    ``find`` is two list reads per hop with no hashing.  Semantics match
-    :class:`UnionFind` initialised with ``range(n)``: same union-by-size
-    tie handling, and ``groups()`` returns the same partition in the
-    same order (largest first; equal sizes by smallest member, because
-    members are scanned ascending and Python's sort is stable).
-
-    >>> uf = IntUnionFind(4)
-    >>> uf.union(0, 2), uf.union(2, 0)
-    (True, False)
-    >>> uf.groups()
-    [[0, 2], [1], [3]]
-    """
-
-    __slots__ = ("_parent", "_size", "n")
-
-    def __init__(self, n: int) -> None:
-        if n < 0:
-            raise ValueError(f"n must be >= 0, got {n}")
-        self.n = n
-        self._parent = list(range(n))
-        self._size = [1] * n
-
-    def __len__(self) -> int:
-        return self.n
-
-    def find(self, x: int) -> int:
-        """Representative of ``x``'s set (path halving)."""
-        parent = self._parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(self, a: int, b: int) -> bool:
-        """Merge the sets of ``a`` and ``b``; True iff they were distinct."""
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        size = self._size
-        if size[ra] < size[rb]:
-            ra, rb = rb, ra
-        self._parent[rb] = ra
-        size[ra] += size[rb]
-        return True
-
-    def union_packed(self, packed, shift: int) -> int:
-        """Merge every pair of a packed buffer; return the merge count.
-
-        ``packed`` is any iterable of words encoding a pair as
-        ``(i << shift) | j`` — in practice an ``array('q')`` rebuilt
-        from the bytes the overlap phase ships to percolation workers.
-        The whole buffer is processed inside this one frame (finds
-        inlined, locals only), which is what makes percolation over
-        hundreds of thousands of pairs cheap in pure Python.
-        """
-        parent = self._parent
-        size = self._size
-        mask = (1 << shift) - 1
-        merges = 0
-        for word in packed:
-            i = word >> shift
-            j = word & mask
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            while parent[j] != j:
-                parent[j] = parent[parent[j]]
-                j = parent[j]
-            if i == j:
-                continue
-            if size[i] < size[j]:
-                i, j = j, i
-            parent[j] = i
-            size[i] += size[j]
-            merges += 1
-        return merges
-
-    def connected(self, a: int, b: int) -> bool:
-        """True iff ``a`` and ``b`` are in the same set."""
-        return self.find(a) == self.find(b)
-
-    def set_size(self, item: int) -> int:
-        """Size of the set containing ``item``."""
-        return self._size[self.find(item)]
-
-    def groups(self, limit: int | None = None) -> list[list[int]]:
-        """Disjoint sets over ``[0, limit)``, largest first, members ascending.
-
-        ``limit`` restricts the snapshot to a prefix of the range: the
-        incremental percolation pass keeps one structure over all
-        cliques and snapshots only the cliques eligible at the current
-        order (a prefix, because cliques are sorted by size descending).
-        """
-        n = self.n if limit is None else limit
-        by_root: dict[int, list[int]] = {}
-        for i in range(n):
-            by_root.setdefault(self.find(i), []).append(i)
-        return sorted(by_root.values(), key=len, reverse=True)
-
-    def groups_of(self, members: Sequence[int]) -> list[list[int]]:
-        """Disjoint sets restricted to an explicit member list.
-
-        The eligibility companion to :meth:`groups` for callers whose
-        element ids are *not* laid out size-descending — the incremental
-        session assigns cliques stable ids for life, so the cliques
-        eligible at an order are an arbitrary subset, not a prefix.
-        Members keep the order given within each group; groups come
-        largest first (ties by first listed member, like
-        :meth:`groups`).
-        """
-        by_root: dict[int, list[int]] = {}
-        for i in members:
-            by_root.setdefault(self.find(i), []).append(i)
         return sorted(by_root.values(), key=len, reverse=True)

@@ -35,8 +35,8 @@ cached groups are reused.  The re-sweep reads a **persistent wire**:
 each retained pair's packed word is written once (at admission, into
 its activation-order bucket, under a lifetime-fixed shift) and merely
 tombstoned on retirement, so an ``apply`` never re-encodes the
-~10^5-pair overlap state — only the order-2 chains, which depend on
-the mutable node index, are rebuilt per sweep.  The hierarchy produced
+~10^5-pair overlap state — only the order-2 chains of the nodes whose
+clique bucket changed are re-packed per sweep.  The hierarchy produced
 is canonical in the clique *set* (ranking and parent provenance are
 permutation-invariant), which is why stable session ids and fresh
 pipeline ids yield identical output.
@@ -57,11 +57,11 @@ from os import PathLike
 from pathlib import Path
 
 from ..core.cache import CliqueCache
-from ..core.cliques import local_maximal_cliques, maximal_cliques, maximal_cliques_bitset
+from ..core.cliques import local_maximal_cliques, maximal_cliques_bitset
 from ..core.communities import CommunityHierarchy
-from ..core.lightweight import check_oracle_options, load_cached_run, resolve_kernel
+from ..core.lightweight import load_cached_run, resolve_kernel
 from ..core.overlap import OverlapWire, chain_pairs, count_overlaps
-from ..core.percolation import build_hierarchy, percolate_wire
+from ..core.percolation import HierarchyLevel, build_hierarchy, percolate_wire
 from ..graph.csr import CSRGraph
 from ..graph.undirected import Graph
 from ..obs.logging import get_logger
@@ -81,7 +81,10 @@ from .delta import CPMUpdate, EdgeDelta, diff_covers
 #: Structured-log handle (no-op until ``--log-json`` configures one).
 _LOG = get_logger(component="incremental")
 
-__all__ = ["CPMSession", "load_session", "SESSION_SCHEMA_VERSION"]
+__all__ = ["CPMSession", "load_session", "SESSION_KERNELS", "SESSION_SCHEMA_VERSION"]
+
+#: The kernels a session runs on (plus ``"auto"``): the batch pipeline's.
+SESSION_KERNELS = ("blocks",)
 
 #: Bump on any change to the persisted session payload layout; stale
 #: saves then fail :func:`load_session` loudly instead of deserialising
@@ -118,6 +121,13 @@ def _graph_from_csr(csr: CSRGraph) -> Graph:
     return graph
 
 
+def _cover_members(hierarchy: CommunityHierarchy | None, k: int) -> tuple[frozenset, ...]:
+    """Order ``k``'s member sets in cover order (empty when absent)."""
+    if hierarchy is None or k not in hierarchy:
+        return ()
+    return tuple(c.members for c in hierarchy[k])
+
+
 class CPMSession:
     """Persistent CPM state with edge-delta updates.
 
@@ -129,15 +139,13 @@ class CPMSession:
     returns a :class:`~repro.api.CPMResult` whose hierarchy is
     byte-identical to a from-scratch ``run_cpm`` on the current graph.
 
-    ``kernel`` (``"set"``, ``"bitset"``, ``"blocks"`` or ``"auto"``;
-    same semantics as :func:`repro.run_cpm`) picks the set-based or the
-    integer Bron–Kerbosch for both the initial enumeration and the
-    per-insertion neighborhood enumerations, and the percolation
-    backend.  ``cache`` (a
+    ``kernel`` is one of :data:`SESSION_KERNELS` or ``"auto"``: the
+    session runs the batch pipeline's enumerator, overlap counter and
+    percolation sweep, and its oracle is ``run_cpm`` itself (the fuzz
+    tests check byte-identity after every batch).  ``cache`` (a
     :class:`~repro.core.cache.CliqueCache`) is probed read-only for
     the initial clique/overlap payload a previous ``run_cpm`` may have
-    left behind (the ``set`` oracle takes no cache, as in
-    :func:`repro.run_cpm`).  ``tracer``/``metrics`` instrument the session with
+    left behind.  ``tracer``/``metrics`` instrument the session with
     the ``incr.*`` spans and counters of ``docs/observability.md``.
 
     >>> from repro.graph import ring_of_cliques
@@ -151,18 +159,19 @@ class CPMSession:
         self,
         graph: Graph,
         *,
-        kernel: str = "bitset",
+        kernel: str = "blocks",
         cache: CliqueCache | None = None,
         tracer: Tracer | None = None,
         metrics: MetricsRegistry | None = None,
     ) -> None:
-        self.kernel = resolve_kernel(kernel)
-        check_oracle_options(self.kernel, cache=cache)
+        self.kernel = resolve_kernel(kernel, SESSION_KERNELS)
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.graph = graph.copy()
         self._members: dict[int, frozenset] = {}
         self._index: dict[Hashable, set[int]] = {}
+        self._chains: dict[Hashable, bytes] = {}
+        self._stale_nodes: set = set()
         self._pair_kact: dict[tuple[int, int], int] = {}
         self._slots: dict[tuple[int, int], int] = {}
         self._wire: dict[int, array] = {}
@@ -171,7 +180,7 @@ class CPMSession:
         self._next_id = 0
         self._applied = 0
         self._hierarchy: CommunityHierarchy | None = None
-        self._covers_cache: dict[int, tuple[frozenset, ...]] | None = None
+        self._levels: dict[int, HierarchyLevel] = {}
         self.cache_hit = False
         with self.tracer.span("incr.open", kernel=self.kernel) as span:
             t0 = time.perf_counter()
@@ -198,9 +207,7 @@ class CPMSession:
 
         Both come from the payload a previous ``run_cpm`` cached (the
         cache is read-only here), or from the pipeline's enumerator and
-        its counter, :func:`~repro.core.overlap.count_overlaps`.  The
-        ``set`` oracle keeps its set-based enumeration and feeds the same
-        counter through a label -> int map.
+        its counter, :func:`~repro.core.overlap.count_overlaps`.
         """
         if cache is not None:
             checksum = graph_fingerprint(self.graph)["checksum"]
@@ -208,19 +215,14 @@ class CPMSession:
             if payload is not None:
                 self.cache_hit = True
                 return payload["cliques"], payload["wire"]
-        if self.kernel == "set":
-            cliques = sorted(maximal_cliques(self.graph, min_size=2), key=len, reverse=True)
-            to_int = {node: i for i, node in enumerate(self.graph.nodes())}.__getitem__
-            dense = [tuple(map(to_int, clique)) for clique in cliques]
-        else:
-            csr = CSRGraph.from_graph(self.graph)
-            dense = maximal_cliques_bitset(csr, min_size=2)
-            dense.sort(key=len, reverse=True)
-            to_label = csr.labels.__getitem__
-            cliques = [tuple(map(to_label, clique)) for clique in dense]
+        csr = CSRGraph.from_graph(self.graph)
+        dense = maximal_cliques_bitset(csr, min_size=2)
+        dense.sort(key=len, reverse=True)
+        to_label = csr.labels.__getitem__
+        cliques = [tuple(map(to_label, clique)) for clique in dense]
         sizes = [len(clique) for clique in dense]
         shift = max(1, len(sizes).bit_length())
-        wire, _, _ = count_overlaps(self.kernel, dense, sizes, shift, self.tracer)
+        wire, _, _ = count_overlaps(dense, sizes, shift, self.tracer)
         return cliques, wire
 
     def _build_index(self) -> None:
@@ -229,6 +231,8 @@ class CPMSession:
         for cid, clique in self._members.items():
             for node in clique:
                 self._index.setdefault(node, set()).add(cid)
+        self._chains = {}
+        self._stale_nodes = set(self._index)
 
     def _install_pairs(self, wire: OverlapWire) -> None:
         """Decode the wire's buckets into the retained pair state.
@@ -265,12 +269,12 @@ class CPMSession:
         buckets: dict[int, array] = {}
         slots: dict[tuple[int, int], int] = {}
         get = buckets.get
-        for (a, b), k_act in self._pair_kact.items():
+        for pair, k_act in self._pair_kact.items():
             arr = get(k_act)
             if arr is None:
                 arr = buckets[k_act] = array("q")
-            slots[(a, b)] = len(arr)
-            arr.append((a << _WIRE_SHIFT) | b)
+            slots[pair] = len(arr)
+            arr.append((pair[0] << _WIRE_SHIFT) | pair[1])
         self._wire = buckets
         self._slots = slots
         self._wire_garbage = 0
@@ -303,14 +307,19 @@ class CPMSession:
         """The current community hierarchy (None when no clique exists).
 
         Rebuilt lazily from the cached per-order groups after an
-        ``apply``; always equal to what ``run_cpm`` would produce on
-        the session's current graph.
+        ``apply``: only the orders the apply re-swept are rebuilt, the
+        other levels are reused and every parent link is re-resolved.
+        Always equal to what ``run_cpm`` would produce on the session's
+        current graph.
         """
         if self._hierarchy is None and self._members:
             with self.tracer.span("incr.hierarchy"):
-                groups_by_k = {k: self._groups[k] for k in sorted(self._groups)}
                 self._hierarchy = build_hierarchy(
-                    self._members, groups_by_k, tracer=self.tracer, metrics=None
+                    self._members,
+                    self._groups,
+                    levels=self._levels,
+                    tracer=self.tracer,
+                    metrics=None,
                 )
         return self._hierarchy
 
@@ -391,9 +400,7 @@ class CPMSession:
             insertions=len(delta.insertions),
             deletions=len(delta.deletions),
         ) as span:
-            old_covers = self._covers_cache
-            if old_covers is None:
-                old_covers = self._covers_snapshot()
+            old_hierarchy = self.hierarchy
             old_max = self.max_clique_size
             born = retired = 0
             k_aff = 0
@@ -418,12 +425,15 @@ class CPMSession:
                 self._repercolate(recompute, new_max)
             self._hierarchy = None
             with self.tracer.span("incr.diff") as diff_span:
-                new_covers = self._covers_snapshot()
-                self._covers_cache = new_covers
+                new_hierarchy = self.hierarchy
                 changes: list = []
                 for k in affected:
                     changes.extend(
-                        diff_covers(k, old_covers.get(k, ()), new_covers.get(k, ()))
+                        diff_covers(
+                            k,
+                            _cover_members(old_hierarchy, k),
+                            _cover_members(new_hierarchy, k),
+                        )
                     )
                 diff_span.set("changes", len(changes))
             update = CPMUpdate(
@@ -458,15 +468,6 @@ class CPMSession:
         )
         return update
 
-    def _covers_snapshot(self) -> dict[int, tuple[frozenset, ...]]:
-        """Member sets per order, in canonical cover order."""
-        hierarchy = self.hierarchy
-        if hierarchy is None:
-            return {}
-        return {
-            k: tuple(c.members for c in hierarchy[k]) for k in hierarchy
-        }
-
     def _insert_edge(self, u: Hashable, v: Hashable) -> tuple[int, int, int]:
         """Insert one edge; returns (born, retired, max affected size)."""
         self.graph.add_edge(u, v)
@@ -481,10 +482,7 @@ class CPMSession:
             self._retire(cid)
         common = nu & nv
         if common:
-            born = [
-                clique | {u, v}
-                for clique in local_maximal_cliques(self.graph, common, kernel=self.kernel)
-            ]
+            born = [clique | {u, v} for clique in local_maximal_cliques(self.graph, common)]
         else:
             born = [frozenset((u, v))]
         for clique in born:
@@ -537,6 +535,7 @@ class CPMSession:
         self._next_id += 1
         members = self._members
         members[cid] = clique
+        self._stale_nodes.update(clique)
         size = len(clique)
         if size >= 3:
             counts: Counter[int] = Counter()
@@ -550,11 +549,12 @@ class CPMSession:
             for other, overlap in counts.items():
                 if overlap >= 2:
                     k_act = min(overlap + 1, size, len(members[other]))
-                    pair_kact[(other, cid)] = k_act
+                    pair = (other, cid)
+                    pair_kact[pair] = k_act
                     arr = wire.get(k_act)
                     if arr is None:
                         arr = wire[k_act] = array("q")
-                    slots[(other, cid)] = len(arr)
+                    slots[pair] = len(arr)
                     arr.append((other << _WIRE_SHIFT) | cid)
         else:
             for node in clique:
@@ -564,6 +564,7 @@ class CPMSession:
     def _retire(self, cid: int) -> frozenset:
         """Remove a clique from the members, index and pair state."""
         clique = self._members.pop(cid)
+        self._stale_nodes.update(clique)
         cohabitants: set[int] = set()
         index = self._index
         for node in clique:
@@ -595,36 +596,55 @@ class CPMSession:
         above the new maximum clique size are dropped.  The persistent
         wire buckets are reused as-is — stable ids are the union-find
         positions, so no per-apply remapping or re-packing of the
-        ~10^5 retained pairs happens; only the order-2 chains (which
-        depend on the mutable node index) are rebuilt.  The sweep is
+        ~10^5 retained pairs happens; only the order-2 chains of touched
+        nodes are re-packed (:meth:`_node_chains`).  The sweep is
         the same :func:`~repro.core.percolation.percolate_wire` the
         batch pipeline uses, with explicit per-order eligible-id lists
         instead of prefix counts (stable ids are not size-sorted).
         """
         for k in [k for k in self._groups if k > new_max]:
             del self._groups[k]
+            self._levels.pop(k, None)
         orders = sorted(orders, reverse=True)
         if not orders or not self._members:
             return
         members = self._members
         ids = sorted(members, key=lambda c: (-len(members[c]), c))
         sizes = [len(members[c]) for c in ids]
-        shift = _WIRE_SHIFT
-        chains = chain_pairs(map(sorted, self._index.values()), shift)
+        chains = self._node_chains()
         wire = OverlapWire(
             n_cliques=self._next_id,
-            shift=shift,
+            shift=_WIRE_SHIFT,
             n_pairs=len(self._pair_kact),
-            n_chain_pairs=len(chains),
+            n_chain_pairs=len(chains) // 8,
             buckets={
                 k_act: arr.tobytes() for k_act, arr in self._wire.items() if arr
             },
-            chains=chains.tobytes(),
+            chains=chains,
         )
         eligibles = [ids[: prefix_count(sizes, k)] for k in orders]
-        groups_by_order, _stats = percolate_wire(self.kernel, orders, eligibles, wire)
+        groups_by_order, _stats = percolate_wire(orders, eligibles, wire)
         for k, groups in groups_by_order.items():
             self._groups[k] = [sorted(group) for group in groups]
+            self._levels.pop(k, None)
+
+    def _node_chains(self) -> bytes:
+        """The packed order-2 chains of every node's clique bucket.
+
+        Each node's chain words are cached and re-packed only when an
+        admission or retirement touched its bucket since the last
+        sweep; chain order across nodes does not matter to the sweep.
+        """
+        chains = self._chains
+        index = self._index
+        for node in self._stale_nodes:
+            bucket = index.get(node)
+            if bucket is None:
+                chains.pop(node, None)
+            else:
+                chains[node] = chain_pairs([sorted(bucket)], _WIRE_SHIFT).tobytes()
+        self._stale_nodes.clear()
+        return b"".join(chains.values())
 
     # ------------------------------------------------------------------
     # Persistence
@@ -673,7 +693,9 @@ class CPMSession:
     ) -> "CPMSession":
         """Rebuild a session from a persisted payload (no recompute)."""
         session = cls.__new__(cls)
-        session.kernel = payload["kernel"]
+        # The saved state is kernel-independent, so a session saved under
+        # a retired kernel ("bitset", "set") reopens on the session kernel.
+        session.kernel = SESSION_KERNELS[0]
         session.tracer = tracer if tracer is not None else NULL_TRACER
         session.metrics = metrics if metrics is not None else MetricsRegistry()
         session.graph = graph
@@ -683,7 +705,7 @@ class CPMSession:
         session._next_id = payload["next_id"]
         session._applied = payload["applied"]
         session._hierarchy = None
-        session._covers_cache = None
+        session._levels = {}
         session.cache_hit = False
         session.open_seconds = 0.0
         session._build_index()

@@ -12,7 +12,7 @@ the same input?".  It bundles:
 * ``settings`` — the *comparability-critical* subset of the config
   (which kernel, which analysis engine, how many workers): ``repro obs
   diff`` refuses to silently compare manifests whose settings differ,
-  because a bitset-vs-set delta is a kernel change, not a regression;
+  because a blocks-vs-set delta is a kernel change, not a regression;
 * ``versions`` — Python, platform and ``repro`` versions;
 * ``spans`` — the closed spans of the run's :class:`~repro.obs.tracing.
   Tracer` (per-phase wall/CPU/peak-memory);

@@ -41,7 +41,7 @@ class PaperRun:
         dataset: ASDataset,
         *,
         workers: int = 1,
-        kernel: str = "bitset",
+        kernel: str = "blocks",
         shards: int | str = "auto",
         analysis_engine: str = "bitset",
         cache=None,

@@ -152,7 +152,7 @@ class CheckpointStore:
 
     >>> import tempfile
     >>> store = CheckpointStore(tempfile.mkdtemp())
-    >>> store.open(checksum="abc", kernel="bitset", resume=False)
+    >>> store.open(checksum="abc", kernel="blocks", resume=False)
     >>> _ = store.store_phase("percolate", {4: [[0, 1]]})
     >>> store.load_phase("percolate")
     {4: [[0, 1]]}

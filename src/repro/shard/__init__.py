@@ -6,7 +6,7 @@ pool — maximal-clique enumeration — out of
 knob (``run_cpm(..., shards=4)`` / ``--shards auto``) partitions the
 Bron–Kerbosch subtrees across workers while keeping output
 byte-identical to the serial path.  Overlap counting and percolation
-stay serial in the driver for both kernels.  See :mod:`.plan` for the
+stay serial in the driver.  See :mod:`.plan` for the
 partitioning scheme, :mod:`.workers` for the worker-side memory model
 and :mod:`.pipeline` for the reassembly argument; docs/performance.md
 covers when sharding wins (and when it loses at small scale).

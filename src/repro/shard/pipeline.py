@@ -15,8 +15,8 @@ shard plan partitions degeneracy-ordered vertices, workers run the
 same enumerator and return cliques keyed by vertex, and the driver
 reassembles them in global vertex order (the serial emission sequence)
 before the usual stable size-descending sort.  Overlap counting and
-the percolation sweep never come through here: both kernels run them
-serially in the driver.
+the percolation sweep never come through here: they run serially in
+the driver.
 
 The fan-out checkpoints per-task results under the ``shard_enumerate``
 phase of :class:`~repro.runner.checkpoint.CheckpointStore`, so a run
@@ -110,7 +110,7 @@ def _observe_plan(cpm, plan: ShardPlan) -> None:
 # Enumeration
 # ----------------------------------------------------------------------
 def sharded_enumerate_dense(cpm, ckpt: CheckpointStore | None):
-    """Bron–Kerbosch over the CSR snapshot, for both pipeline kernels.
+    """Bron–Kerbosch over the CSR snapshot, for the pipeline.
 
     One shard is a plain in-driver
     :func:`~repro.core.cliques.maximal_cliques_bitset` call over the

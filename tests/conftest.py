@@ -10,10 +10,13 @@ from __future__ import annotations
 import pickle
 import pickletools
 import random
+from array import array
 
 import pytest
 
 from repro.analysis.context import AnalysisContext
+from repro.core.percolation import CliqueOverlapIndex
+from repro.core.unionfind import UnionFind
 from repro.graph import Graph, ring_of_cliques
 from repro.topology.generator import GeneratorConfig, generate_topology
 
@@ -104,3 +107,71 @@ def random_graph(n: int, p: float, seed: int) -> Graph:
     from repro.graph import erdos_renyi
 
     return erdos_renyi(n, p, random.Random(seed))
+
+
+def reference_wire(cliques) -> dict:
+    """The overlap wire's content, rebuilt from the set oracle's overlaps.
+
+    ``cliques`` are the pipeline's size-descending cliques, so the
+    oracle's stable size sort keeps their ids.  Counting is truncated
+    the pipeline's way — only pairs of size >= 3 cliques are counted,
+    overlap-1 pairs are dropped, the rest bucketed at
+    ``k_act = min(o + 1, |A|, |B|)`` — and the k = 2 chains join
+    consecutive ids in each node's clique list.  Returns sorted word
+    lists (``buckets`` per ``k_act``, ``chains``), the ``counted``
+    pairs and the ``pair_updates`` the truncated lists imply.
+    """
+    index = CliqueOverlapIndex([frozenset(clique) for clique in cliques])
+    sizes = index.sizes
+    shift = max(1, len(sizes).bit_length())
+    buckets: dict[int, list[int]] = {}
+    counted = 0
+    for (i, j), o in index.overlaps().items():
+        if sizes[i] < 3 or sizes[j] < 3:
+            continue
+        counted += 1
+        if o >= 2:
+            buckets.setdefault(min(o + 1, sizes[i], sizes[j]), []).append((i << shift) | j)
+    node_index = index.node_index().values()
+    eligible = [sum(sizes[cid] >= 3 for cid in cids) for cids in node_index]
+    return {
+        "shift": shift,
+        "buckets": {k: sorted(words) for k, words in buckets.items()},
+        "chains": sorted(
+            (a << shift) | b for cids in node_index for a, b in zip(cids, cids[1:])
+        ),
+        "counted": counted,
+        "pair_updates": sum(n * (n - 1) // 2 for n in eligible),
+    }
+
+
+def reference_sweep(orders, eligibles, wire) -> tuple[dict[int, list[list[int]]], int]:
+    """:func:`~repro.core.percolation.percolate_wire`'s contract on a
+    :class:`~repro.core.unionfind.UnionFind`.
+
+    Walking ``orders`` downward, each bucket with ``k_act >= k`` is
+    merged once and the chains join at k = 2; each order's groups are
+    snapshotted over its eligible ids (a prefix count or an explicit
+    list), members in the order given, groups largest first with ties
+    by first member.  Returns ``(groups_by_order, merges)``.
+    """
+    uf = UnionFind(range(wire.n_cliques))
+    shift, mask = wire.shift, (1 << wire.shift) - 1
+    pending = sorted(wire.buckets, reverse=True)
+    result = {}
+    for k, eligible in zip(orders, eligibles):
+        blobs = []
+        while pending and pending[0] >= k:
+            blobs.append(wire.buckets[pending.pop(0)])
+        if k == 2:
+            blobs.append(wire.chains)
+        for blob in blobs:
+            for word in array("q", blob):
+                uf.union(word >> shift, word & mask)
+        members = range(eligible) if isinstance(eligible, int) else eligible
+        by_root: dict = {}
+        for member in members:
+            by_root.setdefault(uf.find(member), []).append(member)
+        result[k] = sorted(by_root.values(), key=len, reverse=True)
+    merges = wire.n_cliques - len({uf.find(i) for i in range(wire.n_cliques)})
+    return result, merges

@@ -42,7 +42,7 @@ class TestRunCpm:
 
     def test_stats_populated(self, result):
         assert result.stats.n_cliques >= 4
-        assert result.stats.kernel == "bitset"
+        assert result.stats.kernel == "blocks"
         assert result.degraded is False
 
     def test_kernel_validation(self, graph):
@@ -115,7 +115,7 @@ class TestResultPersistence:
         path = tmp_path / "result.json"
         save_result(result, path)
         document = json.loads(path.read_text(encoding="utf-8"))
-        assert document["stats"]["kernel"] == "bitset"
+        assert document["stats"]["kernel"] == "blocks"
 
     def test_to_dict_is_versioned(self, result):
         from repro.api import RESULT_SCHEMA_VERSION

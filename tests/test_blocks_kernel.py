@@ -1,24 +1,22 @@
-"""The blocks kernel's own seams: guard, auto-selection, wire, CLI.
+"""The production kernel's own seams: kernel names, wire, CLI.
 
 Cross-kernel *output* equivalence lives in
 ``tests/test_kernels_equivalence.py`` / ``tests/test_query.py``; this
 module pins everything around the kernel:
 
-* the optional-dependency guard (``repro.core._blocks_compat``) and the
-  documented degradation — ``--kernel auto`` falls back to ``bitset``
-  and an explicit ``--kernel blocks`` exits 2 with an install hint on a
-  numpy-less install (simulated by monkeypatching ``HAVE_NUMPY``, so
-  both legs run regardless of which CI matrix cell executes them);
+* the kernel table, ``auto`` resolution, and the named error every
+  entry point (API and CLI) gives a retired kernel name;
 * the snapshot's lazy big-int rows against its CSR arrays, bit for
   bit, and that no CPM run builds them (only the analysis sweep does);
 * the enumerator's emission sequence, tuple for tuple, against digests
   recorded before its subtrees moved onto local rows, and against the
   same recursion over un-indexed graph-width rows;
-* enumeration without numpy: a ``numpy``-blocked interpreter produces
-  the same hierarchy as this one;
-* the vectorized overlap counter against the sharded reference at the
-  wire level (same buckets as multisets, same chains);
-* the min-label percolation sweep against the incremental union-find,
+* enumeration without numpy: a ``numpy``-blocked interpreter emits the
+  same cliques as this one;
+* the numpy overlap counter against a reference built from the set
+  oracle's overlaps, and its wire bytes against digests recorded
+  before the pure-Python counter was deleted;
+* the min-label percolation sweep against a union-find reference,
   group for group;
 * the resolved kernel + numpy version stamped into manifest settings,
   and the ``obs diff`` kernel-mismatch warning.
@@ -33,30 +31,23 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from repro.core import _blocks_compat
-from repro.core._blocks_compat import (
-    HAVE_NUMPY,
-    BlocksUnavailableError,
-    numpy_version,
-    require_numpy,
-)
-from repro.api import run_cpm
-from repro.core.blocks import count_overlaps_blocks
+from repro.api import open_session, run_cpm
+from repro.cli import main
 from repro.core.cliques import maximal_cliques_bitset
 from repro.core.lightweight import KERNELS, LightweightParallelCPM, resolve_kernel
-from repro.core.overlap import count_overlaps_bitset
+from repro.core.overlap import count_overlaps
 from repro.core.percolation import percolate_wire
-from repro.core.serialize import hierarchy_to_dict
+from repro.graph import CSRGraph, Graph, ring_of_cliques
+from repro.incremental import CPMSession
+from repro.obs.inspect import diff_manifests
 from repro.shard.pipeline import sharded_enumerate_dense
 from repro.shard.plan import prefix_count
-from repro.graph import CSRGraph, Graph, ring_of_cliques
-from repro.obs.inspect import diff_manifests
+from repro.topology.generator import GeneratorConfig, generate_topology
 
-from .conftest import random_graph
-
-needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="blocks kernel needs numpy")
+from .conftest import random_graph, reference_sweep, reference_wire
 
 
 @pytest.fixture(scope="module")
@@ -68,46 +59,50 @@ def saved_dataset(tmp_path_factory, tiny_dataset):
 
 class TestGuard:
     def test_kernels_table_lists_blocks(self):
-        assert KERNELS == ("bitset", "blocks", "set")
+        assert KERNELS == ("blocks", "set")
 
-    @needs_numpy
-    def test_require_numpy_returns_the_module(self):
-        np = require_numpy("test")
-        assert np.__name__ == "numpy"
-        assert numpy_version() == np.__version__
-
-    def test_missing_numpy_raises_value_error_with_hint(self, monkeypatch):
-        monkeypatch.setattr(_blocks_compat, "HAVE_NUMPY", False)
-        with pytest.raises(BlocksUnavailableError, match=r"\[perf\]"):
-            require_numpy("kernel 'blocks'")
-        assert issubclass(BlocksUnavailableError, ValueError)
-        assert numpy_version() is None
-
-    @needs_numpy
     def test_auto_resolves_to_blocks(self):
         assert resolve_kernel("auto") == "blocks"
-
-    def test_auto_degrades_to_bitset_without_numpy(self, monkeypatch):
-        monkeypatch.setattr(_blocks_compat, "HAVE_NUMPY", False)
-        assert resolve_kernel("auto") == "bitset"
-
-    def test_explicit_blocks_without_numpy_raises(self, monkeypatch):
-        monkeypatch.setattr(_blocks_compat, "HAVE_NUMPY", False)
-        with pytest.raises(BlocksUnavailableError, match="numpy"):
-            resolve_kernel("blocks")
-        with pytest.raises(BlocksUnavailableError, match="numpy"):
-            LightweightParallelCPM(ring_of_cliques(3, 4), kernel="blocks")
 
     def test_unknown_kernel_still_rejected(self):
         with pytest.raises(ValueError, match="kernel must be one of"):
             resolve_kernel("turbo")
 
-    @needs_numpy
     def test_auto_runs_and_records_resolved_kernel(self):
         cpm = LightweightParallelCPM(ring_of_cliques(3, 4), kernel="auto")
         assert cpm.kernel == "blocks"
         cpm.run()
         assert cpm.stats.kernel == "blocks"
+
+
+#: A retired kernel name at every entry point: the call that must fail.
+RETIRED_KERNEL_CALLS = {
+    "run_cpm-bitset": lambda graph: run_cpm(graph, kernel="bitset"),
+    "open_session-bitset": lambda graph: open_session(graph, kernel="bitset"),
+    "CPMSession-set": lambda graph: CPMSession(graph, kernel="set"),
+    "cli-communities-bitset": ["communities", "{tmp}/ds", "--kernel", "bitset"],
+    "cli-session-open-bitset": ["session", "open", "{tmp}/ds", "{tmp}/s", "--kernel", "bitset"],
+    "cli-session-open-set": ["session", "open", "{tmp}/ds", "{tmp}/s", "--kernel", "set"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(RETIRED_KERNEL_CALLS))
+def test_retired_kernel_gets_a_named_error(case, tmp_path, capsys):
+    """Every entry point refuses a kernel it no longer runs with the one
+    validator's error, which names ``blocks``; the CLI exits 2 with it."""
+    call = RETIRED_KERNEL_CALLS[case]
+    retired = case.rsplit("-", 1)[1]
+    if callable(call):
+        with pytest.raises(ValueError, match="blocks") as info:
+            call(ring_of_cliques(3, 4))
+        message = str(info.value)
+    else:
+        with pytest.raises(SystemExit) as info:
+            main([arg.format(tmp=tmp_path) for arg in call])
+        assert info.value.code == 2
+        message = capsys.readouterr().err
+        assert "Traceback" not in message
+    assert f"got {retired!r}" in message and "'blocks'" in message
 
 
 class TestBlockMatrix:
@@ -128,11 +123,9 @@ class TestBlockMatrix:
         from repro.core.tree import CommunityTree
 
         graph = ring_of_cliques(3, 4)
-        kernels = ("bitset", "blocks") if HAVE_NUMPY else ("bitset",)
-        for kernel in kernels:
-            for shards in (1, 2):
-                result = run_cpm(graph, kernel=kernel, workers=shards, shards=shards)
-                assert result.csr._bitsets is None, (kernel, shards)
+        for shards in (1, 2):
+            result = run_cpm(graph, workers=shards, shards=shards)
+            assert result.csr._bitsets is None, shards
         csr = result.csr
         MetricsEngine(result.hierarchy, CommunityTree(result.hierarchy), graph, csr=csr).rows()
         assert csr._bitsets is not None
@@ -284,27 +277,25 @@ class TestReindex:
 
 
 _NO_NUMPY_RUN = """
-import hashlib, json, random, sys
+import hashlib, random, sys
 sys.modules["numpy"] = None
-from repro.api import run_cpm
-from repro.core._blocks_compat import HAVE_NUMPY
-from repro.core.serialize import hierarchy_to_dict
+from repro.core.lightweight import LightweightParallelCPM
 from repro.graph import erdos_renyi
-assert not HAVE_NUMPY
+from repro.shard.pipeline import sharded_enumerate_dense
 graph = erdos_renyi(60, 0.3, random.Random(23))
 for shards in (1, 2):
-    result = run_cpm(graph, kernel="bitset", workers=shards, shards=shards)
-    document = json.dumps(hierarchy_to_dict(result.hierarchy), sort_keys=True)
-    print(hashlib.blake2b(document.encode(), digest_size=16).hexdigest())
+    cpm = LightweightParallelCPM(graph, workers=shards, shards=shards)
+    dense, _cliques = sharded_enumerate_dense(cpm, None)
+    print(hashlib.blake2b(repr(dense).encode(), digest_size=16).hexdigest())
 """
 
 
 def test_enumeration_never_needs_numpy():
-    """One enumeration path: a numpy-blocked interpreter emits the same
-    hierarchy at shards 1 and 2 as this process does."""
-    result = run_cpm(random_graph(60, 0.3, seed=23), kernel="bitset")
-    document = json.dumps(hierarchy_to_dict(result.hierarchy), sort_keys=True)
-    expected = hashlib.blake2b(document.encode(), digest_size=16).hexdigest()
+    """The enumerator is pure Python: a numpy-blocked interpreter emits
+    the same cliques at shards 1 and 2 as this process does."""
+    cpm = LightweightParallelCPM(random_graph(60, 0.3, seed=23))
+    dense, _cliques = sharded_enumerate_dense(cpm, None)
+    expected = _digest(dense)
     src = str(Path(__file__).resolve().parents[1] / "src")
     proc = subprocess.run(
         [sys.executable, "-c", _NO_NUMPY_RUN],
@@ -317,91 +308,79 @@ def test_enumeration_never_needs_numpy():
     assert proc.stdout.split() == [expected, expected]
 
 
-def _counter_args(dense):
-    """The overlap counters' arguments for size-descending dense cliques."""
+def _pipeline_wire(graph):
+    """The pipeline's cliques and their overlap wire."""
+    dense, cliques = sharded_enumerate_dense(LightweightParallelCPM(graph), None)
     sizes = [len(c) for c in dense]
-    return dense, sizes, prefix_count(sizes, 3), max(1, len(sizes).bit_length())
+    return dense, cliques, count_overlaps(dense, sizes, max(1, len(sizes).bit_length()))
 
 
-@needs_numpy
+def _words(blob: bytes) -> list[int]:
+    return np.sort(np.frombuffer(blob, dtype="<i8")).tolist()
+
+
 class TestWireEquivalence:
-    """The vectorized overlap/percolation stages vs the references."""
-
-    def _wires(self, graph):
-        fast = LightweightParallelCPM(graph, kernel="blocks")
-        ref = LightweightParallelCPM(graph, kernel="bitset")
-        hierarchies = (fast.run(), ref.run())
-        return fast, ref, hierarchies
+    """The numpy overlap/percolation passes vs the references."""
 
     @pytest.mark.parametrize("seed", [11, 23])
     def test_overlap_wire_matches_reference(self, seed):
-        import numpy as np
-
         graph = random_graph(55, 0.25, seed=seed)
-        cpm = LightweightParallelCPM(graph, kernel="blocks")
-        dense, _cliques = sharded_enumerate_dense(cpm, None)
-        args = _counter_args(dense)
-        fast_wire, fast_counted, fast_stats = count_overlaps_blocks(*args)
-        ref_wire, ref_counted, ref_stats = count_overlaps_bitset(*args)
-        assert fast_stats.keys() - {"batches"} == ref_stats.keys()
-        assert fast_counted == ref_counted
-        assert fast_wire.n_cliques == ref_wire.n_cliques
-        assert fast_wire.shift == ref_wire.shift
-        assert fast_wire.n_pairs == ref_wire.n_pairs
-        assert sorted(fast_wire.buckets) == sorted(ref_wire.buckets)
-        for k in ref_wire.buckets:
-            fast_words = np.sort(np.frombuffer(fast_wire.buckets[k], dtype="<i8"))
-            ref_words = np.sort(np.frombuffer(ref_wire.buckets[k], dtype="<i8"))
-            assert np.array_equal(fast_words, ref_words)
-        fast_chains = np.sort(np.frombuffer(fast_wire.chains, dtype="<i8"))
-        ref_chains = np.sort(np.frombuffer(ref_wire.chains, dtype="<i8"))
-        assert np.array_equal(fast_chains, ref_chains)
+        dense, cliques, (wire, counted, stats) = _pipeline_wire(graph)
+        reference = reference_wire(cliques)
+        assert reference["buckets"], "the graph should count some pairs"
+        assert counted == reference["counted"]
+        assert stats["pair_updates"] == reference["pair_updates"]
+        assert wire.n_cliques == len(dense)
+        assert wire.shift == reference["shift"]
+        assert {k: _words(blob) for k, blob in wire.buckets.items()} == reference["buckets"]
+        assert wire.n_pairs == sum(map(len, reference["buckets"].values()))
+        assert _words(wire.chains) == reference["chains"]
+        assert wire.n_chain_pairs == len(reference["chains"])
 
     @pytest.mark.parametrize("seed", [5, 23])
     def test_percolation_groups_match_union_find(self, seed):
         graph = random_graph(50, 0.3, seed=seed)
-        cpm = LightweightParallelCPM(graph, kernel="bitset")
-        dense, _cliques = sharded_enumerate_dense(cpm, None)
+        dense, _cliques, (wire, _, _) = _pipeline_wire(graph)
         sizes = [len(c) for c in dense]
-        wire, _, _ = count_overlaps_bitset(*_counter_args(dense))
         orders = list(range(max(sizes), 1, -1))
         eligibles = [prefix_count(sizes, k) for k in orders]
-        fast, fast_stats = percolate_wire("blocks", orders, eligibles, wire)
-        ref, ref_stats = percolate_wire("bitset", orders, eligibles, wire)
-        assert fast == ref
-        assert fast_stats["union_merges"] == ref_stats["union_merges"]
-        assert fast_stats["orders"] == ref_stats["orders"]
+        groups, stats = percolate_wire(orders, eligibles, wire)
+        expected, merges = reference_sweep(orders, eligibles, wire)
+        assert groups == expected
+        assert stats["union_merges"] == merges
+        assert stats["orders"] == len(orders)
+
+    #: profile -> (n_cliques, shift, n_pairs, n_chain_pairs, counted,
+    #: blake2b-128 of the bucket and chain bytes), recorded (seed 42)
+    #: while the pure-Python counter still wrote the same wire.
+    RECORDED = {
+        "tiny": (745, 10, 19754, 2549, 39999, "dcffd936d69d5a690066c470b9afe4e1"),
+        "default": (4612, 13, 132518, 12776, 380232, "e60fff5ab4b81d45e3a689d2cf1f4bc8"),
+    }
+
+    @pytest.mark.parametrize("profile", sorted(RECORDED))
+    def test_wire_bytes_match_recorded(self, profile):
+        graph = generate_topology(getattr(GeneratorConfig, profile)(), seed=42).graph
+        _dense, _cliques, (wire, counted, _stats) = _pipeline_wire(graph)
+        digest = hashlib.blake2b(digest_size=16)
+        for k in sorted(wire.buckets):
+            blob = wire.buckets[k]
+            digest.update(k.to_bytes(8, "little") + len(blob).to_bytes(8, "little") + blob)
+        digest.update(wire.chains)
+        assert (
+            wire.n_cliques, wire.shift, wire.n_pairs, wire.n_chain_pairs, counted,
+            digest.hexdigest(),
+        ) == self.RECORDED[profile]
 
 
 class TestCLI:
-    def test_blocks_without_numpy_exits_2(self, saved_dataset, monkeypatch, capsys):
-        from repro.cli import main
-
-        monkeypatch.setattr(_blocks_compat, "HAVE_NUMPY", False)
-        code = main(["communities", saved_dataset, "--kernel", "blocks"])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:")
-        assert "numpy" in err and "[perf]" in err
-
-    def test_auto_without_numpy_runs_on_bitset(self, saved_dataset, monkeypatch, capsys):
-        from repro.cli import main
-
-        monkeypatch.setattr(_blocks_compat, "HAVE_NUMPY", False)
-        assert main(["communities", saved_dataset, "--kernel", "auto", "--max-k", "4"]) == 0
-
-    @needs_numpy
     def test_blocks_kernel_end_to_end(self, saved_dataset, capsys):
-        from repro.cli import main
-
         assert main(["communities", saved_dataset, "--kernel", "blocks", "--max-k", "4"]) == 0
         assert "k=4" in capsys.readouterr().out
 
     def test_manifest_records_resolved_kernel_and_numpy(
         self, saved_dataset, tmp_path, capsys
     ):
-        from repro.cli import main
-
         manifest_path = tmp_path / "manifest.json"
         code = main(
             [
@@ -417,32 +396,8 @@ class TestCLI:
         )
         assert code == 0
         settings = json.loads(manifest_path.read_text())["settings"]
-        assert settings["kernel"] == ("blocks" if HAVE_NUMPY else "bitset")
-        assert settings["numpy"] == numpy_version()
-
-    def test_manifest_records_bitset_and_null_without_numpy(
-        self, saved_dataset, tmp_path, monkeypatch, capsys
-    ):
-        from repro.cli import main
-
-        monkeypatch.setattr(_blocks_compat, "HAVE_NUMPY", False)
-        manifest_path = tmp_path / "manifest.json"
-        code = main(
-            [
-                "communities",
-                saved_dataset,
-                "--kernel",
-                "auto",
-                "--max-k",
-                "4",
-                "--metrics",
-                str(manifest_path),
-            ]
-        )
-        assert code == 0
-        settings = json.loads(manifest_path.read_text())["settings"]
-        assert settings["kernel"] == "bitset"
-        assert settings["numpy"] is None
+        assert settings["kernel"] == "blocks"
+        assert settings["numpy"] == np.__version__
 
 
 class TestObsDiff:

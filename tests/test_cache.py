@@ -16,7 +16,6 @@ import pytest
 
 from repro.api import run_cpm
 from repro.core import CliqueCache
-from repro.core._blocks_compat import HAVE_NUMPY
 from repro.core.cache import default_cache_dir
 from repro.core.lightweight import LightweightParallelCPM
 from repro.core.serialize import hierarchy_to_dict
@@ -35,13 +34,8 @@ from .conftest import (
     random_graph,
 )
 
-#: The pipeline kernels that take a cache, blocks skipped without numpy.
-CACHE_KERNELS = [
-    "bitset",
-    pytest.param(
-        "blocks", marks=pytest.mark.skipif(not HAVE_NUMPY, reason="blocks kernel needs numpy")
-    ),
-]
+#: The pipeline kernels that take a cache.
+CACHE_KERNELS = ["blocks"]
 
 
 def _signature(hierarchy):
@@ -51,7 +45,7 @@ def _signature(hierarchy):
     }
 
 
-def _run(graph, cache, kernel="bitset", workers=1):
+def _run(graph, cache, kernel="blocks", workers=1):
     tracer = Tracer()
     metrics = MetricsRegistry()
     cpm = LightweightParallelCPM(
@@ -65,37 +59,37 @@ def _run(graph, cache, kernel="bitset", workers=1):
 class TestCliqueCacheStore:
     def test_round_trip(self, tmp_path):
         cache = CliqueCache(tmp_path)
-        assert cache.load("deadbeef", "bitset") is None
-        cache.store("deadbeef", "bitset", {"answer": 42})
-        assert cache.load("deadbeef", "bitset") == {"answer": 42}
-        entry = cache.entry("deadbeef", "bitset")
+        assert cache.load("deadbeef", "blocks") is None
+        cache.store("deadbeef", "blocks", {"answer": 42})
+        assert cache.load("deadbeef", "blocks") == {"answer": 42}
+        entry = cache.entry("deadbeef", "blocks")
         assert entry.load_phase("overlap") == {"answer": 42}
         assert entry.meta()["checksum"] == "deadbeef"
 
     def test_kernel_and_schema_partition_the_key(self, tmp_path):
         cache = CliqueCache(tmp_path)
-        cache.store("abc", "bitset", 1)
+        cache.store("abc", "blocks", 1)
         assert cache.load("abc", "set") is None
-        entry = cache.entry("abc", "bitset")
+        entry = cache.entry("abc", "blocks")
         assert f"v{CHECKPOINT_SCHEMA_VERSION}" in entry.root.name
         # An entry whose META names an older schema is a miss.
         meta = entry.meta()
         entry.meta_path.write_text(json.dumps({**meta, "schema": 1}), encoding="utf-8")
-        assert cache.load("abc", "bitset") is None
+        assert cache.load("abc", "blocks") is None
 
     def test_torn_entry_is_a_miss(self, tmp_path):
         cache = CliqueCache(tmp_path)
-        path = cache.store("abc", "bitset", [1, 2, 3])
+        path = cache.store("abc", "blocks", [1, 2, 3])
         path.write_bytes(path.read_bytes()[:-4])
-        assert cache.load("abc", "bitset") is None
+        assert cache.load("abc", "blocks") is None
 
     @pytest.mark.parametrize("blob", UNREADABLE_PICKLES)
     def test_unreadable_entry_is_a_miss(self, tmp_path, blob):
         cache = CliqueCache(tmp_path)
-        entry = cache.entry("abc", "bitset")
-        entry.open(checksum="abc", kernel="bitset", resume=False)
+        entry = cache.entry("abc", "blocks")
+        entry.open(checksum="abc", kernel="blocks", resume=False)
         entry.phase_path("overlap").write_bytes(CORRUPT_PICKLES[blob])
-        assert cache.load("abc", "bitset") is None
+        assert cache.load("abc", "blocks") is None
 
     def test_env_var_overrides_location(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "alt"))
@@ -104,7 +98,7 @@ class TestCliqueCacheStore:
 
 
 class TestCachedRuns:
-    @pytest.mark.parametrize("kernel", ["bitset", "set"])
+    @pytest.mark.parametrize("kernel", ["blocks", "set"])
     def test_second_run_skips_enumeration_and_overlap(self, tmp_path, kernel):
         graph = ring_of_cliques(4, 5)
         cache = CliqueCache(tmp_path)
@@ -149,6 +143,24 @@ class TestCachedRuns:
         assert _signature(fresh) == _signature(cached)
         assert fresh.parent_labels == cached.parent_labels
 
+    def test_retired_kernel_entry_is_a_miss(self, tmp_path):
+        """An entry an earlier release filed under the pure-Python
+        ``bitset`` kernel (``cpm-v<schema>-bitset-<checksum>``) is never
+        probed: the run counts a miss and files its own entry."""
+        graph = ring_of_cliques(4, 5)
+        cache = CliqueCache(tmp_path)
+        _run(graph, cache)
+        checksum = graph_fingerprint(graph)["checksum"]
+        payload = cache.load(checksum, "blocks")
+        shutil.rmtree(cache.entry(checksum, "blocks").root)
+        cache.store(checksum, "bitset", payload)
+        hierarchy, cpm, _, metrics = _run(graph, cache)
+        counters = metrics.to_dict()["counters"]
+        assert not cpm.stats.cache_hit
+        assert counters["cache.misses"] == 1 and "cache.hits" not in counters
+        assert _signature(hierarchy) == _signature(_run(graph, None)[0])
+        assert cache.load(checksum, "blocks") is not None
+
     def test_different_graphs_do_not_collide(self, tmp_path):
         cache = CliqueCache(tmp_path)
         _run(ring_of_cliques(4, 5), cache)
@@ -175,7 +187,7 @@ class TestWrongShapeEntry:
     def _planted(tmp_path, graph, blob):
         cache = CliqueCache(tmp_path)
         checksum = graph_fingerprint(graph)["checksum"]
-        cache.store(checksum, "bitset", pickle.loads(CORRUPT_PICKLES[blob]))
+        cache.store(checksum, "blocks", pickle.loads(CORRUPT_PICKLES[blob]))
         return cache
 
     def test_run_cpm_misses_and_repairs(self, tmp_path, blob):

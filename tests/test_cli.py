@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -169,11 +171,15 @@ class TestCheckpointFlags:
         base = ["communities", saved_dataset, "--max-k", "4", "--checkpoint-dir", str(ckpt)]
         assert main(base) == 0
         capsys.readouterr()
-        # Same directory, different kernel: META no longer matches.
-        assert main(base + ["--resume", "--kernel", "blocks"]) == 2
+        # The directory as an earlier release's default kernel left it:
+        # its META names 'bitset', which no longer runs.
+        meta = json.loads((ckpt / "META.json").read_text(encoding="utf-8"))
+        (ckpt / "META.json").write_text(json.dumps({**meta, "kernel": "bitset"}))
+        assert main(base + ["--resume"]) == 2
         err = capsys.readouterr().err
         assert "error:" in err
         assert "refusing to resume" in err
+        assert "kernel='bitset'" in err and "kernel='blocks'" in err
 
     @pytest.mark.parametrize(
         "flags, reason",

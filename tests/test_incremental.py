@@ -4,8 +4,8 @@ The load-bearing guarantee of :mod:`repro.incremental` is that a
 session advanced by edge deltas is indistinguishable — hierarchy,
 community tree, query artifact, byte for byte — from re-running the
 batch pipeline on the mutated graph.  The fuzz tests here drive random
-insert/delete batches against every kernel and check exactly that
-after every batch.
+insert/delete batches through a session and check exactly that after
+every batch.
 """
 
 import json
@@ -29,18 +29,13 @@ from repro.incremental import (
     diff_covers,
     load_session,
 )
+from repro.obs.manifest import graph_fingerprint
 from repro.runner.checkpoint import CheckpointError, CheckpointMismatchError, CheckpointStore
 
-from .conftest import CORRUPT_PICKLES, WRONG_SHAPE_PICKLES, flip_stored_byte
+from .conftest import CORRUPT_PICKLES, WRONG_SHAPE_PICKLES, flip_stored_byte, reference_sweep
 
-try:
-    import numpy  # noqa: F401
-
-    HAVE_NUMPY = True
-except ImportError:
-    HAVE_NUMPY = False
-
-KERNELS = ["set", "bitset"] + (["blocks"] if HAVE_NUMPY else [])
+#: The kernels a session runs on.
+KERNELS = ["blocks"]
 
 
 def hierarchy_bytes(hierarchy) -> bytes:
@@ -215,13 +210,6 @@ class TestSessionBasics:
     def test_reuses_run_cpm_clique_cache(self, tmp_path, kernel):
         graph = ring_of_cliques(4, 5)
         cache = CliqueCache(tmp_path)
-        if kernel == "set":
-            # The serial reference oracle takes no cache, in the batch
-            # run and in the session alike.
-            for build in (run_cpm, CPMSession):
-                with pytest.raises(ValueError, match="serial reference oracle"):
-                    build(graph, kernel=kernel, cache=cache)
-            return
         fresh = run_cpm(graph, kernel=kernel, cache=cache)
         session = CPMSession(graph, kernel=kernel, cache=cache)
         assert session.cache_hit
@@ -300,6 +288,36 @@ class TestDeltaFuzz:
                 == build_query_artifact(fresh, oracle).to_bytes()
             )
 
+    def test_batches_below_the_top_order_reuse_its_levels(self):
+        """Deltas away from a 5-clique leave its top order as built.
+
+        Each batch re-sweeps only the orders up to its largest affected
+        clique, so the 5-clique's order keeps its cover object while
+        every parent link re-resolves into the rebuilt lower orders (on
+        this seed a reused order's parents move to new labels); the
+        hierarchy must still match run_cpm after every batch.
+        """
+        rng = random.Random(15)
+        graph = random_graph(30, 0.2, seed=4)
+        core = range(30, 35)
+        graph.add_edges_from((u, v) for u in core for v in core if u < v)
+        graph.add_edges_from([(30, 0), (31, 0), (32, 1), (30, 1)])
+        session = CPMSession(graph)
+        oracle = graph.copy()
+        reused = 0
+        for _ in range(8):
+            before = session.hierarchy
+            delta = random_delta(oracle.subgraph(range(30)), rng, n_ins=3, n_del=2)
+            update = session.apply(delta)
+            apply_to_graph(oracle, delta)
+            assert hierarchy_bytes(session.result().hierarchy) == fresh_bytes(
+                oracle, "blocks"
+            )
+            if max(update.affected_orders, default=0) < 5:
+                assert session.hierarchy[5] is before[5]
+                reused += 1
+        assert reused
+
     def test_deletion_only_and_insertion_only_batches(self):
         graph = ring_of_cliques(5, 5)
         session = CPMSession(graph)
@@ -310,7 +328,7 @@ class TestDeltaFuzz:
             session.apply(delta)
             apply_to_graph(oracle, delta)
             assert hierarchy_bytes(session.result().hierarchy) == fresh_bytes(
-                oracle, "bitset"
+                oracle, "blocks"
             )
 
 
@@ -362,16 +380,13 @@ class TestPairState:
         assert not miss.cache_hit
         assert session_pairs(miss) == expected
         delta = random_delta(graph, random.Random(5))
-        if kernel != "set":  # the oracle kernel takes no cache
-            cache = CliqueCache(tmp_path)
-            run_cpm(graph, kernel=kernel, cache=cache)
-            hit = CPMSession(graph, kernel=kernel, cache=cache)
-            assert hit.cache_hit
-            assert session_pairs(hit) == expected
-            assert hit.apply(delta) == miss.apply(delta)
-            assert session_pairs(hit) == session_pairs(miss)
-        else:
-            miss.apply(delta)
+        cache = CliqueCache(tmp_path)
+        run_cpm(graph, kernel=kernel, cache=cache)
+        hit = CPMSession(graph, kernel=kernel, cache=cache)
+        assert hit.cache_hit
+        assert session_pairs(hit) == expected
+        assert hit.apply(delta) == miss.apply(delta)
+        assert session_pairs(hit) == session_pairs(miss)
         mutated = graph.copy()
         apply_to_graph(mutated, delta)
         assert session_pairs(miss) == oracle_pairs(mutated)
@@ -396,13 +411,42 @@ class TestPersistence:
             session.result().hierarchy
         )
 
+    @pytest.mark.parametrize("retired", ["bitset", "set"])
+    def test_session_saved_under_a_retired_kernel_loads(self, tmp_path, retired):
+        """Earlier releases saved sessions under the pure-Python
+        ``bitset`` kernel (their default) and the ``set`` oracle, with
+        the kernel in the payload and in the META tag; the state itself
+        is kernel-independent, so such a session loads on ``blocks``,
+        applies deltas and still matches a fresh ``run_cpm``."""
+        graph = ring_of_cliques(5, 5)
+        CPMSession(graph).save(tmp_path / "sess")
+        payload = CheckpointStore(tmp_path / "sess").load_phase("session")
+        old = CheckpointStore(tmp_path / "old")
+        old.open(
+            checksum=graph_fingerprint(graph)["checksum"],
+            kernel=f"session:{retired}",
+            resume=False,
+        )
+        old.store_phase("session", {**payload, "kernel": retired})
+        loaded = load_session(tmp_path / "old")
+        assert loaded.kernel == "blocks"
+        oracle = graph.copy()
+        rng = random.Random(11)
+        for _ in range(2):
+            delta = random_delta(oracle, rng)
+            loaded.apply(delta)
+            apply_to_graph(oracle, delta)
+            assert hierarchy_bytes(loaded.result().hierarchy) == fresh_bytes(oracle, "blocks")
+        loaded.save(tmp_path / "old")
+        assert CheckpointStore(tmp_path / "old").meta()["kernel"] == "session:blocks"
+
     def test_missing_directory_fails_cleanly(self, tmp_path):
         with pytest.raises(CheckpointError, match="META.json is missing"):
             load_session(tmp_path / "nothing")
 
     def test_pipeline_checkpoint_is_rejected(self, tmp_path):
         store = CheckpointStore(tmp_path / "ckpt")
-        store.open(checksum="abc", kernel="bitset", resume=False)
+        store.open(checksum="abc", kernel="blocks", resume=False)
         with pytest.raises(CheckpointError, match="pipeline checkpoint"):
             load_session(tmp_path / "ckpt")
 
@@ -463,7 +507,7 @@ class TestFacade:
         session = open_session(graph)
         assert isinstance(session, CPMSession)
         assert hierarchy_bytes(session.result().hierarchy) == fresh_bytes(
-            graph, "bitset"
+            graph, "blocks"
         )
 
     def test_open_session_from_result(self):
@@ -625,13 +669,14 @@ class TestQueryBuildGuard:
 
 
 class TestBlocksSweepParity:
-    """percolate_wire's numpy backend is a drop-in twin of the union-find.
+    """percolate_wire's numpy sweep agrees with a union-find reference.
 
-    The session's blocks path re-sweeps its persistent wire with the
-    vectorised backend instead of the union-find; this fuzz feeds both
-    backends identical random wires — prefix *and* explicit-id eligible
-    forms, arbitrary member orderings — and requires exactly equal
-    group lists at every order (sizes, members, ordering, tie-breaks).
+    The session re-sweeps its persistent wire with the same numpy pass
+    as the batch pipeline; this fuzz feeds it and the union-find
+    reference identical random wires — prefix *and* explicit-id
+    eligible forms, arbitrary member orderings — and requires exactly
+    equal group lists at every order (sizes, members, ordering,
+    tie-breaks).
     """
 
     @staticmethod
@@ -668,7 +713,6 @@ class TestBlocksSweepParity:
         )
         return wire, max_k
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="blocks kernel needs numpy")
     @pytest.mark.parametrize("seed", range(8))
     def test_random_wires_explicit_ids(self, seed):
         from repro.core.percolation import percolate_wire
@@ -685,12 +729,11 @@ class TestBlocksSweepParity:
         for _ in orders:
             ids = rng.sample(range(n_cliques), rng.randint(0, n_cliques))
             eligibles.append(ids)
-        expected, expected_stats = percolate_wire("bitset", orders, eligibles, wire)
-        actual, actual_stats = percolate_wire("blocks", orders, eligibles, wire)
+        expected, merges = reference_sweep(orders, eligibles, wire)
+        actual, actual_stats = percolate_wire(orders, eligibles, wire)
         assert actual == expected
-        assert actual_stats["union_merges"] == expected_stats["union_merges"]
+        assert actual_stats["union_merges"] == merges
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="blocks kernel needs numpy")
     @pytest.mark.parametrize("seed", range(8))
     def test_random_wires_prefix_counts(self, seed):
         from repro.core.percolation import percolate_wire
@@ -701,7 +744,7 @@ class TestBlocksSweepParity:
         orders = sorted(rng.sample(range(2, max_k + 2), rng.randint(1, max_k)),
                         reverse=True)
         eligibles = [rng.randint(0, n_cliques) for _ in orders]
-        expected, expected_stats = percolate_wire("bitset", orders, eligibles, wire)
-        actual, actual_stats = percolate_wire("blocks", orders, eligibles, wire)
+        expected, merges = reference_sweep(orders, eligibles, wire)
+        actual, actual_stats = percolate_wire(orders, eligibles, wire)
         assert actual == expected
-        assert actual_stats["union_merges"] == expected_stats["union_merges"]
+        assert actual_stats["union_merges"] == merges

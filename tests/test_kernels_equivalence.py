@@ -1,32 +1,33 @@
-"""Cross-kernel equivalence: the fast paths vs the references.
+"""Cross-kernel equivalence: the production kernel vs the references.
 
-The acceptance gate of the fast paths: on every test graph, the bitset
-and blocks kernels must produce *exactly* what the set-based reference
-produces — the same maximal cliques, the same k range, the same member
-sets per order, and the same parent labels — with the fast kernels
-under both ``workers=1`` and ``workers=4`` (the set oracle is serial).  All kernels are also checked against the executable
-specification (``k_cliques`` percolated directly), and the array-backed
-union-find against the dict-backed one, group for group.
-
-The ``blocks`` legs need numpy (the ``[perf]`` extra) and are skipped
-cleanly without it — the no-numpy CI leg instead asserts the guard
-behaviour (``tests/test_blocks_kernel.py``).
+The acceptance gate of the pipeline: on every test graph, the blocks
+kernel must produce *exactly* what the set-based reference produces —
+the same maximal cliques, the same k range, the same member sets per
+order, and the same parent labels — under both ``workers=1`` and
+``workers=4`` (the set oracle is serial).  Both kernels are also
+checked against the executable specification (``k_cliques`` percolated
+directly), and the numpy percolation sweep against a union-find
+reference, group for group.
 """
 
 import random
+from array import array
 
 import pytest
 
-from repro.core import IntUnionFind, UnionFind
-from repro.core._blocks_compat import HAVE_NUMPY
 from repro.core.cliques import maximal_cliques, maximal_cliques_bitset
 from repro.core.lightweight import LightweightParallelCPM
-from repro.core.percolation import extract_hierarchy, k_clique_communities_direct
+from repro.core.overlap import OverlapWire
+from repro.core.percolation import (
+    extract_hierarchy,
+    k_clique_communities_direct,
+    percolate_wire,
+)
 from repro.graph import CSRGraph, ring_of_cliques
 from repro.shard.pipeline import sharded_enumerate_dense
 from repro.shard.plan import prefix_count
 
-from .conftest import random_graph
+from .conftest import random_graph, reference_sweep
 
 GRAPHS = {
     "ring-4x5": lambda: ring_of_cliques(4, 5),
@@ -36,17 +37,9 @@ GRAPHS = {
     "gnp-dense": lambda: random_graph(35, 0.5, seed=5),
 }
 
-needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="blocks kernel needs numpy")
-
-#: The non-reference kernels, each verified against the set oracle.
-FAST_KERNELS = [
-    pytest.param("bitset", id="bitset"),
-    pytest.param("blocks", id="blocks", marks=needs_numpy),
-]
-ALL_KERNELS = [
-    pytest.param("set", id="set"),
-    *FAST_KERNELS,
-]
+#: The production kernel, verified against the set oracle.
+FAST_KERNELS = ["blocks"]
+ALL_KERNELS = ["set", *FAST_KERNELS]
 
 
 def _signature(hierarchy):
@@ -67,21 +60,20 @@ def graph(request):
 
 class TestCliqueEnumeration:
     def test_bitset_enumerates_the_same_cliques(self, graph):
-        """Same maximal cliques (as label sets) from both kernels."""
+        """Same maximal cliques (as label sets) from the integer
+        enumerator as from the set-based one."""
         reference = {c for c in maximal_cliques(graph, min_size=2)}
         csr = CSRGraph.from_graph(graph)
         dense = maximal_cliques_bitset(csr, min_size=2)
         fast = {frozenset(csr.to_labels(clique)) for clique in dense}
         assert fast == reference
 
-    @needs_numpy
     def test_blocks_enumerates_the_same_cliques(self, graph):
         """The blocks kernel's enumerate phase agrees too, in the driver
         and fanned out over two shards.
 
-        Both kernels share the one integer enumerator; this reaches it
-        through the pipeline phase (snapshot, shard plan, label mapping)
-        rather than a direct call.
+        This reaches the integer enumerator through the pipeline phase
+        (snapshot, shard plan, label mapping) rather than a direct call.
         """
         reference = {c for c in maximal_cliques(graph, min_size=2)}
         for shards in (1, 2):
@@ -100,7 +92,6 @@ class TestCliqueEnumeration:
             }
             assert fast == reference
 
-    @needs_numpy
     def test_blocks_min_size_filter_agrees(self, graph):
         """The pipeline's size filter — the prefix of the size-descending
         clique list that each order ``k`` percolates — keeps exactly the
@@ -169,7 +160,7 @@ class TestDefinitionOracle:
 
 
 class TestUnionFindEquivalence:
-    """IntUnionFind vs UnionFind over clique-percolation-shaped input."""
+    """The numpy percolation sweep vs a union-find over the same pairs."""
 
     def test_group_for_group_on_overlap_streams(self):
         rng = random.Random(4242)
@@ -179,9 +170,14 @@ class TestUnionFindEquivalence:
                 tuple(sorted(rng.sample(range(n), 2)))
                 for _ in range(rng.randrange(3 * n))
             ]
-            fast = IntUnionFind(n)
-            reference = UnionFind(range(n))
-            for i, j in pairs:
-                fast.union(i, j)
-                reference.union(i, j)
-            assert fast.groups() == [sorted(g) for g in reference.groups()]
+            shift = max(1, n.bit_length())
+            words = array("q", [(i << shift) | j for i, j in pairs])
+            wire = OverlapWire(
+                n_cliques=n,
+                shift=shift,
+                n_pairs=len(words),
+                n_chain_pairs=0,
+                buckets={3: words.tobytes()} if words else {},
+            )
+            groups, stats = percolate_wire([3], [n], wire)
+            assert (groups, stats["union_merges"]) == reference_sweep([3], [n], wire)

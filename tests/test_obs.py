@@ -22,7 +22,6 @@ from array import array
 import pytest
 
 from repro.cli import main
-from repro.core._blocks_compat import HAVE_NUMPY
 from repro.core.lightweight import LightweightParallelCPM
 from repro.core.overlap import OverlapWire
 from repro.core.percolation import percolate_wire
@@ -246,13 +245,12 @@ class TestInstrumentedRun:
         "cpm.run",
         "cpm.enumerate",
         "cpm.overlap",
-        "cpm.overlap.index",
         "cpm.percolate",
         "cpm.hierarchy",
         "hierarchy.build",
     }
 
-    def _run(self, graph, workers, kernel="bitset"):
+    def _run(self, graph, workers, kernel="blocks"):
         tracer = Tracer()
         metrics = MetricsRegistry()
         cpm = LightweightParallelCPM(
@@ -262,7 +260,7 @@ class TestInstrumentedRun:
         tracer.close()
         return hierarchy, tracer, metrics
 
-    @pytest.mark.parametrize("kernel", ["bitset", "set"])
+    @pytest.mark.parametrize("kernel", ["blocks", "set"])
     def test_worker_count_is_invisible(self, ring_graph, kernel):
         runs = [self._run(ring_graph, 1, kernel)]
         if kernel == "set":
@@ -272,10 +270,13 @@ class TestInstrumentedRun:
         else:
             runs.append(self._run(ring_graph, 2, kernel))
         h1 = runs[0][0]
+        # The overlap counter's own span: the numpy pass, or the
+        # oracle's inverted-index build.
+        counter = "cpm.overlap.index" if kernel == "set" else "cpm.blocks.count"
         for hierarchy, tracer, metrics in runs:
             assert _hierarchy_signature(hierarchy) == _hierarchy_signature(h1)
             assert hierarchy.parent_labels == h1.parent_labels
-            assert self.EXPECTED_SPANS <= {r.name for r in tracer.records}
+            assert self.EXPECTED_SPANS | {counter} <= {r.name for r in tracer.records}
             counters = metrics.to_dict()["counters"]
             # 4 pentagons + 4 connecting-edge cliques.
             assert counters["cliques.enumerated"] == 8
@@ -292,13 +293,13 @@ class TestInstrumentedRun:
             assert counters["hierarchy.communities"] > 0
 
     def test_kernels_emit_identical_hierarchies(self, ring_graph):
-        hb, _, _ = self._run(ring_graph, 1, "bitset")
+        hb, _, _ = self._run(ring_graph, 1, "blocks")
         hs, _, _ = self._run(ring_graph, 1, "set")
         assert _hierarchy_signature(hb) == _hierarchy_signature(hs)
         assert hb.parent_labels == hs.parent_labels
 
     def test_run_span_records_kernel(self, ring_graph):
-        for kernel in ("bitset", "set"):
+        for kernel in ("blocks", "set"):
             _, tracer, _ = self._run(ring_graph, 1, kernel)
             run_record = next(r for r in tracer.records if r.name == "cpm.run")
             assert run_record.attrs["kernel"] == kernel
@@ -329,10 +330,6 @@ def _wire(sizes, pairs):
         buckets={k: array("q", words).tobytes() for k, words in buckets.items()},
         chains=array("q", chains).tobytes(),
     )
-
-
-#: Both percolate_wire backends, 'blocks' only where numpy is installed.
-SWEEP_KERNELS = ["bitset"] + (["blocks"] if HAVE_NUMPY else [])
 
 
 class TestPercolatePrefilter:
@@ -370,22 +367,20 @@ class TestPercolatePrefilter:
 
         orders = [5, 4, 3]
         eligibles = [sum(1 for s in sizes if s >= k) for k in orders]
-        for kernel in SWEEP_KERNELS:
-            result, stats = percolate_wire(kernel, orders, eligibles, _wire(sizes, pairs))
-            for order in orders:
-                assert sorted(sorted(g) for g in result[order]) == reference(order)
-            # Orders >= 3 never reach the k=2 chains: the two overlap-1
-            # pairs are skipped.
-            assert stats["skipped_pairs"] == 2
-            assert stats["pairs_in"] == len(pairs)
+        result, stats = percolate_wire(orders, eligibles, _wire(sizes, pairs))
+        for order in orders:
+            assert sorted(sorted(g) for g in result[order]) == reference(order)
+        # Orders >= 3 never reach the k=2 chains: the two overlap-1
+        # pairs are skipped.
+        assert stats["skipped_pairs"] == 2
+        assert stats["pairs_in"] == len(pairs)
 
     def test_low_order_batch_skips_nothing(self):
         sizes = [3, 3]
         pairs = [(0, 1, 1)]
-        for kernel in SWEEP_KERNELS:
-            result, stats = percolate_wire(kernel, [2], [2], _wire(sizes, pairs))
-            assert stats["skipped_pairs"] == 0
-            assert result[2] == [[0, 1]]
+        result, stats = percolate_wire([2], [2], _wire(sizes, pairs))
+        assert stats["skipped_pairs"] == 0
+        assert result[2] == [[0, 1]]
 
 
 class TestCLIObservability:
@@ -551,13 +546,13 @@ class TestWorkerTelemetryContext:
 
 
 class TestWorkerAttribution:
-    @pytest.mark.parametrize("kernel", ["bitset", "set"])
+    @pytest.mark.parametrize("kernel", ["blocks", "set"])
     def test_parallel_run_ships_worker_spans(self, ring_graph, kernel):
         tracer = Tracer()
         metrics = MetricsRegistry()
         if kernel == "set":
             # The serial oracle has no pool to ship spans from: it
-            # refuses workers by name (bitset below covers attribution).
+            # refuses workers by name (blocks below covers attribution).
             with pytest.raises(ValueError, match="serial reference oracle"):
                 LightweightParallelCPM(ring_graph, workers=2, kernel=kernel)
             return

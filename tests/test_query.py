@@ -48,7 +48,7 @@ from repro.query import (
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def cpm_result(tiny_dataset):
-    return run_cpm(tiny_dataset.graph, k_range=(3, None), kernel="bitset")
+    return run_cpm(tiny_dataset.graph, k_range=(3, None))
 
 
 @pytest.fixture(scope="module")
@@ -106,19 +106,14 @@ class TestBuild:
         assert artifact.fingerprint == graph_fingerprint(tiny_dataset.graph)
 
     def test_kernels_build_identical_bytes(self, tiny_dataset):
-        """All kernels freeze into byte-identical artifacts.
+        """Both kernels freeze into byte-identical artifacts.
 
-        The set oracle anchors the comparison; the bitset and (when
-        numpy is installed) blocks kernels must reproduce its artifact
-        byte for byte — hierarchy, tree, metric table and all.  The
-        blocks kernel's hierarchy is swept by the bitset engine, as
-        every non-oracle run is.
+        The set oracle (swept by the set analysis engine) anchors the
+        comparison; the blocks kernel, swept by the bitset engine as
+        every non-oracle run is, must reproduce its artifact byte for
+        byte — hierarchy, tree, metric table and all.
         """
-        from repro.core._blocks_compat import HAVE_NUMPY
-
-        legs = [("set", "set"), ("bitset", "bitset")]
-        if HAVE_NUMPY:
-            legs.append(("blocks", "bitset"))
+        legs = [("set", "set"), ("blocks", "bitset")]
         blobs = {}
         for kernel, engine in legs:
             result = run_cpm(tiny_dataset.graph, k_range=(3, None), kernel=kernel)

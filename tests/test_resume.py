@@ -15,7 +15,6 @@ import pickle
 
 import pytest
 
-from repro.core._blocks_compat import HAVE_NUMPY
 from repro.core.lightweight import KERNELS, LightweightParallelCPM
 from repro.core.serialize import hierarchy_to_dict
 from repro.graph import ring_of_cliques
@@ -23,19 +22,11 @@ from repro.runner import CheckpointStore, FaultPlan, InjectedFault
 
 from .conftest import CORRUPT_PICKLES, WRONG_SHAPE_PICKLES, flip_stored_byte
 
-#: Every kernel, with 'blocks' skipped on numpy-less installs.
-KERNEL_PARAMS = [
-    pytest.param(
-        kernel,
-        marks=pytest.mark.skipif(
-            kernel == "blocks" and not HAVE_NUMPY, reason="blocks kernel needs numpy"
-        ),
-    )
-    for kernel in KERNELS
-]
+#: Every kernel.
+KERNEL_PARAMS = list(KERNELS)
 
 #: The kernels that take a checkpoint (the set oracle does not).
-PIPELINE_PARAMS = [p for p in KERNEL_PARAMS if p.values[0] != "set"]
+PIPELINE_PARAMS = [kernel for kernel in KERNELS if kernel != "set"]
 
 
 @pytest.fixture(scope="module")
@@ -45,11 +36,10 @@ def graph():
 
 @pytest.fixture(scope="module")
 def baselines(graph):
-    """Uninterrupted-run documents, one per available kernel."""
+    """Uninterrupted-run documents, one per kernel."""
     return {
         kernel: hierarchy_to_dict(LightweightParallelCPM(graph, kernel=kernel).run())
         for kernel in KERNELS
-        if kernel != "blocks" or HAVE_NUMPY
     }
 
 
@@ -177,24 +167,24 @@ class TestCheckpointHygiene:
     def test_resume_without_checkpoint_content_recomputes(self, graph, baselines, tmp_path):
         store = CheckpointStore(tmp_path / "empty")
         cpm = LightweightParallelCPM(graph, checkpoint=store, resume=True)
-        assert hierarchy_to_dict(cpm.run()) == baselines["bitset"]
+        assert hierarchy_to_dict(cpm.run()) == baselines["blocks"]
         assert cpm.stats.resumed_phases == ()
 
     def test_fresh_run_ignores_stale_checkpoint(self, graph, baselines, tmp_path):
         """Without resume=True an old checkpoint is cleared, not reused."""
         store = CheckpointStore(tmp_path / "ckpt")
-        store.open(checksum="stale", kernel="bitset", resume=False)
+        store.open(checksum="stale", kernel="blocks", resume=False)
         store.store_phase("enumerate", {"dense": [], "cliques": [], "n_nodes": 0})
         cpm = LightweightParallelCPM(graph, checkpoint=store)
-        assert hierarchy_to_dict(cpm.run()) == baselines["bitset"]
+        assert hierarchy_to_dict(cpm.run()) == baselines["blocks"]
         assert cpm.stats.resumed_phases == ()
 
     def test_torn_overlap_checkpoint_recomputed_on_resume(self, graph, baselines, tmp_path):
         store = CheckpointStore(tmp_path / "ckpt")
-        _interrupt_then_resume(graph, "bitset", tmp_path, "overlap")
+        _interrupt_then_resume(graph, "blocks", tmp_path, "overlap")
         store.phase_path("overlap").write_bytes(b"\x80\x04 torn mid-write")
         resumed = LightweightParallelCPM(graph, checkpoint=store, resume=True)
-        assert hierarchy_to_dict(resumed.run()) == baselines["bitset"]
+        assert hierarchy_to_dict(resumed.run()) == baselines["blocks"]
         assert "overlap" not in resumed.stats.resumed_phases
         assert "enumerate" in resumed.stats.resumed_phases
 
@@ -205,10 +195,10 @@ class TestCheckpointHygiene:
     ):
         """A phase file that unpickles to the wrong shape is not done."""
         store = CheckpointStore(tmp_path / "ckpt")
-        _interrupt_then_resume(graph, "bitset", tmp_path, "percolate")
+        _interrupt_then_resume(graph, "blocks", tmp_path, "percolate")
         store.store_phase(phase, pickle.loads(CORRUPT_PICKLES[blob]))
         resumed = LightweightParallelCPM(graph, checkpoint=store, resume=True)
-        assert hierarchy_to_dict(resumed.run()) == baselines["bitset"]
+        assert hierarchy_to_dict(resumed.run()) == baselines["blocks"]
         assert phase not in resumed.stats.resumed_phases
 
     @pytest.mark.parametrize("blob", WRONG_SHAPE_PICKLES)
@@ -216,11 +206,11 @@ class TestCheckpointHygiene:
         self, graph, baselines, tmp_path, blob
     ):
         store = CheckpointStore(tmp_path / "ckpt")
-        _interrupt_then_resume(graph, "bitset", tmp_path, "percolate", shards=2)
+        _interrupt_then_resume(graph, "blocks", tmp_path, "percolate", shards=2)
         store.phase_path("enumerate").unlink()
         store.store_phase("shard_enumerate", pickle.loads(CORRUPT_PICKLES[blob]))
         resumed = LightweightParallelCPM(graph, shards=2, checkpoint=store, resume=True)
-        assert hierarchy_to_dict(resumed.run()) == baselines["bitset"]
+        assert hierarchy_to_dict(resumed.run()) == baselines["blocks"]
         assert resumed.stats.resumed_phases == ("overlap", "percolate")
 
     @pytest.mark.parametrize("phase", ["shard_enumerate", "enumerate", "overlap", "percolate"])
@@ -228,12 +218,12 @@ class TestCheckpointHygiene:
         """A phase file with one flipped bit still unpickles to a
         well-shaped payload; its frame digest fails, so it is not done."""
         store = CheckpointStore(tmp_path / "ckpt")
-        _interrupt_then_resume(graph, "bitset", tmp_path, "percolate", shards=2)
+        _interrupt_then_resume(graph, "blocks", tmp_path, "percolate", shards=2)
         if phase == "shard_enumerate":
             store.phase_path("enumerate").unlink()
         flip_stored_byte(store.phase_path(phase), store.load_phase(phase))
         resumed = LightweightParallelCPM(graph, shards=2, checkpoint=store, resume=True)
-        assert hierarchy_to_dict(resumed.run()) == baselines["bitset"]
+        assert hierarchy_to_dict(resumed.run()) == baselines["blocks"]
         assert phase not in resumed.stats.resumed_phases
         clean = LightweightParallelCPM(graph)
         clean.run()

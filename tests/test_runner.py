@@ -135,7 +135,7 @@ class TestFaultPlanFiring:
 class TestCheckpointStore:
     def test_round_trip(self, tmp_path):
         store = CheckpointStore(tmp_path)
-        store.open(checksum="abc", kernel="bitset", resume=False)
+        store.open(checksum="abc", kernel="blocks", resume=False)
         assert not store.has_phase("percolate")
         store.store_phase("percolate", {4: [[0, 1]]})
         assert store.has_phase("percolate")
@@ -152,76 +152,76 @@ class TestCheckpointStore:
 
     def test_resume_accepts_matching_meta(self, tmp_path):
         store = CheckpointStore(tmp_path)
-        store.open(checksum="abc", kernel="bitset", resume=False)
+        store.open(checksum="abc", kernel="blocks", resume=False)
         store.store_phase("enumerate", {"cliques": []})
         again = CheckpointStore(tmp_path)
-        again.open(checksum="abc", kernel="bitset", resume=True)
+        again.open(checksum="abc", kernel="blocks", resume=True)
         assert again.has_phase("enumerate")  # content preserved
 
     def test_resume_rejects_checksum_mismatch(self, tmp_path):
         store = CheckpointStore(tmp_path)
-        store.open(checksum="abc", kernel="bitset", resume=False)
+        store.open(checksum="abc", kernel="blocks", resume=False)
         with pytest.raises(CheckpointMismatchError, match="checksum"):
-            CheckpointStore(tmp_path).open(checksum="xyz", kernel="bitset", resume=True)
+            CheckpointStore(tmp_path).open(checksum="xyz", kernel="blocks", resume=True)
 
     def test_resume_rejects_kernel_mismatch(self, tmp_path):
         store = CheckpointStore(tmp_path)
-        store.open(checksum="abc", kernel="bitset", resume=False)
+        store.open(checksum="abc", kernel="blocks", resume=False)
         with pytest.raises(CheckpointMismatchError, match="kernel"):
             CheckpointStore(tmp_path).open(checksum="abc", kernel="set", resume=True)
 
     def test_resume_on_empty_dir_starts_fresh(self, tmp_path):
         store = CheckpointStore(tmp_path / "new")
-        store.open(checksum="abc", kernel="bitset", resume=True)
+        store.open(checksum="abc", kernel="blocks", resume=True)
         assert store.meta_path.exists()
 
     def test_non_resume_clears_previous_content(self, tmp_path):
         store = CheckpointStore(tmp_path)
-        store.open(checksum="abc", kernel="bitset", resume=False)
+        store.open(checksum="abc", kernel="blocks", resume=False)
         store.store_phase("percolate", {2: []})
-        store.open(checksum="other", kernel="bitset", resume=False)
+        store.open(checksum="other", kernel="blocks", resume=False)
         assert not store.has_phase("percolate")
 
     def test_torn_phase_file_reads_as_missing(self, tmp_path):
         store = CheckpointStore(tmp_path)
-        store.open(checksum="abc", kernel="bitset", resume=False)
+        store.open(checksum="abc", kernel="blocks", resume=False)
         store.phase_path("overlap").write_bytes(b"\x80\x04 torn")
         assert store.load_phase("overlap") is None
 
     @pytest.mark.parametrize("blob", UNREADABLE_PICKLES)
     def test_unreadable_phase_file_reads_as_missing(self, tmp_path, blob):
         store = CheckpointStore(tmp_path)
-        store.open(checksum="abc", kernel="bitset", resume=False)
+        store.open(checksum="abc", kernel="blocks", resume=False)
         store.phase_path("overlap").write_bytes(CORRUPT_PICKLES[blob])
         assert store.load_phase("overlap") is None
 
     def test_flipped_byte_reads_as_missing(self, tmp_path):
         """A bit flip that still unpickles fails the frame digest."""
         store = CheckpointStore(tmp_path)
-        store.open(checksum="abc", kernel="bitset", resume=False)
+        store.open(checksum="abc", kernel="blocks", resume=False)
         store.store_phase("percolate", {4: [[0, 1]]})
         flip_stored_byte(store.phase_path("percolate"), {4: [[0, 1]]})
         assert store.load_phase("percolate") is None
 
     def test_holds_checks_identity_read_only(self, tmp_path):
         store = CheckpointStore(tmp_path / "entry")
-        assert not store.holds(checksum="abc", kernel="bitset")
-        assert not store.root.exists()
-        store.open(checksum="abc", kernel="bitset", resume=False)
-        assert store.holds(checksum="abc", kernel="bitset")
-        assert not store.holds(checksum="xyz", kernel="bitset")
         assert not store.holds(checksum="abc", kernel="blocks")
+        assert not store.root.exists()
+        store.open(checksum="abc", kernel="blocks", resume=False)
+        assert store.holds(checksum="abc", kernel="blocks")
+        assert not store.holds(checksum="xyz", kernel="blocks")
+        assert not store.holds(checksum="abc", kernel="set")
         store.meta_path.write_text("[]", encoding="utf-8")
-        assert not store.holds(checksum="abc", kernel="bitset")
+        assert not store.holds(checksum="abc", kernel="blocks")
 
     def test_corrupt_meta_raises_on_resume(self, tmp_path):
         store = CheckpointStore(tmp_path)
-        store.open(checksum="abc", kernel="bitset", resume=False)
+        store.open(checksum="abc", kernel="blocks", resume=False)
         store.meta_path.write_text("{not json", encoding="utf-8")
         with pytest.raises(CheckpointMismatchError, match="unreadable"):
-            CheckpointStore(tmp_path).open(checksum="abc", kernel="bitset", resume=True)
+            CheckpointStore(tmp_path).open(checksum="abc", kernel="blocks", resume=True)
         # ...but a fresh (non-resume) open recovers by clearing.
-        CheckpointStore(tmp_path).open(checksum="abc", kernel="bitset", resume=False)
+        CheckpointStore(tmp_path).open(checksum="abc", kernel="blocks", resume=False)
 
     def test_unknown_phase_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="unknown checkpoint phase"):

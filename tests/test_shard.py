@@ -17,7 +17,6 @@ import json
 import pytest
 
 from repro.api import build_query_artifact, run_cpm
-from repro.core._blocks_compat import HAVE_NUMPY
 from repro.core.lightweight import KERNELS, LightweightParallelCPM
 from repro.core.serialize import hierarchy_to_dict
 from repro.core.tree import CommunityTree
@@ -29,15 +28,10 @@ from repro.shard import ShardPlan, plan_shards, resolve_shards
 
 from .conftest import random_graph
 
-needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="blocks kernel needs numpy")
-
-#: Every kernel, with 'blocks' skipped on numpy-less installs.
-KERNEL_PARAMS = [
-    pytest.param(kernel, marks=needs_numpy if kernel == "blocks" else ())
-    for kernel in KERNELS
-]
-#: The integer kernels: the ones that take workers and shards.
-INTEGER_KERNELS = [param for param in KERNEL_PARAMS if param.values[0] != "set"]
+#: Every kernel.
+KERNEL_PARAMS = list(KERNELS)
+#: The pipeline kernels: the ones that take workers and shards.
+INTEGER_KERNELS = [kernel for kernel in KERNELS if kernel != "set"]
 
 
 @pytest.fixture(scope="module")
@@ -47,11 +41,10 @@ def graph():
 
 @pytest.fixture(scope="module")
 def baselines(graph):
-    """Serial (shards=1, workers=1) documents, one per available kernel."""
+    """Serial (shards=1, workers=1) documents, one per kernel."""
     return {
         kernel: hierarchy_to_dict(LightweightParallelCPM(graph, kernel=kernel).run())
         for kernel in KERNELS
-        if kernel != "blocks" or HAVE_NUMPY
     }
 
 
@@ -221,9 +214,9 @@ class TestWorkerUtilisation:
     @pytest.mark.parametrize(
         "kernel, shards, workers",
         [
-            pytest.param("blocks", 2, 2, marks=needs_numpy, id="blocks-numpy"),
-            pytest.param("bitset", 1, 2, id="bitset-one-chunk"),
-            pytest.param("bitset", 2, 1, id="bitset-in-driver-shards"),
+            pytest.param("blocks", 2, 2, id="blocks-numpy"),
+            pytest.param("blocks", 1, 2, id="blocks-one-chunk"),
+            pytest.param("blocks", 2, 1, id="blocks-in-driver-shards"),
         ],
     )
     def test_in_driver_counting_reads_above_half(
@@ -245,12 +238,12 @@ class TestDownstreamArtifacts:
     """Tree and query artifact built from a sharded run match serial.
 
     The set oracle cannot shard, so its leg checks the oracle's
-    artifacts against the sharded bitset pipeline's instead.
+    artifacts against the sharded blocks pipeline's instead.
     """
 
     def test_tree_and_artifact_bytes_match(self, graph, kernel):
         serial = run_cpm(graph, kernel=kernel)
-        sharded = run_cpm(graph, kernel="bitset" if kernel == "set" else kernel, shards=4)
+        sharded = run_cpm(graph, kernel="blocks" if kernel == "set" else kernel, shards=4)
         assert CommunityTree(serial.hierarchy).to_dot() == (
             CommunityTree(sharded.hierarchy).to_dot()
         )
@@ -266,7 +259,7 @@ class TestDownstreamArtifacts:
 class TestShardResume:
     def _sharded(self, graph, store, *, resume=False, shards=4):
         return LightweightParallelCPM(
-            graph, kernel="bitset", shards=shards, checkpoint=store, resume=resume
+            graph, kernel="blocks", shards=shards, checkpoint=store, resume=resume
         )
 
     def test_mid_shard_checkpoint_resumes_byte_identical(
@@ -284,7 +277,7 @@ class TestShardResume:
             store.phase_path(phase).unlink(missing_ok=True)
 
         resumed = self._sharded(graph, store, resume=True)
-        assert hierarchy_to_dict(resumed.run()) == baselines["bitset"]
+        assert hierarchy_to_dict(resumed.run()) == baselines["blocks"]
         assert "shard_enumerate" in resumed.stats.resumed_phases
 
     def test_signature_mismatch_discards_partials(self, graph, baselines, tmp_path):
@@ -295,7 +288,7 @@ class TestShardResume:
         for phase in ("enumerate", "overlap", "percolate"):
             store.phase_path(phase).unlink(missing_ok=True)
         resumed = self._sharded(graph, store, resume=True, shards=2)
-        assert hierarchy_to_dict(resumed.run()) == baselines["bitset"]
+        assert hierarchy_to_dict(resumed.run()) == baselines["blocks"]
         assert "shard_enumerate" not in resumed.stats.resumed_phases
 
     def test_serial_and_sharded_share_assembled_checkpoints(
@@ -306,9 +299,9 @@ class TestShardResume:
         store = CheckpointStore(tmp_path / "ckpt")
         self._sharded(graph, store).run()
         resumed = LightweightParallelCPM(
-            graph, kernel="bitset", checkpoint=store, resume=True
+            graph, kernel="blocks", checkpoint=store, resume=True
         )
-        assert hierarchy_to_dict(resumed.run()) == baselines["bitset"]
+        assert hierarchy_to_dict(resumed.run()) == baselines["blocks"]
         assert "enumerate" in resumed.stats.resumed_phases
 
 
@@ -317,9 +310,9 @@ class TestShardFaults:
         """Killing shard 0's worker once heals under retry."""
         plan = FaultPlan.parse("enumerate:shard=0:kill:times=1")
         cpm = LightweightParallelCPM(
-            graph, kernel="bitset", workers=2, shards=4, fault_plan=plan
+            graph, kernel="blocks", workers=2, shards=4, fault_plan=plan
         )
-        assert hierarchy_to_dict(cpm.run()) == baselines["bitset"]
+        assert hierarchy_to_dict(cpm.run()) == baselines["blocks"]
         assert not cpm.stats.degraded
 
     def test_permanent_kill_degrades_byte_identical(self, graph, baselines):
@@ -327,9 +320,9 @@ class TestShardFaults:
         — degraded, but the output does not change."""
         plan = FaultPlan.parse("enumerate:shard=1:kill")
         cpm = LightweightParallelCPM(
-            graph, kernel="bitset", workers=2, shards=4, fault_plan=plan
+            graph, kernel="blocks", workers=2, shards=4, fault_plan=plan
         )
-        assert hierarchy_to_dict(cpm.run()) == baselines["bitset"]
+        assert hierarchy_to_dict(cpm.run()) == baselines["blocks"]
         assert cpm.stats.degraded
 
 

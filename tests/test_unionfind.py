@@ -1,9 +1,6 @@
-"""Unit tests for the disjoint-set forests."""
+"""Unit tests for the disjoint-set forest."""
 
-import random
-from array import array
-
-from repro.core import IntUnionFind, UnionFind
+from repro.core import UnionFind
 
 
 class TestUnionFind:
@@ -57,53 +54,3 @@ class TestUnionFind:
             uf.union(i, i + 1)
         assert uf.connected(0, 1000)
         assert uf.set_size(500) == 1001
-
-
-class TestIntUnionFind:
-    def test_singletons(self):
-        uf = IntUnionFind(3)
-        assert len(uf) == 3
-        assert not uf.connected(0, 2)
-        assert uf.groups() == [[0], [1], [2]]
-
-    def test_union_and_set_size(self):
-        uf = IntUnionFind(5)
-        assert uf.union(0, 3)
-        assert not uf.union(3, 0)
-        uf.union(3, 4)
-        assert uf.connected(0, 4)
-        assert uf.set_size(4) == 3
-        assert uf.set_size(1) == 1
-
-    def test_union_packed_matches_individual_unions(self):
-        rng = random.Random(99)
-        n, shift = 64, 7
-        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(200)]
-        packed = array("q", [(i << shift) | j for i, j in pairs])
-        a = IntUnionFind(n)
-        merges = a.union_packed(packed, shift)
-        b = IntUnionFind(n)
-        assert merges == sum(b.union(i, j) for i, j in pairs)
-        assert a.groups() == b.groups()
-
-    def test_groups_limit_is_prefix_snapshot(self):
-        uf = IntUnionFind(6)
-        uf.union(0, 1)
-        uf.union(4, 5)
-        assert uf.groups(4) == [[0, 1], [2], [3]]
-        assert uf.groups(0) == []
-
-    def test_matches_reference_group_for_group(self):
-        """Same partition, same order as UnionFind over range(n)."""
-        rng = random.Random(7)
-        for trial in range(20):
-            n = rng.randrange(1, 60)
-            pairs = [
-                (rng.randrange(n), rng.randrange(n))
-                for _ in range(rng.randrange(2 * n))
-            ]
-            fast = IntUnionFind(n)
-            reference = UnionFind(range(n))
-            for i, j in pairs:
-                assert fast.union(i, j) == reference.union(i, j)
-            assert fast.groups() == [sorted(g) for g in reference.groups()]
