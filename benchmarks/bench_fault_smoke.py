@@ -75,4 +75,4 @@ def test_fault_smoke_degraded_completion(emit, bench_record):
     # The checkpoint kept pace with the degraded run: every order done.
     persisted = CheckpointStore(CKPT_DIR).load_phase("percolate")
     assert persisted is not None
-    assert sorted(persisted) == list(range(2, faulted.stats.max_clique_size + 1))
+    assert sorted(persisted["groups"]) == list(range(2, faulted.stats.max_clique_size + 1))

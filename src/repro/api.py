@@ -83,14 +83,15 @@ class CPMResult:
     ``csr`` is the degeneracy-ordered :class:`~repro.graph.csr
     .CSRGraph` snapshot the pipeline built during enumeration —
     downstream consumers (the analysis engine) reuse it instead of
-    re-deriving the ordering.  It is ``None`` for the set kernel, for
-    cache-hit runs that never touched the graph, and for results loaded
-    from disk.
+    re-deriving the ordering; ``fingerprint`` is the graph fingerprint
+    a run with a cache or checkpoint computed.  Neither is serialised,
+    and either may be ``None`` (no such run, or a loaded result).
     """
 
     hierarchy: CommunityHierarchy
     stats: CPMRunStats = field(default_factory=CPMRunStats)
     csr: CSRGraph | None = None
+    fingerprint: dict | None = None
 
     def __getitem__(self, k: int) -> CommunityCover:
         """The community cover at order ``k`` (delegates to hierarchy)."""
@@ -204,7 +205,7 @@ def run_cpm(
     byte-identical at every shard count.  The ``"set"`` kernel is the
     serial reference oracle and rejects ``workers``/``shards`` > 1,
     ``cache`` and ``checkpoint`` with a ``ValueError``.  ``cache``
-    memoises enumeration + overlap on disk; ``checkpoint`` (+
+    memoises every phase on disk; ``checkpoint`` (+
     ``resume=True``) persists phase outputs so an interrupted run
     restarts from the last completed phase; ``runner`` tunes the worker
     supervision policy and ``fault_plan`` injects deterministic faults
@@ -230,7 +231,7 @@ def run_cpm(
         metrics=metrics,
     )
     hierarchy = cpm.run(min_k=min_k, max_k=max_k)
-    return CPMResult(hierarchy=hierarchy, stats=cpm.stats, csr=cpm.csr)
+    return CPMResult(hierarchy=hierarchy, stats=cpm.stats, csr=cpm.csr, fingerprint=cpm.fingerprint)
 
 
 # ----------------------------------------------------------------------

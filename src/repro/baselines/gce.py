@@ -38,17 +38,20 @@ class GCEConfig:
     dedupe_eta: float = 0.6
 
 
-def _fitness(graph: Graph, members: set[Hashable], alpha: float) -> float:
-    k_in = 2 * graph.edge_count_within(members)
-    k_out = sum(graph.degree(n) for n in members) - k_in
-    if k_in + k_out == 0:
+def _fitness(k_in: int, degree_sum: int, alpha: float) -> float:
+    """F(S) from k_in(S) and the degree sum of S (k_in + k_out)."""
+    if degree_sum == 0:
         return 0.0
-    return k_in / (k_in + k_out) ** alpha
+    return k_in / degree_sum**alpha
 
 
 def _expand(graph: Graph, seed: frozenset, alpha: float) -> frozenset:
+    """Grow ``seed`` while a frontier node v raises F; k_in and the degree
+    sum run (v adds 2·|N(v) ∩ S| and deg(v)), so no candidate recounts S."""
     members = set(seed)
-    current = _fitness(graph, members, alpha)
+    k_in = 2 * graph.edge_count_within(members)
+    degree_sum = sum(graph.degree(n) for n in members)
+    current = _fitness(k_in, degree_sum, alpha)
     while True:
         frontier: set[Hashable] = set()
         for node in members:
@@ -56,13 +59,17 @@ def _expand(graph: Graph, seed: frozenset, alpha: float) -> frozenset:
         frontier -= members
         best_node, best_fitness = None, current
         for node in frontier:
-            members.add(node)
-            fitness = _fitness(graph, members, alpha)
-            members.remove(node)
+            fitness = _fitness(
+                k_in + 2 * graph.degree_within(node, members),
+                degree_sum + graph.degree(node),
+                alpha,
+            )
             if fitness > best_fitness:
                 best_node, best_fitness = node, fitness
         if best_node is None:
             return frozenset(members)
+        k_in += 2 * graph.degree_within(best_node, members)
+        degree_sum += graph.degree(best_node)
         members.add(best_node)
         current = best_fitness
 

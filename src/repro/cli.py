@@ -15,9 +15,10 @@ graph fingerprint, per-phase wall/CPU/peak-memory, the core counters
 and — at ``--resource-interval`` seconds — a sampled RSS/CPU series) —
 the observability artifacts described in ``docs/observability.md`` —
 plus ``--kernel {auto,blocks,set}`` to pick the CPM kernel and
-``--cache/--no-cache`` to reuse clique/overlap results across runs
-(``docs/performance.md``).  Observability files are flushed even when
-the run fails, so a crashed pipeline still leaves a valid trace.
+``--cache/--no-cache`` to reuse the clique, overlap and percolation
+phases across runs (``docs/performance.md``).  Observability files are
+flushed even when the run fails, so a crashed pipeline still leaves a
+valid trace.
 ``tree``, ``paper`` and ``query build`` also take ``--analysis-engine
 {bitset,set}`` to choose between the one-pass bitset metric engine and
 the set-based reference oracle for the Chapter-4 analyses; both sweep
@@ -132,8 +133,9 @@ def _add_kernel_arguments(
     parser.add_argument(
         "--cache", action=argparse.BooleanOptionalAction, default=False,
         help=(
-            "reuse/store clique+overlap results on disk, keyed by the graph "
-            "fingerprint ($REPRO_CACHE_DIR or ~/.cache/repro); --no-cache disables"
+            "reuse/store the clique, overlap and percolation phases on disk, keyed "
+            "by the graph fingerprint ($REPRO_CACHE_DIR or ~/.cache/repro); a hit "
+            "loads only the phases the run still needs; --no-cache disables"
         ),
     )
 
@@ -266,8 +268,9 @@ def _write_observability(
     failures: the tracer is closed *first* (finalising any spans an
     exception left open), making the flushed trace complete and valid.
     ``fingerprint`` stamps a precomputed graph fingerprint into the
-    manifest for commands that never hold the graph itself (the query
-    family reads it out of the artifact).
+    manifest instead of fingerprinting ``graph`` again: the one a CPM
+    run with a cache or checkpoint computed, or the one the query
+    family reads out of the artifact.
     """
     if monitor is not None:
         monitor.stop()
@@ -288,14 +291,14 @@ def _write_observability(
             config["run_id"] = run_id
         manifest = RunManifest.collect(
             label=f"cli.{args.command}",
-            graph=graph,
+            graph=graph if fingerprint is None else None,
             config=config,
             settings=_run_settings(args),
             tracer=tracer,
             metrics=metrics,
             resources=monitor.series() if monitor is not None else None,
         )
-        if fingerprint is not None and manifest.fingerprint is None:
+        if fingerprint is not None:
             manifest.fingerprint = dict(fingerprint)
         manifest.save(args.metrics)
         print(f"wrote run manifest to {args.metrics}")
@@ -339,6 +342,7 @@ def _cmd_communities(args: argparse.Namespace) -> int:
     runner_kwargs = _make_runner(args)
     dataset = _load_dataset(args.dataset)
     tracer, metrics, monitor = _make_observability(args)
+    result = None
     try:
         result = run_cpm(
             dataset.graph,
@@ -351,10 +355,11 @@ def _cmd_communities(args: argparse.Namespace) -> int:
             **runner_kwargs,
         )
         hierarchy = result.hierarchy
+        loaded = ", ".join(result.stats.resumed_phases)
         if result.stats.cache_hit:
-            print("clique cache: hit (enumeration + overlap skipped)")
-        if result.stats.resumed_phases:
-            print(f"resumed from checkpoint: {', '.join(result.stats.resumed_phases)}")
+            print(f"clique cache: hit (loaded {loaded})")
+        elif loaded and args.resume:
+            print(f"resumed from checkpoint: {loaded}")
         if result.degraded:
             print("warning: run degraded to serial execution for some batches")
         print(f"maximal cliques: {result.stats.n_cliques} (max size {result.stats.max_clique_size})")
@@ -366,7 +371,10 @@ def _cmd_communities(args: argparse.Namespace) -> int:
                     members = ",".join(map(str, sorted(community.members)))
                     print(f"  {community.label} ({community.size}): {members}")
     finally:
-        _write_observability(args, tracer, metrics, graph=dataset.graph, monitor=monitor)
+        _write_observability(
+            args, tracer, metrics, graph=dataset.graph, monitor=monitor,
+            fingerprint=result.fingerprint if result is not None else None,
+        )
     return 0
 
 
@@ -579,7 +587,7 @@ def _cmd_session_open(args: argparse.Namespace) -> int:
         )
         session.save(args.session_dir)
         if session.cache_hit:
-            print("clique cache: hit (enumeration + overlap skipped)")
+            print("clique cache: hit (loaded overlap)")
         print(f"opened session in {args.session_dir}")
         _print_session_status(session)
     finally:
@@ -632,6 +640,7 @@ def _cmd_export(args: argparse.Namespace) -> int:
     runner_kwargs = _make_runner(args)
     dataset = _load_dataset(args.dataset)
     tracer, metrics, monitor = _make_observability(args)
+    result = None
     try:
         result = run_cpm(
             dataset.graph,
@@ -650,7 +659,10 @@ def _cmd_export(args: argparse.Namespace) -> int:
             f"(k in [{hierarchy.min_k}, {hierarchy.max_k}]) to {args.out}"
         )
     finally:
-        _write_observability(args, tracer, metrics, graph=dataset.graph, monitor=monitor)
+        _write_observability(
+            args, tracer, metrics, graph=dataset.graph, monitor=monitor,
+            fingerprint=result.fingerprint if result is not None else None,
+        )
     return 0
 
 

@@ -1,18 +1,21 @@
-"""Persistent on-disk cache for the enumeration + overlap phases.
+"""Persistent on-disk cache of the LP-CPM phases.
 
-Enumerating maximal cliques and counting their overlaps is pure
-function of the graph: the paper burned 93 hours of cluster time on
-it, and every re-run of an analysis over the same topology snapshot
-repeats it verbatim.  The cache memoises those two phases on disk so a
-second run over the same graph goes straight to percolation.
+Enumerating maximal cliques, counting their overlaps and percolating
+every order are pure functions of the graph: the paper burned 93 hours
+of cluster time on them, and every re-run of an analysis over the same
+topology snapshot repeats them verbatim.  The cache memoises the
+phases on disk so a second run over the same graph skips them.
 
 An entry is a checkpoint that outlives its run: a
 :class:`~repro.runner.checkpoint.CheckpointStore` directory
-``cpm-v<schema>-<kernel>-<checksum>/`` holding one ``overlap`` phase,
-keyed by ``CHECKPOINT_SCHEMA_VERSION`` and the BLAKE2b graph
-fingerprint of :func:`repro.obs.manifest.graph_fingerprint`.  It is
+``cpm-v<schema>-<kernel>-<checksum>/`` holding the ``enumerate``,
+``overlap`` and ``percolate`` phases, keyed by
+``CHECKPOINT_SCHEMA_VERSION`` and the BLAKE2b graph fingerprint of
+:func:`repro.obs.manifest.graph_fingerprint`, which the pipeline reads
+and writes as it resumes a checkpoint: a hit is a resume.  An entry is
 trusted only when its META names the probed schema, checksum and
-kernel and its frame digest verifies; anything else is a miss.
+kernel, and each phase only when its frame digest verifies; anything
+else is recomputed and rewritten.
 
 Location: ``$REPRO_CACHE_DIR`` if set, else ``~/.cache/repro``.
 """
@@ -39,7 +42,7 @@ def default_cache_dir() -> Path:
 
 
 class CliqueCache:
-    """Cache of clique/overlap phase results, one checkpoint store per entry.
+    """Cache of LP-CPM phase results, one checkpoint store per entry.
 
     >>> import tempfile
     >>> cache = CliqueCache(tempfile.mkdtemp())
@@ -59,7 +62,7 @@ class CliqueCache:
         return CheckpointStore(self.root / name)
 
     def load(self, checksum: str, kernel: str) -> Any | None:
-        """The stored payload, or None on a miss.
+        """The stored ``overlap`` payload (cliques + wire), or None on a miss.
 
         A missing entry, one whose META names another graph, kernel or
         schema, and a torn or corrupt phase file are all misses; the
@@ -71,7 +74,8 @@ class CliqueCache:
         return entry.load_phase("overlap")
 
     def store(self, checksum: str, kernel: str, payload: Any) -> Path:
-        """Atomically persist ``payload`` for this graph + kernel."""
+        """Atomically persist ``payload`` as this graph + kernel's ``overlap``
+        phase, resetting the entry first."""
         entry = self.entry(checksum, kernel)
         entry.open(checksum=checksum, kernel=kernel, resume=False)
         return entry.store_phase("overlap", payload)

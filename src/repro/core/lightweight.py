@@ -38,18 +38,18 @@ is the only phase a pool speeds up.  ``shards`` defaults to
 ``"auto"`` — one shard per worker — so ``workers=N`` alone runs the
 shard tasks on a pool of N processes.
 
-Passing a :class:`~.cache.CliqueCache` memoises the enumerate +
-overlap phases on disk, keyed by the graph fingerprint: a second run
-over the same graph goes straight to percolation (``cache.hits`` in
-the metrics, ``cache="hit"`` on the ``cpm.run`` span).
-
-Fault tolerance (:mod:`repro.runner`): passing a
-:class:`~repro.runner.checkpoint.CheckpointStore` persists each
-phase's output as it completes (enumeration shard tasks individually,
-and during percolation the accumulated per-order groups), so a run
-interrupted by a crash — of a worker or of the driver — restarts with
-``resume=True`` from the last completed phase and produces a hierarchy
-identical to an uninterrupted run.  The enumeration fan-out runs under a
+One path reads and writes the phases of both stores, a
+:class:`~.cache.CliqueCache` entry keyed by the graph fingerprint (read
+when its META names the run) and a
+:class:`~repro.runner.checkpoint.CheckpointStore` (read when
+``resume=True``): each completed phase is written to both.  A run loads
+the cliques, then the percolated orders, and the overlap wire only if
+an order is still missing, so a cache hit is a resume (``cache.hits``,
+``cache="hit"`` on the ``cpm.run`` span).  Fault tolerance
+(:mod:`repro.runner`): a run interrupted by a crash — of a worker or
+of the driver — restarts with ``resume=True`` from the last completed
+phase and produces a hierarchy identical to an uninterrupted run.  The
+enumeration fan-out runs under a
 :class:`~repro.runner.supervise.PoolSupervisor`: per-round timeouts,
 bounded exponential-backoff retry, pool resurrection after worker
 death, and graceful degradation to serial in-driver execution when a
@@ -75,7 +75,7 @@ from ..graph.undirected import Graph
 from ..obs.manifest import graph_fingerprint
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracing import NULL_TRACER, Tracer
-from ..runner.checkpoint import CheckpointStore, has_fields
+from ..runner.checkpoint import PHASES, CheckpointStore, has_fields
 from ..runner.faults import FaultPlan
 from ..runner.supervise import PoolSupervisor, RunnerConfig
 from ..shard.pipeline import sharded_enumerate_dense
@@ -90,8 +90,8 @@ __all__ = [
     "LightweightParallelCPM",
     "CPMRunStats",
     "KERNELS",
+    "PHASE_SHAPES",
     "check_oracle_options",
-    "load_cached_run",
     "resolve_kernel",
 ]
 
@@ -147,35 +147,16 @@ class CPMRunStats:
         return self.enumerate_seconds + self.overlap_seconds + self.percolate_seconds
 
 
-#: The shape of each checkpoint phase the pipeline reads back (a cache
-#: entry is an ``overlap`` phase); any other shape is a miss / a phase
-#: not done.
-_PHASE_SHAPES = {
+#: The shape of each phase payload the pipeline reads back from a
+#: checkpoint or a cache entry; any other shape is a phase not done.
+PHASE_SHAPES = {
     "enumerate": lambda p: has_fields(p, {"dense": list, "cliques": list}),
     "overlap": lambda p: has_fields(
         p, {"cliques": list, "wire": OverlapWire, "counted_pairs": int}
     ),
-    "percolate": lambda p: isinstance(p, dict)
-    and all(isinstance(k, int) and isinstance(g, list) for k, g in p.items()),
+    "percolate": lambda p: has_fields(p, {"groups": dict, "counted_pairs": int})
+    and all(isinstance(k, int) and isinstance(g, list) for k, g in p["groups"].items()),
 }
-
-
-def load_cached_run(
-    cache: CliqueCache, checksum: str, kernel: str, metrics: MetricsRegistry
-) -> dict | None:
-    """The cached enumerate + overlap payload, or None on a miss.
-
-    The one cache probe of :class:`LightweightParallelCPM` and
-    :class:`~repro.incremental.CPMSession`: an entry that is absent,
-    filed under another identity, corrupt or of the wrong shape is a
-    miss.  Every probe counts once in ``cache.hits`` or ``cache.misses``.
-    """
-    payload = cache.load(checksum, kernel)
-    if _PHASE_SHAPES["overlap"](payload):
-        metrics.inc("cache.hits")
-        return payload
-    metrics.inc("cache.misses")
-    return None
 
 
 def check_oracle_options(
@@ -219,8 +200,9 @@ class LightweightParallelCPM:
     or ``"auto"`` — the default — for one shard per worker) decides
     how clique enumeration fans out across ``workers`` through
     :mod:`repro.shard`; output is byte-identical at every count.
-    ``cache`` (a :class:`~.cache.CliqueCache`) memoises enumeration +
-    overlap on disk keyed by the graph fingerprint.
+    ``cache`` (a :class:`~.cache.CliqueCache`) memoises every phase on
+    disk keyed by the graph fingerprint; ``checkpoint`` (+ ``resume``)
+    persists and resumes them in a directory of the caller's choosing.
     ``tracer``/``metrics`` (both optional) switch on observability: the
     run then emits ``cpm.run`` → ``cpm.enumerate`` / ``cpm.overlap`` /
     ``cpm.percolate`` / ``cpm.hierarchy`` spans and populates the
@@ -271,8 +253,16 @@ class LightweightParallelCPM:
         #: The CSR snapshot enumeration built, kept so downstream
         #: consumers (the analysis engine) can reuse it instead of
         #: re-deriving the degeneracy order.  None for the set kernel
-        #: and for cache-hit runs that never touched the graph.
+        #: and for runs that loaded their cliques from a store.
         self.csr: CSRGraph | None = None
+        #: The graph fingerprint, computed once iff the run has a cache
+        #: or checkpoint (both are keyed by its checksum).
+        self.fingerprint: dict | None = None
+        self._readable: list[CheckpointStore] = []
+        self._entry: CheckpointStore | None = None
+        #: "held" (its META names this run), "stale" (reset before the
+        #: first write) or "written" (this run wrote it).
+        self._entry_state = "stale"
 
     def run(self, *, min_k: int = 2, max_k: int | None = None) -> CommunityHierarchy:
         """Run all three phases and return the hierarchy over [min_k, max_k]."""
@@ -289,17 +279,13 @@ class LightweightParallelCPM:
         ) as run_span:
             if self.kernel == "set":
                 return self._run_oracle(min_k, max_k)
-            checksum = self._graph_checksum()
-            payload = None
-            if self.cache is not None:
-                payload = load_cached_run(self.cache, checksum, self.kernel, self.metrics)
-                self.stats.cache_hit = payload is not None
-                run_span.set("cache", "hit" if self.stats.cache_hit else "miss")
-            ckpt = self._open_checkpoint(checksum)
-            if ckpt is not None:
-                run_span.set("checkpoint", str(ckpt.root))
+            self._open_stores()
+            if self.checkpoint is not None:
+                run_span.set("checkpoint", str(self.checkpoint.root))
                 run_span.set("resume", self.resume)
-            hierarchy = self._run_pipeline(min_k, max_k, checksum, payload, ckpt)
+            hierarchy = self._run_pipeline(min_k, max_k)
+            if self.cache is not None:
+                run_span.set("cache", "hit" if self.stats.cache_hit else "miss")
             if self.stats.resumed_phases:
                 run_span.set("resumed_phases", list(self.stats.resumed_phases))
             if self.stats.degraded:
@@ -307,32 +293,69 @@ class LightweightParallelCPM:
             return hierarchy
 
     # ------------------------------------------------------------------
-    # Cache / checkpoint plumbing
+    # The phase stores: the cache entry and the checkpoint
     # ------------------------------------------------------------------
-    def _graph_checksum(self) -> str | None:
-        """The graph fingerprint checksum, iff a cache/checkpoint needs it."""
+    def _open_stores(self) -> None:
+        """Fingerprint the graph and bind the stores the run reads and writes."""
+        self._readable = []
+        self._entry = None
         if self.cache is None and self.checkpoint is None:
-            return None
-        return graph_fingerprint(self.graph)["checksum"]
+            return
+        with self.tracer.span("graph.fingerprint"):
+            self.fingerprint = graph_fingerprint(self.graph)
+        identity = {"checksum": self.fingerprint["checksum"], "kernel": self.kernel}
+        if self.cache is not None:
+            self._entry = self.cache.entry(**identity)
+            self._entry_state = "held" if self._entry.holds(**identity) else "stale"
+            if self._entry_state == "held":
+                self._readable.append(self._entry)
+        if self.checkpoint is not None:
+            self.checkpoint.open(**identity, resume=self.resume)
+            if self.resume:
+                self._readable.append(self.checkpoint)
 
-    def _open_checkpoint(self, checksum: str | None) -> CheckpointStore | None:
-        """Bind the checkpoint store to this run (validating on resume)."""
-        if self.checkpoint is None:
-            return None
-        self.checkpoint.open(checksum=checksum, kernel=self.kernel, resume=self.resume)
-        return self.checkpoint
-
-    def _load_checkpoint_phase(self, ckpt: CheckpointStore | None, phase: str):
-        """A resumable phase payload, or None (not resuming, not stored,
-        or of the wrong shape: the phase is then not done)."""
-        if ckpt is None or not self.resume:
-            return None
-        payload = ckpt.load_phase(phase)
-        return payload if _PHASE_SHAPES[phase](payload) else None
+    def _load_phase(self, phase: str) -> tuple[dict | None, CheckpointStore | None]:
+        """``(payload, store)`` from the first readable store holding a
+        well-shaped ``phase``, or ``(None, None)``: absent, torn, corrupt
+        and misshapen payloads are all "not done"."""
+        for store in self._readable:
+            payload = store.load_phase(phase)
+            if PHASE_SHAPES[phase](payload):
+                self._mark_resumed(phase)
+                return payload, store
+        return None, None
 
     def _mark_resumed(self, phase: str) -> None:
-        self.stats.resumed_phases = self.stats.resumed_phases + (phase,)
+        """Record a phase loaded from a store (kept in pipeline order)."""
+        done = {*self.stats.resumed_phases, phase}
+        self.stats.resumed_phases = tuple(p for p in PHASES if p in done)
         self.metrics.inc("runner.resumed_phases")
+
+    def _store_phase(
+        self, phase: str, payload: dict, source: CheckpointStore | None = None
+    ) -> None:
+        """Write a completed phase to every store but ``source`` (which holds it).
+
+        Checkpoint write errors propagate; an unwritable cache entry
+        costs the next run a recompute, never this run its result: the
+        first ``OSError`` is counted and the run stops writing it.
+        """
+        if self.checkpoint is not None and self.checkpoint is not source:
+            self.checkpoint.store_phase(phase, payload)
+        entry = self._entry
+        if entry is None or entry is source:
+            return
+        try:
+            if self._entry_state == "stale":
+                entry.open(checksum=self.fingerprint["checksum"], kernel=self.kernel, resume=False)
+            entry.store_phase(phase, payload)
+        except OSError:
+            self.metrics.inc("cache.write_errors")
+            self._entry = None
+            return
+        if self._entry_state != "written":
+            self.metrics.inc("cache.writes")
+            self._entry_state = "written"
 
     def _boundary(self, phase: str) -> None:
         """Driver-level fault hook, fired after a phase's checkpoint write."""
@@ -359,64 +382,62 @@ class LightweightParallelCPM:
     # ------------------------------------------------------------------
     # The pipeline (blocks)
     # ------------------------------------------------------------------
-    def _run_pipeline(
-        self,
-        min_k: int,
-        max_k: int | None,
-        checksum: str | None,
-        payload: dict | None,
-        ckpt: CheckpointStore | None,
-    ) -> CommunityHierarchy:
+    def _run_pipeline(self, min_k: int, max_k: int | None) -> CommunityHierarchy:
+        """Load or compute each phase: the cliques first, then the orders
+        still to percolate, and the wire only when some order remains."""
         t0 = time.perf_counter()
-        dense: list[tuple[int, ...]] | None = None
-        wire: OverlapWire | None = None
-        n_counted = 0
-        if payload is not None:
-            cliques = payload["cliques"]
-            wire = payload["wire"]
-            n_counted = payload["counted_pairs"]
-        else:
-            enum_ck = self._load_checkpoint_phase(ckpt, "enumerate")
-            if enum_ck is not None:
-                dense = enum_ck["dense"]
-                cliques = enum_ck["cliques"]
-                self._mark_resumed("enumerate")
-            else:
-                dense, cliques = sharded_enumerate_dense(self, ckpt)
-                if ckpt is not None:
-                    ckpt.store_phase("enumerate", {"dense": dense, "cliques": cliques})
+        enumerated, source = self._load_phase("enumerate")
+        if self.cache is not None:
+            self.stats.cache_hit = source is not None and source is self._entry
+            self.metrics.inc("cache.hits" if self.stats.cache_hit else "cache.misses")
+        if enumerated is None:
+            dense, cliques = sharded_enumerate_dense(self, self.checkpoint)
+            enumerated = {"dense": dense, "cliques": cliques}
+        self._store_phase("enumerate", enumerated, source)
         self._boundary("enumerate")
         t1 = time.perf_counter()
         self.stats.enumerate_seconds = t1 - t0
+        cliques = enumerated["cliques"]
         top = self._record_census(cliques, min_k, max_k)
-
         sizes = [len(c) for c in cliques]
-        if wire is None:
-            over_ck = self._load_checkpoint_phase(ckpt, "overlap")
-            if over_ck is not None:
-                wire = over_ck["wire"]
-                n_counted = over_ck["counted_pairs"]
-                self._mark_resumed("overlap")
-            else:
-                wire, n_counted = self._overlap(dense, sizes)
+
+        percolated, percolated_source = self._load_phase("percolate")
+        grouped = dict(percolated["groups"]) if percolated is not None else {}
+        orders = list(range(top, min_k - 1, -1))  # descending: incremental sweep
+        todo = [k for k in orders if k not in grouped]
+        wire, n_counted = None, 0
+        if percolated is not None:
+            self.metrics.inc("runner.resumed_orders", len(orders) - len(todo))
+            n_counted = percolated["counted_pairs"]
+        if todo:
+            overlap, source = self._load_phase("overlap")
+            if overlap is None:
+                wire, n_counted = self._overlap(enumerated["dense"], sizes)
                 overlap = {"cliques": cliques, "wire": wire, "counted_pairs": n_counted}
-                if ckpt is not None:
-                    ckpt.store_phase("overlap", overlap)
-                if self.cache is not None:
-                    # A cache that cannot be written costs the next run
-                    # a recompute, never this run its result.
-                    try:
-                        self.cache.store(checksum, self.kernel, overlap)
-                    except OSError:
-                        self.metrics.inc("cache.write_errors")
-                    else:
-                        self.metrics.inc("cache.writes")
+            self._store_phase("overlap", overlap, source)
+            wire, n_counted = overlap["wire"], overlap["counted_pairs"]
         self._boundary("overlap")
         t2 = time.perf_counter()
         self.stats.overlap_seconds = t2 - t1
         self.stats.n_overlap_pairs = n_counted
 
-        hierarchy = self._percolate(cliques, sizes, wire, min_k, top, ckpt)
+        with self.tracer.span("cpm.percolate", orders=len(todo)) as span:
+            if todo:  # one sweep over every order still to do
+                span.set("pairs", wire.n_pairs)
+                eligibles = [prefix_count(sizes, k) for k in todo]
+                part, batch = percolate_wire(todo, eligibles, wire)
+                grouped.update(part)
+                self.metrics.inc("percolate.skipped_pairs", batch["skipped_pairs"])
+                self.metrics.inc("percolate.union_merges", batch["union_merges"])
+                self.metrics.observe("percolate.batch_seconds", batch["wall_seconds"])
+                self.metrics.observe("percolate.batch_orders", batch["orders"])
+            # One write per run; a phase loaded whole is only copied on.
+            payload = {"groups": grouped, "counted_pairs": n_counted}
+            self._store_phase("percolate", payload, None if todo else percolated_source)
+        self._boundary("percolate")
+        with self.tracer.span("cpm.hierarchy"):
+            in_range = {k: grouped[k] for k in orders}
+            hierarchy = build_hierarchy(cliques, in_range, tracer=self.tracer, metrics=self.metrics)
         self.stats.percolate_seconds = time.perf_counter() - t2
         return hierarchy
 
@@ -448,59 +469,6 @@ class LightweightParallelCPM:
             span.set("chain_pairs", wire.n_chain_pairs)
             span.set("bucketed_pairs", wire.n_pairs)
             return wire, n_counted
-
-    def _percolate(
-        self,
-        cliques: list,
-        sizes: list[int],
-        wire: OverlapWire,
-        min_k: int,
-        max_k: int,
-        ckpt: CheckpointStore | None,
-    ) -> CommunityHierarchy:
-        orders = list(range(max_k, min_k - 1, -1))  # descending: incremental sweep
-        grouped, todo = self._percolation_resume_state(orders, min_k, max_k, ckpt)
-        with self.tracer.span("cpm.percolate", orders=len(orders), pairs=wire.n_pairs):
-            for chunk in self._order_chunks(todo, ckpt):
-                eligibles = [prefix_count(sizes, k) for k in chunk]
-                part, batch = percolate_wire(chunk, eligibles, wire)
-                grouped.update(part)
-                self.metrics.inc("percolate.skipped_pairs", batch["skipped_pairs"])
-                self.metrics.inc("percolate.union_merges", batch["union_merges"])
-                self.metrics.observe("percolate.batch_seconds", batch["wall_seconds"])
-                self.metrics.observe("percolate.batch_orders", batch["orders"])
-                if ckpt is not None:
-                    ckpt.store_phase("percolate", grouped)
-        self._boundary("percolate")
-        with self.tracer.span("cpm.hierarchy"):
-            return build_hierarchy(cliques, grouped, tracer=self.tracer, metrics=self.metrics)
-
-    def _percolation_resume_state(
-        self,
-        orders: list[int],
-        min_k: int,
-        max_k: int,
-        ckpt: CheckpointStore | None,
-    ) -> tuple[dict[int, list[list[int]]], list[int]]:
-        """Split orders into (already-checkpointed groups, orders still to run)."""
-        prior = self._load_checkpoint_phase(ckpt, "percolate") or {}
-        grouped = {k: v for k, v in prior.items() if min_k <= k <= max_k}
-        if grouped:
-            self._mark_resumed("percolate")
-            self.metrics.inc("runner.resumed_orders", len(grouped))
-        todo = [k for k in orders if k not in grouped]
-        return grouped, todo
-
-    @staticmethod
-    def _order_chunks(todo: list[int], ckpt: CheckpointStore | None) -> list[list[int]]:
-        """Order chunks for the percolation sweep: one big chunk, or a few
-        when checkpointing (progress is persisted per chunk, at the cost
-        of re-scanning the pair buckets once per extra chunk)."""
-        if ckpt is None or len(todo) <= 1:
-            return [todo] if todo else []
-        n_chunks = min(4, len(todo))
-        size = -(-len(todo) // n_chunks)
-        return [todo[i : i + size] for i in range(0, len(todo), size)]
 
     # ------------------------------------------------------------------
     # The set kernel: the serial reference oracle

@@ -59,7 +59,7 @@ from pathlib import Path
 from ..core.cache import CliqueCache
 from ..core.cliques import local_maximal_cliques, maximal_cliques_bitset
 from ..core.communities import CommunityHierarchy
-from ..core.lightweight import load_cached_run, resolve_kernel
+from ..core.lightweight import PHASE_SHAPES, resolve_kernel
 from ..core.overlap import OverlapWire, chain_pairs, count_overlaps
 from ..core.percolation import HierarchyLevel, build_hierarchy, percolate_wire
 from ..graph.csr import CSRGraph
@@ -89,16 +89,16 @@ SESSION_KERNELS = ("blocks",)
 #: Bump on any change to the persisted session payload layout; stale
 #: saves then fail :func:`load_session` loudly instead of deserialising
 #: a half-compatible state.
-SESSION_SCHEMA_VERSION = 1
+SESSION_SCHEMA_VERSION = 2
 
-#: META kernel-tag prefix distinguishing a persisted session from a
-#: pipeline checkpoint sharing the same directory format.
-_KERNEL_TAG = "session:"
+#: META kernel tag distinguishing a persisted session from a pipeline
+#: checkpoint sharing the same directory format.
+_KERNEL_TAG = "session"
 
 #: Field -> type of a persisted session payload (:func:`load_session`
 #: rejects any other shape).
 _SESSION_FIELDS = dict(
-    schema=int, kernel=str, nodes=list, edges=list, members=dict,
+    schema=int, nodes=list, edges=list, members=dict,
     pair_kact=dict, groups=dict, next_id=int, applied=int,
 )
 
@@ -205,15 +205,19 @@ class CPMSession:
     def _initial_state(self, cache: CliqueCache | None) -> tuple[list, OverlapWire]:
         """The maximal cliques (size-descending) and their overlap wire.
 
-        Both come from the payload a previous ``run_cpm`` cached (the
-        cache is read-only here), or from the pipeline's enumerator and
-        its counter, :func:`~repro.core.overlap.count_overlaps`.
+        Both come from the ``overlap`` phase of the entry a previous
+        ``run_cpm`` cached (the cache is read-only here; an absent,
+        foreign, corrupt or misshapen phase is a counted miss), or from
+        the pipeline's enumerator and its counter,
+        :func:`~repro.core.overlap.count_overlaps`.
         """
         if cache is not None:
-            checksum = graph_fingerprint(self.graph)["checksum"]
-            payload = load_cached_run(cache, checksum, self.kernel, self.metrics)
-            if payload is not None:
-                self.cache_hit = True
+            with self.tracer.span("graph.fingerprint"):
+                checksum = graph_fingerprint(self.graph)["checksum"]
+            payload = cache.load(checksum, self.kernel)
+            self.cache_hit = PHASE_SHAPES["overlap"](payload)
+            self.metrics.inc("cache.hits" if self.cache_hit else "cache.misses")
+            if self.cache_hit:
                 return payload["cliques"], payload["wire"]
         csr = CSRGraph.from_graph(self.graph)
         dense = maximal_cliques_bitset(csr, min_size=2)
@@ -663,12 +667,9 @@ class CPMSession:
         store = path if isinstance(path, CheckpointStore) else CheckpointStore(path)
         with self.tracer.span("incr.save") as span:
             checksum = graph_fingerprint(self.graph)["checksum"]
-            store.open(
-                checksum=checksum, kernel=f"{_KERNEL_TAG}{self.kernel}", resume=False
-            )
+            store.open(checksum=checksum, kernel=_KERNEL_TAG, resume=False)
             payload = {
                 "schema": SESSION_SCHEMA_VERSION,
-                "kernel": self.kernel,
                 "nodes": list(self.graph.nodes()),
                 "edges": list(self.graph.edges()),
                 "members": self._members,
@@ -693,8 +694,6 @@ class CPMSession:
     ) -> "CPMSession":
         """Rebuild a session from a persisted payload (no recompute)."""
         session = cls.__new__(cls)
-        # The saved state is kernel-independent, so a session saved under
-        # a retired kernel ("bitset", "set") reopens on the session kernel.
         session.kernel = SESSION_KERNELS[0]
         session.tracer = tracer if tracer is not None else NULL_TRACER
         session.metrics = metrics if metrics is not None else MetricsRegistry()
@@ -745,8 +744,8 @@ def load_session(
                 f"this build reads schema {CHECKPOINT_SCHEMA_VERSION}; re-open and save "
                 "the session again"
             )
-        kernel_tag = str(meta.get("kernel", ""))
-        if not kernel_tag.startswith(_KERNEL_TAG):
+        kernel_tag = meta.get("kernel")
+        if kernel_tag != _KERNEL_TAG:
             raise CheckpointMismatchError(
                 f"{store.root} holds a pipeline checkpoint (kernel={kernel_tag!r}), "
                 "not a saved session"

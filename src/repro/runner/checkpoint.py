@@ -3,21 +3,22 @@
 The paper's extraction ran for 93 hours; on that horizon a crash that
 loses all completed phases is not an inconvenience, it is the run.  A
 :class:`CheckpointStore` persists the output of each pipeline phase —
-enumeration, the overlap wire, and the accumulated per-order
-percolation groups — into a directory of atomically-written files,
-so an interrupted ``communities``/``paper`` run restarted with
-``--resume`` picks up from the last completed phase (and, within the
-percolation phase, from the last completed *order batch*).  It is the
-one on-disk store: a clique-cache entry (:mod:`repro.core.cache`) is a
-store that outlives its run, and a saved session is a ``session`` phase.
+enumeration, the overlap wire, and the per-order percolation groups —
+into a directory of atomically-written files, so an interrupted
+``communities``/``paper`` run restarted with ``--resume`` picks up from
+the last completed phase.  It is the one on-disk store: a clique-cache
+entry (:mod:`repro.core.cache`) is a store that outlives its run and is
+read and written by the same pipeline code, and a saved session is a
+``session`` phase.
 
 Layout of a checkpoint directory::
 
     <dir>/META.json           # schema, graph checksum, kernel, version
     <dir>/shard_enumerate.pickle  # completed shards of a sharded enumeration
-    <dir>/enumerate.pickle    # phase 1 output
-    <dir>/overlap.pickle      # phase 2 output (cliques + wire; a cache entry)
-    <dir>/percolate.pickle    # {k: clique-id groups} for completed orders
+    <dir>/enumerate.pickle    # phase 1: {dense, cliques}
+    <dir>/overlap.pickle      # phase 2: {cliques, wire, counted_pairs}
+    <dir>/percolate.pickle    # phase 3: {groups: {k: clique-id groups},
+                              #           counted_pairs}, written once per run
     <dir>/session.pickle      # a persisted incremental CPMSession (exclusive
                               # with the three batch phases; docs/incremental.md)
 
@@ -57,7 +58,8 @@ __all__ = [
 
 #: Bump on any change to the phase payload layout or the frame; old
 #: checkpoints then fail resume loudly and old cache entries miss.
-CHECKPOINT_SCHEMA_VERSION = 2
+#: 3: the percolate phase became ``{groups, counted_pairs}``.
+CHECKPOINT_SCHEMA_VERSION = 3
 
 #: The checkpointable phases, in pipeline order.  ``shard_enumerate``
 #: holds the sharded enumeration's per-task partials (completed shards

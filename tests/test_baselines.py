@@ -99,6 +99,37 @@ class TestKDense:
             assert set(deco.levels[k].nodes()) <= set(deco.levels[k - 1].nodes())
 
 
+def _recount_expand(graph, seed, alpha):
+    """GCE's seed expansion recounting F(S ∪ {v}) from scratch per
+    candidate: the reference the running-fitness expansion must match."""
+
+    def fitness(members):
+        k_in = 2 * graph.edge_count_within(members)
+        k_out = sum(graph.degree(n) for n in members) - k_in
+        if k_in + k_out == 0:
+            return 0.0
+        return k_in / (k_in + k_out) ** alpha
+
+    members = set(seed)
+    current = fitness(members)
+    while True:
+        frontier = set()
+        for node in members:
+            frontier |= graph.neighbors(node)
+        frontier -= members
+        best_node, best_fitness = None, current
+        for node in frontier:
+            members.add(node)
+            candidate = fitness(members)
+            members.remove(node)
+            if candidate > best_fitness:
+                best_node, best_fitness = node, candidate
+        if best_node is None:
+            return frozenset(members)
+        members.add(best_node)
+        current = best_fitness
+
+
 class TestGCE:
     def test_finds_ring_cliques(self):
         g = ring_of_cliques(4, 6)
@@ -127,6 +158,22 @@ class TestGCE:
         g = complete_graph(8)
         communities = greedy_clique_expansion(g, GCEConfig(min_clique_size=3))
         assert len(communities) == 1
+
+    @pytest.mark.parametrize("alpha", [0.8, 1.0, 1.5])
+    @pytest.mark.parametrize("graph_seed", range(3))
+    def test_running_fitness_matches_the_recount(self, graph_seed, alpha):
+        """Every seed grows exactly as under the recount-per-candidate
+        loop (same floats, same frontier order, so the same ties win)."""
+        from repro.baselines.gce import _expand
+        from repro.core.cliques import maximal_cliques
+
+        g = erdos_renyi(30, 0.2, random.Random(graph_seed))
+        for node in range(30, 42):  # pendant fringe: many equal-fitness ties
+            g.add_edge(node, node % 7)
+        seeds = maximal_cliques(g, min_size=3)
+        assert seeds
+        for seed in seeds:
+            assert _expand(g, seed, alpha) == _recount_expand(g, seed, alpha)
 
 
 class TestEagle:

@@ -168,6 +168,15 @@ class TestCachedRuns:
         assert not cpm.stats.cache_hit
         assert metrics.to_dict()["counters"]["cache.misses"] == 1
 
+    def test_session_fingerprints_inside_its_open(self, tmp_path):
+        graph = ring_of_cliques(4, 5)
+        cache = CliqueCache(tmp_path)
+        tracer = Tracer()
+        CPMSession(graph, cache=cache, tracer=tracer)
+        tracer.close()
+        records = {r.name: r for r in tracer.records}
+        assert records["graph.fingerprint"].parent_id == records["incr.open"].span_id
+
     def test_no_cache_emits_no_cache_counters(self):
         _, cpm, _, metrics = _run(ring_of_cliques(3, 4), None)
         counters = metrics.to_dict()["counters"]
@@ -221,9 +230,9 @@ def _refile(root, source: str, target: str) -> None:
             (shutil.copytree if path.is_dir() else shutil.copy2)(path, dest)
 
 
-def _entry_file(root):
-    """The one payload file a single-entry cache holds."""
-    (path,) = [p for p in root.rglob("*") if p.is_file() and p.name != "META.json"]
+def _entry_file(root, phase):
+    """The ``phase`` file of a single-entry cache."""
+    (path,) = root.glob(f"cpm-*/{phase}.pickle")
     return path
 
 
@@ -274,24 +283,32 @@ class TestForeignEntry:
 
 @pytest.mark.parametrize("kernel", CACHE_KERNELS)
 class TestFlippedByteEntry:
-    """One flipped bit in an entry's wire is a counted miss.
+    """One flipped bit in an entry's phase file costs that phase, never
+    the answer.
 
-    The flipped entry still unpickles to a well-shaped payload; only
-    the frame digest tells it apart, so the run recomputes instead of
-    percolating a corrupt wire.
+    The flipped file still unpickles to a well-shaped payload; only the
+    frame digest tells it apart, so the run recomputes the phase (or
+    reads it from the wire) instead of trusting it.
     """
 
-    @staticmethod
-    def _flipped(tmp_path, graph, kernel):
+    #: Where the flip lands in each phase's pickle: the wire's bytes for
+    #: ``overlap``, the last int elsewhere (those payloads hold no bytes).
+    IN_BYTES = {"enumerate": False, "overlap": True, "percolate": False}
+
+    @classmethod
+    def _flipped(cls, tmp_path, graph, kernel, phase):
         cache = CliqueCache(tmp_path)
         run_cpm(graph, kernel=kernel, cache=cache)
-        payload = cache.load(graph_fingerprint(graph)["checksum"], kernel)
-        flip_stored_byte(_entry_file(tmp_path), payload, in_bytes=True)
-        return cache
+        entry = cache.entry(graph_fingerprint(graph)["checksum"], kernel)
+        path = _entry_file(tmp_path, phase)
+        flip_stored_byte(path, entry.load_phase(phase), in_bytes=cls.IN_BYTES[phase])
+        assert entry.load_phase(phase) is None
+        return cache, entry
 
     def test_run_cpm_misses_and_repairs(self, tmp_path, kernel):
+        """A flipped ``enumerate`` file is a counted miss."""
         graph = ring_of_cliques(6, 6)
-        cache = self._flipped(tmp_path, graph, kernel)
+        cache, entry = self._flipped(tmp_path, graph, kernel, "enumerate")
         metrics = MetricsRegistry()
         result = run_cpm(graph, kernel=kernel, cache=cache, metrics=metrics)
         counters = metrics.to_dict()["counters"]
@@ -300,12 +317,17 @@ class TestFlippedByteEntry:
         fresh = run_cpm(graph, kernel=kernel)
         assert hierarchy_to_dict(result.hierarchy) == hierarchy_to_dict(fresh.hierarchy)
         assert result.stats.n_overlap_pairs == fresh.stats.n_overlap_pairs
+        # The entry's percolate phase still covers every order.
+        assert result.stats.resumed_phases == ("percolate",)
         # The recomputed run rewrote the entry, so the next run hits.
+        assert entry.load_phase("enumerate") is not None
         assert run_cpm(graph, kernel=kernel, cache=cache).stats.cache_hit
 
     def test_session_open_misses(self, tmp_path, kernel):
+        """A flipped ``overlap`` file is a miss for a session, which
+        opens from the wire."""
         graph = ring_of_cliques(6, 6)
-        cache = self._flipped(tmp_path, graph, kernel)
+        cache, _ = self._flipped(tmp_path, graph, kernel, "overlap")
         metrics = MetricsRegistry()
         session = CPMSession(graph, kernel=kernel, cache=cache, metrics=metrics)
         counters = metrics.to_dict()["counters"]
@@ -313,6 +335,86 @@ class TestFlippedByteEntry:
         assert counters["cache.misses"] == 1 and "cache.hits" not in counters
         fresh = run_cpm(graph, kernel=kernel)
         assert hierarchy_to_dict(session.hierarchy) == hierarchy_to_dict(fresh.hierarchy)
+
+    @pytest.mark.parametrize("phase", ["overlap", "percolate"])
+    def test_hit_survives_a_flipped_phase(self, tmp_path, kernel, phase):
+        """A flipped ``percolate`` is a hit that percolates again from the
+        wire and rewrites the file; a flipped ``overlap`` is a hit that
+        never reads it."""
+        graph = ring_of_cliques(6, 6)
+        cache, entry = self._flipped(tmp_path, graph, kernel, phase)
+        tracer, metrics = Tracer(), MetricsRegistry()
+        result = run_cpm(graph, kernel=kernel, cache=cache, tracer=tracer, metrics=metrics)
+        tracer.close()
+        counters = metrics.to_dict()["counters"]
+        fresh = run_cpm(graph, kernel=kernel)
+        assert hierarchy_to_dict(result.hierarchy) == hierarchy_to_dict(fresh.hierarchy)
+        assert result.stats.n_overlap_pairs == fresh.stats.n_overlap_pairs
+        assert result.stats.cache_hit and counters["cache.hits"] == 1
+        assert "cpm.overlap" not in {r.name for r in tracer.records}
+        if phase == "overlap":
+            assert result.stats.resumed_phases == ("enumerate", "percolate")
+            assert "cache.writes" not in counters and "percolate.union_merges" not in counters
+        else:
+            assert result.stats.resumed_phases == ("enumerate", "overlap")
+            assert counters["cache.writes"] == 1 and counters["percolate.union_merges"] > 0
+            assert entry.load_phase("percolate") is not None
+
+
+class TestHitIsAResume:
+    """A cache hit loads only what the remaining work needs."""
+
+    def test_complete_entry_never_reads_the_wire(self, tmp_path):
+        graph = ring_of_cliques(6, 6)
+        cache = CliqueCache(tmp_path)
+        cold, _, _, _ = _run(graph, cache)
+        _entry_file(tmp_path, "overlap").unlink()
+        warm, cpm, tracer, metrics = _run(graph, cache)
+        counters = metrics.to_dict()["counters"]
+        assert cpm.stats.cache_hit and counters["cache.hits"] == 1
+        assert hierarchy_to_dict(warm) == hierarchy_to_dict(cold)
+        assert "cpm.overlap" not in {r.name for r in tracer.records}
+        assert "percolate.union_merges" not in counters
+        assert cpm.stats.resumed_phases == ("enumerate", "percolate")
+        assert cpm.stats.n_overlap_pairs == _run(graph, None)[1].stats.n_overlap_pairs
+
+    def test_partial_orders_are_completed(self, tmp_path):
+        graph = random_graph(40, 0.3, seed=5)
+        cache = CliqueCache(tmp_path)
+        run_cpm(graph, k_range=(2, 4), cache=cache)
+        result = run_cpm(graph, cache=cache)
+        fresh = run_cpm(graph)
+        assert result.stats.cache_hit
+        assert hierarchy_to_dict(result.hierarchy) == hierarchy_to_dict(fresh.hierarchy)
+        entry = cache.entry(graph_fingerprint(graph)["checksum"], "blocks")
+        percolated = entry.load_phase("percolate")
+        assert sorted(percolated["groups"]) == list(range(2, fresh.stats.max_clique_size + 1))
+        assert percolated["counted_pairs"] == fresh.stats.n_overlap_pairs
+
+    def test_cache_with_checkpoint_resume(self, tmp_path):
+        """A cache and a resumed checkpoint in one run, byte-identical."""
+        from repro.runner import CheckpointStore, FaultPlan, InjectedFault
+
+        graph = random_graph(40, 0.3, seed=9)
+        expected = hierarchy_to_dict(run_cpm(graph).hierarchy)
+        cache = CliqueCache(tmp_path / "cache")
+        store = CheckpointStore(tmp_path / "ckpt")
+        with pytest.raises(InjectedFault):
+            run_cpm(
+                graph, checkpoint=store, fault_plan=FaultPlan.parse("driver:after=overlap:raise")
+            )
+        resumed = run_cpm(graph, cache=cache, checkpoint=store, resume=True)
+        assert hierarchy_to_dict(resumed.hierarchy) == expected
+        assert not resumed.stats.cache_hit
+        assert resumed.stats.resumed_phases == ("enumerate", "overlap")
+        # Both stores now hold every phase: each alone reproduces the run.
+        again = run_cpm(graph, cache=cache, checkpoint=store, resume=True)
+        assert hierarchy_to_dict(again.hierarchy) == expected
+        assert again.stats.cache_hit
+        assert again.stats.resumed_phases == ("enumerate", "percolate")
+        alone = LightweightParallelCPM(graph, checkpoint=store, resume=True)
+        assert hierarchy_to_dict(alone.run()) == expected
+        assert alone.stats.resumed_phases == ("enumerate", "percolate")
 
 
 class TestUnwritableCache:
@@ -335,6 +437,29 @@ class TestUnwritableCache:
         counters = metrics.to_dict()["counters"]
         assert counters["cache.write_errors"] == 1
         assert counters["cache.misses"] == 1 and "cache.writes" not in counters
+        assert hierarchy_to_dict(result.hierarchy) == hierarchy_to_dict(
+            run_cpm(graph).hierarchy
+        )
+
+    def test_first_phase_write_error_stops_the_entry_writes(self, tmp_path, monkeypatch):
+        """Three phases to write, one counted error: the first failure
+        ends the run's writes to the entry."""
+        from repro.runner import CheckpointStore
+
+        writes = []
+
+        def failing(store, phase, payload):
+            writes.append(phase)
+            raise OSError("disk full")
+
+        monkeypatch.setattr(CheckpointStore, "store_phase", failing)
+        graph = ring_of_cliques(4, 5)
+        metrics = MetricsRegistry()
+        result = run_cpm(graph, cache=str(tmp_path), metrics=metrics)
+        counters = metrics.to_dict()["counters"]
+        assert writes == ["enumerate"]
+        assert counters["cache.write_errors"] == 1 and "cache.writes" not in counters
+        monkeypatch.undo()
         assert hierarchy_to_dict(result.hierarchy) == hierarchy_to_dict(
             run_cpm(graph).hierarchy
         )
@@ -388,6 +513,33 @@ class TestCacheCLI:
         assert loaded2.span("cpm.overlap") is None
         assert loaded2.span("cpm.percolate") is not None
         assert loaded2.config["cache"] is True
+
+    def test_manifest_reuses_the_run_fingerprint(
+        self, tmp_path, monkeypatch, saved_dataset, capsys
+    ):
+        """The graph is fingerprinted once per run, inside ``cpm.run``,
+        and ``--metrics`` stamps that fingerprint instead of hashing the
+        graph again."""
+        import repro.obs.manifest as manifest_module
+        from repro.cli import main
+        from repro.topology.dataset import ASDataset
+
+        real = manifest_module.graph_fingerprint
+        manifest_calls = []
+        monkeypatch.setattr(
+            manifest_module, "graph_fingerprint",
+            lambda graph: manifest_calls.append(graph) or real(graph),
+        )
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        path = tmp_path / "m.json"
+        args = ["communities", saved_dataset, "--max-k", "5", "--cache", "--metrics", str(path)]
+        assert main(args) == 0
+        capsys.readouterr()
+        manifest = RunManifest.load(path)
+        assert manifest_calls == []
+        assert manifest.fingerprint == real(ASDataset.load(saved_dataset).graph)
+        (span,) = [r for r in manifest.spans if r["name"] == "graph.fingerprint"]
+        assert span["parent_id"] == manifest.span("cpm.run")["span_id"]
 
     def test_no_cache_restores_default_behaviour(
         self, tmp_path, monkeypatch, saved_dataset, capsys

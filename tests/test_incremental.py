@@ -29,7 +29,6 @@ from repro.incremental import (
     diff_covers,
     load_session,
 )
-from repro.obs.manifest import graph_fingerprint
 from repro.runner.checkpoint import CheckpointError, CheckpointMismatchError, CheckpointStore
 
 from .conftest import CORRUPT_PICKLES, WRONG_SHAPE_PICKLES, flip_stored_byte, reference_sweep
@@ -411,34 +410,28 @@ class TestPersistence:
             session.result().hierarchy
         )
 
-    @pytest.mark.parametrize("retired", ["bitset", "set"])
-    def test_session_saved_under_a_retired_kernel_loads(self, tmp_path, retired):
-        """Earlier releases saved sessions under the pure-Python
-        ``bitset`` kernel (their default) and the ``set`` oracle, with
-        the kernel in the payload and in the META tag; the state itself
-        is kernel-independent, so such a session loads on ``blocks``,
-        applies deltas and still matches a fresh ``run_cpm``."""
+    def test_parent_layout_session_is_refused(self, tmp_path, capsys):
+        """A session saved before checkpoint schema 3 (META schema 2, a
+        ``session:<kernel>`` tag, a payload carrying ``kernel``) fails
+        with the schema-naming error, and the CLI exits 2 on it."""
+        from repro.runner.checkpoint import FRAME, atomic_bytes_dump, frame_digest
+
         graph = ring_of_cliques(5, 5)
         CPMSession(graph).save(tmp_path / "sess")
-        payload = CheckpointStore(tmp_path / "sess").load_phase("session")
-        old = CheckpointStore(tmp_path / "old")
-        old.open(
-            checksum=graph_fingerprint(graph)["checksum"],
-            kernel=f"session:{retired}",
-            resume=False,
+        store = CheckpointStore(tmp_path / "sess")
+        payload = {**store.load_phase("session"), "schema": 1, "kernel": "blocks"}
+        meta = {**store.meta(), "schema": 2, "kernel": "session:blocks"}
+        store.meta_path.write_text(json.dumps(meta), encoding="utf-8")
+        body = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+        atomic_bytes_dump(
+            store.phase_path("session"), FRAME.pack(b"RQCKP", 2, frame_digest(body)) + body
         )
-        old.store_phase("session", {**payload, "kernel": retired})
-        loaded = load_session(tmp_path / "old")
-        assert loaded.kernel == "blocks"
-        oracle = graph.copy()
-        rng = random.Random(11)
-        for _ in range(2):
-            delta = random_delta(oracle, rng)
-            loaded.apply(delta)
-            apply_to_graph(oracle, delta)
-            assert hierarchy_bytes(loaded.result().hierarchy) == fresh_bytes(oracle, "blocks")
-        loaded.save(tmp_path / "old")
-        assert CheckpointStore(tmp_path / "old").meta()["kernel"] == "session:blocks"
+        with pytest.raises(CheckpointMismatchError, match="checkpoint schema 2.*re-open and save"):
+            load_session(tmp_path / "sess")
+        capsys.readouterr()
+        assert main(["session", "apply", str(tmp_path / "sess"), "--insert", "0,10"]) == 2
+        err = capsys.readouterr().err
+        assert "checkpoint schema 2" in err and "Traceback" not in err
 
     def test_missing_directory_fails_cleanly(self, tmp_path):
         with pytest.raises(CheckpointError, match="META.json is missing"):
