@@ -48,6 +48,9 @@ class AnalysisContext:
     csr: CSRGraph | None = None
     #: Which metric engine the analyses consume: "bitset" or "set".
     analysis_engine: str = "bitset"
+    #: The graph fingerprint the CPM run computed (None when it had no
+    #: cache or checkpoint to key), so a manifest need not hash again.
+    fingerprint: dict | None = None
     tracer: Tracer | None = None
     metrics: MetricsRegistry | None = None
     _engine: MetricsEngine | None = field(
@@ -111,6 +114,7 @@ class AnalysisContext:
             cpm_stats=result.stats,
             csr=result.csr,
             analysis_engine=analysis_engine,
+            fingerprint=result.fingerprint,
             tracer=tracer,
             metrics=metrics,
         )

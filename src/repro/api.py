@@ -257,10 +257,9 @@ def open_session(
     byte-identical to a fresh :func:`run_cpm` on the mutated graph.
     ``kernel`` is ``"blocks"`` or ``"auto"`` (the set oracle has no
     session); ``cache`` accepts the same coercions as :func:`run_cpm`
-    and is probed read-only for the initial clique payload.
+    and is probed for the initial clique payload.
     """
     from .incremental import CPMSession
-    from .incremental.session import _graph_from_csr
 
     if isinstance(source, CPMResult):
         if source.csr is None:
@@ -269,7 +268,7 @@ def open_session(
                 "snapshot (set-kernel, cache-hit and loaded results do not); "
                 "pass the graph itself instead"
             )
-        graph = _graph_from_csr(source.csr)
+        graph = source.csr.to_graph()
     elif isinstance(source, Graph):
         graph = source
     else:

@@ -382,6 +382,7 @@ def _cmd_tree(args: argparse.Namespace) -> int:
     runner_kwargs = _make_runner(args)
     dataset = _load_dataset(args.dataset)
     tracer, metrics, monitor = _make_observability(args)
+    context = None
     try:
         context = AnalysisContext.from_dataset(
             dataset,
@@ -405,7 +406,10 @@ def _cmd_tree(args: argparse.Namespace) -> int:
         else:
             print(context.tree.to_ascii(max_children=args.max_children))
     finally:
-        _write_observability(args, tracer, metrics, graph=dataset.graph, monitor=monitor)
+        _write_observability(
+            args, tracer, metrics, graph=dataset.graph, monitor=monitor,
+            fingerprint=context.fingerprint if context is not None else None,
+        )
     return 0
 
 
@@ -428,6 +432,7 @@ def _cmd_paper(args: argparse.Namespace) -> int:
     else:
         dataset = generate_topology(seed=args.seed)
     tracer, metrics, monitor = _make_observability(args)
+    run = None
     try:
         run = PaperRun(
             dataset,
@@ -455,7 +460,10 @@ def _cmd_paper(args: argparse.Namespace) -> int:
         if not wrote_artifacts:
             print(run.full_report())
     finally:
-        _write_observability(args, tracer, metrics, graph=dataset.graph, monitor=monitor)
+        _write_observability(
+            args, tracer, metrics, graph=dataset.graph, monitor=monitor,
+            fingerprint=run.context.fingerprint if run is not None else None,
+        )
     return 0
 
 
@@ -703,6 +711,7 @@ def _cmd_query_build(args: argparse.Namespace) -> int:
     dataset = _load_dataset(args.dataset)
     _guard_stale_artifact(Path(args.out), dataset, force=args.force)
     tracer, metrics, monitor = _make_observability(args)
+    context = artifact = None
     try:
         from .analysis.bands import derive_bands
         from .analysis.ixp_share import IXPShareAnalysis
@@ -733,6 +742,7 @@ def _cmd_query_build(args: argparse.Namespace) -> int:
             table=table,
             bands=bands,
             analysis_engine=export["engine"],
+            fingerprint=context.fingerprint,
             tracer=tracer,
             metrics=metrics,
         )
@@ -743,7 +753,13 @@ def _cmd_query_build(args: argparse.Namespace) -> int:
             f"{artifact.n_nodes} ASes, fingerprint {checksum}) to {target}"
         )
     finally:
-        _write_observability(args, tracer, metrics, graph=dataset.graph, monitor=monitor)
+        # The artifact's fingerprint is the CPM run's (with a cache) or
+        # the one build_artifact hashed: the run's only hash.
+        source = artifact if artifact is not None else context
+        _write_observability(
+            args, tracer, metrics, graph=dataset.graph, monitor=monitor,
+            fingerprint=source.fingerprint if source is not None else None,
+        )
     return 0
 
 

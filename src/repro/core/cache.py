@@ -61,6 +61,12 @@ class CliqueCache:
         name = f"cpm-v{CHECKPOINT_SCHEMA_VERSION}-{kernel}-{checksum}"
         return CheckpointStore(self.root / name)
 
+    def held(self, checksum: str, kernel: str) -> CheckpointStore | None:
+        """The entry for a graph checksum + kernel, or None unless its
+        META names that schema, checksum and kernel."""
+        entry = self.entry(checksum, kernel)
+        return entry if entry.holds(checksum=checksum, kernel=kernel) else None
+
     def load(self, checksum: str, kernel: str) -> Any | None:
         """The stored ``overlap`` payload (cliques + wire), or None on a miss.
 
@@ -68,10 +74,8 @@ class CliqueCache:
         schema, and a torn or corrupt phase file are all misses; the
         rewrite after recomputation repairs them.
         """
-        entry = self.entry(checksum, kernel)
-        if not entry.holds(checksum=checksum, kernel=kernel):
-            return None
-        return entry.load_phase("overlap")
+        entry = self.held(checksum, kernel)
+        return entry.load_phase("overlap") if entry is not None else None
 
     def store(self, checksum: str, kernel: str, payload: Any) -> Path:
         """Atomically persist ``payload`` as this graph + kernel's ``overlap``

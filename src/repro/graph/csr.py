@@ -83,6 +83,18 @@ class CSRGraph:
             indptr.append(len(indices))
         return cls(order, indptr, indices)
 
+    def to_graph(self) -> Graph:
+        """Rebuild the adjacency-set graph this snapshot was taken of."""
+        graph = Graph()
+        graph.add_nodes_from(self.labels)
+        labels = self.labels
+        for i in range(self.n):
+            u = labels[i]
+            for j in self.neighbors(i):
+                if i < j:
+                    graph.add_edge(u, labels[j])
+        return graph
+
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------

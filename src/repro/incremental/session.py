@@ -31,12 +31,14 @@ byte against from-scratch ``run_cpm`` by the delta fuzz tests):
 Percolation is then rebuilt only for the *affected orders* — every
 k up to the largest clique born or retired; higher orders cannot have
 changed (none of their cliques or qualifying overlaps did) and their
-cached groups are reused.  The re-sweep reads a **persistent wire**:
-each retained pair's packed word is written once (at admission, into
-its activation-order bucket, under a lifetime-fixed shift) and merely
-tombstoned on retirement, so an ``apply`` never re-encodes the
-~10^5-pair overlap state — only the order-2 chains of the nodes whose
-clique bucket changed are re-packed per sweep.  The hierarchy produced
+cached groups are reused.  The re-sweep reads the session's only pair
+state, a **persistent wire**: the overlap counter's activation-order
+buckets, adopted at open under a lifetime-fixed shift.  Admission
+appends a new pair's packed word to its bucket, and an apply that
+retired cliques drops the words with a dead endpoint in one numpy pass
+per bucket, so it never decodes or re-encodes the ~10^5-pair overlap
+state — only the order-2 chains of the nodes whose clique bucket
+changed are re-packed per sweep.  The hierarchy produced
 is canonical in the clique *set* (ranking and parent provenance are
 permutation-invariant), which is why stable session ids and fresh
 pipeline ids yield identical output.
@@ -89,7 +91,7 @@ SESSION_KERNELS = ("blocks",)
 #: Bump on any change to the persisted session payload layout; stale
 #: saves then fail :func:`load_session` loudly instead of deserialising
 #: a half-compatible state.
-SESSION_SCHEMA_VERSION = 2
+SESSION_SCHEMA_VERSION = 3
 
 #: META kernel tag distinguishing a persisted session from a pipeline
 #: checkpoint sharing the same directory format.
@@ -99,7 +101,7 @@ _KERNEL_TAG = "session"
 #: rejects any other shape).
 _SESSION_FIELDS = dict(
     schema=int, nodes=list, edges=list, members=dict,
-    pair_kact=dict, groups=dict, next_id=int, applied=int,
+    wire=dict, groups=dict, next_id=int, applied=int,
 )
 
 #: Pair-packing shift for the session's persistent overlap wire.
@@ -107,18 +109,24 @@ _SESSION_FIELDS = dict(
 #: packed words never need re-encoding; supports ids up to 2^31.
 _WIRE_SHIFT = 32
 
+#: Mask of a packed word's low (larger-id) endpoint.  The passes over
+#: packed words import numpy inside, so commands that never open a
+#: session (query serving, the obs tools) start without it.
+_LOW = (1 << _WIRE_SHIFT) - 1
 
-def _graph_from_csr(csr: CSRGraph) -> Graph:
-    """Rebuild an adjacency-set graph from a CSR snapshot."""
-    graph = Graph()
-    graph.add_nodes_from(csr.labels)
-    labels = csr.labels
-    for i in range(csr.n):
-        u = labels[i]
-        for j in csr.neighbors(i):
-            if i < j:
-                graph.add_edge(u, labels[j])
-    return graph
+
+def _adopt(wire: OverlapWire) -> dict[int, array]:
+    """The counter's buckets (its ids, packed at its own shift: its
+    int32 sort depends on it) re-packed at the session's shift."""
+    import numpy as np
+
+    low = (1 << wire.shift) - 1
+    buckets = {}
+    for k_act, blob in wire.buckets.items():
+        words = np.frombuffer(blob, dtype=np.int64)
+        words = ((words >> wire.shift) << _WIRE_SHIFT) | (words & low)
+        buckets[k_act] = array("q", words.tobytes())
+    return buckets
 
 
 def _cover_members(hierarchy: CommunityHierarchy | None, k: int) -> tuple[frozenset, ...]:
@@ -143,9 +151,10 @@ class CPMSession:
     session runs the batch pipeline's enumerator, overlap counter and
     percolation sweep, and its oracle is ``run_cpm`` itself (the fuzz
     tests check byte-identity after every batch).  ``cache`` (a
-    :class:`~repro.core.cache.CliqueCache`) is probed read-only for
-    the initial clique/overlap payload a previous ``run_cpm`` may have
-    left behind.  ``tracer``/``metrics`` instrument the session with
+    :class:`~repro.core.cache.CliqueCache`) is probed for the initial
+    clique/overlap payload a previous ``run_cpm`` may have left behind
+    (the session writes only to repair that entry's ``overlap``
+    phase).  ``tracer``/``metrics`` instrument the session with
     the ``incr.*`` spans and counters of ``docs/observability.md``.
 
     >>> from repro.graph import ring_of_cliques
@@ -168,16 +177,7 @@ class CPMSession:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.graph = graph.copy()
-        self._members: dict[int, frozenset] = {}
-        self._index: dict[Hashable, set[int]] = {}
-        self._chains: dict[Hashable, bytes] = {}
-        self._stale_nodes: set = set()
-        self._pair_kact: dict[tuple[int, int], int] = {}
-        self._slots: dict[tuple[int, int], int] = {}
-        self._wire: dict[int, array] = {}
-        self._wire_garbage = 0
         self._groups: dict[int, list[list[int]]] = {}
-        self._next_id = 0
         self._applied = 0
         self._hierarchy: CommunityHierarchy | None = None
         self._levels: dict[int, HierarchyLevel] = {}
@@ -185,16 +185,16 @@ class CPMSession:
         with self.tracer.span("incr.open", kernel=self.kernel) as span:
             t0 = time.perf_counter()
             cliques, wire = self._initial_state(cache)
-            self._members = dict(enumerate(map(frozenset, cliques)))
+            self._members: dict[int, frozenset] = dict(enumerate(map(frozenset, cliques)))
             self._next_id = len(self._members)
             self._build_index()
-            self._install_pairs(wire)
-            self._rebuild_wire()
+            with self.tracer.span("incr.adopt"):
+                self._wire: dict[int, array] = _adopt(wire)
             top = self.max_clique_size
             if top >= 2:
                 self._repercolate(range(2, top + 1), top)
             span.set("n_cliques", len(self._members))
-            span.set("n_pairs", len(self._pair_kact))
+            span.set("n_pairs", self.n_overlap_pairs)
             span.set("cache_hit", int(self.cache_hit))
             self.metrics.inc("incr.sessions_opened")
             self.open_seconds = time.perf_counter() - t0
@@ -206,82 +206,56 @@ class CPMSession:
         """The maximal cliques (size-descending) and their overlap wire.
 
         Both come from the ``overlap`` phase of the entry a previous
-        ``run_cpm`` cached (the cache is read-only here; an absent,
-        foreign, corrupt or misshapen phase is a counted miss), or from
-        the pipeline's enumerator and its counter,
-        :func:`~repro.core.overlap.count_overlaps`.
+        ``run_cpm`` cached (an absent, foreign, corrupt or misshapen
+        phase is a counted miss), or the pipeline's counter
+        :func:`~repro.core.overlap.count_overlaps` counts the wire over
+        the cliques of a held entry's ``enumerate`` phase — and stores
+        it into the entry, repairing it — or of the session's own
+        enumeration.  A session never creates or resets an entry.
         """
+        entry = None
         if cache is not None:
             with self.tracer.span("graph.fingerprint"):
                 checksum = graph_fingerprint(self.graph)["checksum"]
-            payload = cache.load(checksum, self.kernel)
+            entry = cache.held(checksum, self.kernel)
+            payload = entry.load_phase("overlap") if entry is not None else None
             self.cache_hit = PHASE_SHAPES["overlap"](payload)
             self.metrics.inc("cache.hits" if self.cache_hit else "cache.misses")
             if self.cache_hit:
                 return payload["cliques"], payload["wire"]
-        csr = CSRGraph.from_graph(self.graph)
-        dense = maximal_cliques_bitset(csr, min_size=2)
-        dense.sort(key=len, reverse=True)
-        to_label = csr.labels.__getitem__
-        cliques = [tuple(map(to_label, clique)) for clique in dense]
+        enumerated = entry.load_phase("enumerate") if entry is not None else None
+        if PHASE_SHAPES["enumerate"](enumerated):
+            dense, cliques = enumerated["dense"], enumerated["cliques"]
+        else:
+            entry = None
+            with self.tracer.span("incr.enumerate") as span:
+                csr = CSRGraph.from_graph(self.graph)
+                dense = maximal_cliques_bitset(csr, min_size=2)
+                dense.sort(key=len, reverse=True)
+                to_label = csr.labels.__getitem__
+                cliques = [tuple(map(to_label, clique)) for clique in dense]
+                span.set("n_cliques", len(cliques))
         sizes = [len(clique) for clique in dense]
         shift = max(1, len(sizes).bit_length())
-        wire, _, _ = count_overlaps(dense, sizes, shift, self.tracer)
+        wire, n_counted, _ = count_overlaps(dense, sizes, shift, self.tracer)
+        if entry is not None:
+            overlap = {"cliques": cliques, "wire": wire, "counted_pairs": n_counted}
+            try:
+                entry.store_phase("overlap", overlap)
+            except OSError:
+                self.metrics.inc("cache.write_errors")
+            else:
+                self.metrics.inc("cache.writes")
         return cliques, wire
 
     def _build_index(self) -> None:
         """Rebuild the node -> live clique ids index from the members."""
-        self._index = {}
+        self._index: dict[Hashable, set[int]] = {}
         for cid, clique in self._members.items():
             for node in clique:
                 self._index.setdefault(node, set()).add(cid)
-        self._chains = {}
+        self._chains: dict[Hashable, bytes] = {}
         self._stale_nodes = set(self._index)
-
-    def _install_pairs(self, wire: OverlapWire) -> None:
-        """Decode the wire's buckets into the retained pair state.
-
-        Initial ids are the wire's clique ids, so each word is an
-        ``(a, b)`` id pair at its bucket's activation order.  Only the
-        Baudin-truncated pairs (overlap >= 2) are retained; the k = 2
-        chains come from the node index.  Pairs hold the members' own
-        id objects: a fresh int per decoded endpoint held ~5 MiB more
-        on a 144k-pair session.
-        """
-        ids = list(self._members)
-        shift = wire.shift
-        mask = (1 << shift) - 1
-        pairs: dict[tuple[int, int], int] = {}
-        for k_act, blob in wire.buckets.items():
-            buf = array("q")
-            buf.frombytes(blob)
-            for word in buf:
-                pairs[(ids[word >> shift], ids[word & mask])] = k_act
-        self._pair_kact = pairs
-
-    def _rebuild_wire(self) -> None:
-        """(Re)pack every retained pair into the persistent wire buckets.
-
-        The wire lives for the session: a pair's activation order never
-        changes after admission, so its packed ``(a << shift) | b``
-        word is written once here (or on admission) and only ever
-        *tombstoned* on retirement — :meth:`_repercolate` then reuses
-        the buckets as-is instead of re-encoding ~10^5 pairs per apply.
-        Called at open, on restore, and when tombstones outnumber live
-        pairs (compaction).
-        """
-        buckets: dict[int, array] = {}
-        slots: dict[tuple[int, int], int] = {}
-        get = buckets.get
-        for pair, k_act in self._pair_kact.items():
-            arr = get(k_act)
-            if arr is None:
-                arr = buckets[k_act] = array("q")
-            slots[pair] = len(arr)
-            arr.append((pair[0] << _WIRE_SHIFT) | pair[1])
-        self._wire = buckets
-        self._slots = slots
-        self._wire_garbage = 0
 
     # ------------------------------------------------------------------
     # State inspection
@@ -293,8 +267,9 @@ class CPMSession:
 
     @property
     def n_overlap_pairs(self) -> int:
-        """Number of retained (counted, overlap >= 2) clique pairs."""
-        return len(self._pair_kact)
+        """Number of retained (counted, overlap >= 2) clique pairs: the
+        live wire words (an apply drops the dead ones before it returns)."""
+        return sum(map(len, self._wire.values()))
 
     @property
     def max_clique_size(self) -> int:
@@ -409,18 +384,15 @@ class CPMSession:
             born = retired = 0
             k_aff = 0
             with self.tracer.span("incr.mutate"):
-                for u, v in delta.deletions:
-                    b, r, k_edge = self._delete_edge(u, v)
+                steps = [(self._delete_edge, edge) for edge in delta.deletions]
+                steps += [(self._insert_edge, edge) for edge in delta.insertions]
+                for step, (u, v) in steps:
+                    b, r, k_edge = step(u, v)
                     born += b
                     retired += r
                     k_aff = max(k_aff, k_edge)
-                for u, v in delta.insertions:
-                    b, r, k_edge = self._insert_edge(u, v)
-                    born += b
-                    retired += r
-                    k_aff = max(k_aff, k_edge)
-            if self._wire_garbage > max(4096, len(self._pair_kact)):
-                self._rebuild_wire()
+                if retired:
+                    self._drop_dead_words()
             new_max = self.max_clique_size
             diff_top = min(k_aff, max(old_max, new_max))
             affected = tuple(range(2, diff_top + 1))
@@ -547,50 +519,45 @@ class CPMSession:
                 bucket = self._index.setdefault(node, set())
                 counts.update(bucket)
                 bucket.add(cid)
-            pair_kact = self._pair_kact
             wire = self._wire
-            slots = self._slots
             for other, overlap in counts.items():
                 if overlap >= 2:
                     k_act = min(overlap + 1, size, len(members[other]))
-                    pair = (other, cid)
-                    pair_kact[pair] = k_act
                     arr = wire.get(k_act)
                     if arr is None:
                         arr = wire[k_act] = array("q")
-                    slots[pair] = len(arr)
                     arr.append((other << _WIRE_SHIFT) | cid)
         else:
             for node in clique:
                 self._index.setdefault(node, set()).add(cid)
         return cid
 
-    def _retire(self, cid: int) -> frozenset:
-        """Remove a clique from the members, index and pair state."""
+    def _retire(self, cid: int) -> None:
+        """Remove a clique from the members and the node index (its wire
+        words go in the apply's :meth:`_drop_dead_words`)."""
         clique = self._members.pop(cid)
         self._stale_nodes.update(clique)
-        cohabitants: set[int] = set()
         index = self._index
         for node in clique:
             bucket = index[node]
             bucket.discard(cid)
-            cohabitants |= bucket
             if not bucket:
                 del index[node]
-        pair_kact = self._pair_kact
-        slots = self._slots
-        wire = self._wire
-        for other in cohabitants:
-            key = (other, cid) if other < cid else (cid, other)
-            k_act = pair_kact.pop(key, None)
-            if k_act is not None:
-                # Tombstone the pair's wire word in place: 0 decodes as
-                # the self-pair (0, 0), which every sweep unions as a
-                # no-op.  Compaction reclaims the slots once tombstones
-                # outnumber live pairs.
-                wire[k_act][slots.pop(key)] = 0
-                self._wire_garbage += 1
-        return clique
+
+    def _drop_dead_words(self) -> None:
+        """Drop every wire word with a retired endpoint (ids are never
+        reused, so a dead id stays dead) in one numpy pass per bucket.
+        A dead word must never reach the sweep: a live A – dead D – live
+        B chain would merge A and B."""
+        import numpy as np
+
+        alive = np.zeros(self._next_id, dtype=bool)
+        alive[list(self._members)] = True
+        for k_act, arr in self._wire.items():
+            words = np.frombuffer(arr, dtype=np.int64)
+            keep = alive[words >> _WIRE_SHIFT] & alive[words & _LOW]
+            if not keep.all():
+                self._wire[k_act] = array("q", words[keep].tobytes())
 
     def _repercolate(self, orders, new_max: int) -> None:
         """Re-sweep the affected union-find orders from the pair state.
@@ -598,7 +565,8 @@ class CPMSession:
         Cached groups for orders above the affected range stay valid
         (their cliques and qualifying pairs were untouched); orders
         above the new maximum clique size are dropped.  The persistent
-        wire buckets are reused as-is — stable ids are the union-find
+        wire buckets (live words only: :meth:`apply` has dropped the
+        dead ones) are swept as-is — stable ids are the union-find
         positions, so no per-apply remapping or re-packing of the
         ~10^5 retained pairs happens; only the order-2 chains of touched
         nodes are re-packed (:meth:`_node_chains`).  The sweep is
@@ -619,7 +587,7 @@ class CPMSession:
         wire = OverlapWire(
             n_cliques=self._next_id,
             shift=_WIRE_SHIFT,
-            n_pairs=len(self._pair_kact),
+            n_pairs=self.n_overlap_pairs,
             n_chain_pairs=len(chains) // 8,
             buckets={
                 k_act: arr.tobytes() for k_act, arr in self._wire.items() if arr
@@ -656,8 +624,8 @@ class CPMSession:
     def save(self, path: str | PathLike | CheckpointStore) -> Path:
         """Persist the session into a checkpoint directory.
 
-        Writes the full incremental state (graph, cliques, retained
-        pair activations, cached groups) as the store's ``session``
+        Writes the full incremental state (graph, cliques, the live
+        overlap wire buckets, cached groups) as the store's ``session``
         phase, with ``META.json`` keyed by the *current* graph
         fingerprint — :func:`load_session` re-verifies it, so a
         directory can never silently resurrect a different graph's
@@ -673,7 +641,7 @@ class CPMSession:
                 "nodes": list(self.graph.nodes()),
                 "edges": list(self.graph.edges()),
                 "members": self._members,
-                "pair_kact": self._pair_kact,
+                "wire": {k_act: arr.tobytes() for k_act, arr in self._wire.items()},
                 "groups": self._groups,
                 "next_id": self._next_id,
                 "applied": self._applied,
@@ -688,6 +656,7 @@ class CPMSession:
         cls,
         payload: dict,
         graph: Graph,
+        wire: dict[int, array],
         *,
         tracer: Tracer | None = None,
         metrics: MetricsRegistry | None = None,
@@ -699,7 +668,7 @@ class CPMSession:
         session.metrics = metrics if metrics is not None else MetricsRegistry()
         session.graph = graph
         session._members = dict(payload["members"])
-        session._pair_kact = dict(payload["pair_kact"])
+        session._wire = wire
         session._groups = {k: list(v) for k, v in payload["groups"].items()}
         session._next_id = payload["next_id"]
         session._applied = payload["applied"]
@@ -708,7 +677,6 @@ class CPMSession:
         session.cache_hit = False
         session.open_seconds = 0.0
         session._build_index()
-        session._rebuild_wire()
         session.metrics.inc("incr.sessions_loaded")
         return session
 
@@ -723,11 +691,12 @@ def load_session(
 
     Validates the directory end to end before trusting it: the META
     must be a session entry (not a pipeline checkpoint) at the current
-    schema versions, the payload must deserialise to a dict with every
-    session field at its type, and the rebuilt
-    graph's fingerprint must match the checksum the META was keyed
-    with — any mismatch raises
-    :class:`~repro.runner.checkpoint.CheckpointMismatchError` (a
+    schema versions, the payload must be at the session schema (checked
+    first, so an older layout is named as such) with every field at its
+    type, the rebuilt graph's fingerprint must match the checksum the
+    META was keyed with, and every overlap word must pair two saved
+    cliques — any mismatch raises a
+    :class:`~repro.runner.checkpoint.CheckpointError` (a
     ``ValueError``, so the CLI maps it to a clean exit).
     """
     active_tracer = tracer if tracer is not None else NULL_TRACER
@@ -751,15 +720,16 @@ def load_session(
                 "not a saved session"
             )
         payload = store.load_phase("session")
+        schema = payload.get("schema") if isinstance(payload, dict) else None
+        if schema is not None and schema != SESSION_SCHEMA_VERSION:
+            raise CheckpointMismatchError(
+                f"saved session at {store.root} uses schema {schema!r}, "
+                f"this build expects {SESSION_SCHEMA_VERSION}"
+            )
         if not has_fields(payload, _SESSION_FIELDS):
             raise CheckpointError(
                 f"saved session at {store.root} has no readable session payload "
                 f"(a dict with the fields {sorted(_SESSION_FIELDS)})"
-            )
-        if payload["schema"] != SESSION_SCHEMA_VERSION:
-            raise CheckpointMismatchError(
-                f"saved session at {store.root} uses schema {payload['schema']!r}, "
-                f"this build expects {SESSION_SCHEMA_VERSION}"
             )
         graph = Graph()
         graph.add_nodes_from(payload["nodes"])
@@ -770,5 +740,31 @@ def load_session(
                 f"saved session at {store.root} fails its integrity check: stored "
                 f"checksum {meta.get('checksum')!r} != rebuilt graph {checksum!r}"
             )
+        wire = _saved_wire(payload, store.root)
         span.set("n_cliques", len(payload["members"]))
-    return CPMSession._restore(payload, graph, tracer=tracer, metrics=metrics)
+    return CPMSession._restore(payload, graph, wire, tracer=tracer, metrics=metrics)
+
+
+def _saved_wire(payload: dict, root: Path) -> dict[int, array]:
+    """A saved payload's overlap buckets, refused unless each is whole
+    ``<i8`` words pairing saved clique ids below ``next_id`` (any other
+    word would index past the sweep's arrays or union a dead clique)."""
+    import numpy as np
+
+    next_id = payload["next_id"]
+    alive = np.zeros(max(next_id, 0), dtype=bool)
+    alive[[cid for cid in payload["members"] if isinstance(cid, int) and 0 <= cid < next_id]] = True
+    wire = {}
+    for k_act, blob in payload["wire"].items():
+        if not (isinstance(k_act, int) and isinstance(blob, bytes) and len(blob) % 8 == 0):
+            raise CheckpointError(f"saved session at {root}: bucket {k_act!r} is not <i8 words")
+        words = np.frombuffer(blob, dtype=np.int64)
+        high, low = words >> _WIRE_SHIFT, words & _LOW
+        in_range = (words >= 0) & (high < next_id) & (low < next_id)
+        if not (in_range.all() and (alive[high] & alive[low]).all()):
+            raise CheckpointError(
+                f"saved session at {root}: bucket {k_act!r} pairs a clique id that is "
+                f"not saved below next_id={next_id}"
+            )
+        wire[k_act] = array("q", blob)
+    return wire

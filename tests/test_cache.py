@@ -177,6 +177,12 @@ class TestCachedRuns:
         records = {r.name: r for r in tracer.records}
         assert records["graph.fingerprint"].parent_id == records["incr.open"].span_id
 
+    def test_session_never_creates_an_entry(self, tmp_path):
+        metrics = MetricsRegistry()
+        CPMSession(ring_of_cliques(4, 5), cache=CliqueCache(tmp_path), metrics=metrics)
+        assert list(tmp_path.iterdir()) == []
+        assert "cache.writes" not in metrics.to_dict()["counters"]
+
     def test_no_cache_emits_no_cache_counters(self):
         _, cpm, _, metrics = _run(ring_of_cliques(3, 4), None)
         counters = metrics.to_dict()["counters"]
@@ -325,14 +331,45 @@ class TestFlippedByteEntry:
 
     def test_session_open_misses(self, tmp_path, kernel):
         """A flipped ``overlap`` file is a miss for a session, which
-        opens from the wire."""
+        counts the wire over the entry's ``enumerate`` cliques and
+        repairs the entry with it: the next session hits."""
         graph = ring_of_cliques(6, 6)
-        cache, _ = self._flipped(tmp_path, graph, kernel, "overlap")
+        cache = CliqueCache(tmp_path)
+        run_cpm(graph, kernel=kernel, cache=cache)
+        entry = cache.entry(graph_fingerprint(graph)["checksum"], kernel)
+        before = entry.load_phase("overlap")
+        flip_stored_byte(_entry_file(tmp_path, "overlap"), before, in_bytes=True)
+        assert entry.load_phase("overlap") is None
         metrics = MetricsRegistry()
         session = CPMSession(graph, kernel=kernel, cache=cache, metrics=metrics)
         counters = metrics.to_dict()["counters"]
         assert not session.cache_hit
         assert counters["cache.misses"] == 1 and "cache.hits" not in counters
+        assert counters["cache.writes"] == 1 and "cache.write_errors" not in counters
+        fresh = run_cpm(graph, kernel=kernel)
+        assert hierarchy_to_dict(session.hierarchy) == hierarchy_to_dict(fresh.hierarchy)
+        repaired = entry.load_phase("overlap")
+        assert repaired["cliques"] == before["cliques"]
+        assert repaired["wire"] == before["wire"]
+        assert repaired["counted_pairs"] == before["counted_pairs"]
+        again = CPMSession(graph, kernel=kernel, cache=cache)
+        assert again.cache_hit
+        assert hierarchy_to_dict(again.hierarchy) == hierarchy_to_dict(fresh.hierarchy)
+
+    def test_session_repair_write_error_is_counted(self, tmp_path, kernel, monkeypatch):
+        """An unwritable entry costs the repair, never the open."""
+        graph = ring_of_cliques(6, 6)
+        cache, entry = self._flipped(tmp_path, graph, kernel, "overlap")
+
+        def refuse(*_args, **_kwargs):
+            raise OSError("read-only cache")
+
+        monkeypatch.setattr(type(entry), "store_phase", refuse)
+        metrics = MetricsRegistry()
+        session = CPMSession(graph, kernel=kernel, cache=cache, metrics=metrics)
+        counters = metrics.to_dict()["counters"]
+        assert not session.cache_hit
+        assert counters["cache.write_errors"] == 1 and "cache.writes" not in counters
         fresh = run_cpm(graph, kernel=kernel)
         assert hierarchy_to_dict(session.hierarchy) == hierarchy_to_dict(fresh.hierarchy)
 

@@ -238,3 +238,42 @@ class TestAtlasCommand:
         assert "IXP atlas" in out
         assert "Country atlas" in out
         assert "AMS-IX" in out
+
+
+class TestOneGraphHash:
+    """Each analysis command fingerprints the graph once, cache or not:
+    the CPM run's fingerprint (or the artifact's) stamps the manifest."""
+
+    ARGV = {
+        "tree": lambda data, out: ["tree", data],
+        "paper": lambda data, out: ["paper", "--dataset", data],
+        "query-build": lambda data, out: ["query", "build", data, str(out / "run.rqa")],
+    }
+
+    @pytest.mark.parametrize("cache", [False, True], ids=["no-cache", "cache"])
+    @pytest.mark.parametrize("command", sorted(ARGV))
+    def test_hashes_once(
+        self, saved_dataset, tiny_dataset, tmp_path, monkeypatch, capsys, command, cache
+    ):
+        import sys
+
+        from repro.obs import manifest as manifest_module
+
+        original = manifest_module.graph_fingerprint
+        calls = []
+
+        def counting(graph):
+            calls.append(graph)
+            return original(graph)
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "graph_fingerprint", None) is original:
+                monkeypatch.setattr(module, "graph_fingerprint", counting)
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        argv = self.ARGV[command](saved_dataset, tmp_path)
+        argv += ["--metrics", str(tmp_path / "run.json")] + (["--cache"] if cache else [])
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert len(calls) == 1
+        manifest = json.loads((tmp_path / "run.json").read_text(encoding="utf-8"))
+        assert manifest["fingerprint"] == original(tiny_dataset.graph)

@@ -252,6 +252,7 @@ class TestDeltaFuzz:
                 else hierarchy_bytes(session.result().hierarchy)
             )
             assert session_bytes == fresh_bytes(oracle, kernel)
+            assert session.n_overlap_pairs == len(oracle_pairs(oracle))
 
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_random_batches_on_generator_graph(self, kernel):
@@ -317,6 +318,20 @@ class TestDeltaFuzz:
                 reused += 1
         assert reused
 
+    def test_emptying_batch_drops_every_pair(self, tmp_path):
+        """A batch deleting the last cliques re-sweeps no order, yet
+        leaves no pair behind (in memory or in a save)."""
+        graph = Graph()
+        for clique in ((0, 1, 2, 3), (2, 3, 4, 5)):
+            graph.add_edges_from((u, v) for u in clique for v in clique if u < v)
+        session = CPMSession(graph)
+        assert session.n_overlap_pairs == 1
+        update = session.apply(EdgeDelta(deletions=sorted(graph.edges())))
+        assert update.cliques_retired and session.n_cliques == 0
+        assert session.n_overlap_pairs == 0 and session.hierarchy is None
+        session.save(tmp_path / "sess")
+        assert load_session(tmp_path / "sess").n_overlap_pairs == 0
+
     def test_deletion_only_and_insertion_only_batches(self):
         graph = ring_of_cliques(5, 5)
         session = CPMSession(graph)
@@ -346,13 +361,27 @@ def oracle_pairs(graph: Graph) -> dict[frozenset, int]:
     }
 
 
-def session_pairs(session: CPMSession) -> dict[frozenset, int]:
-    """The session's retained pair state, keyed by member sets."""
-    members = session._members
+def _pair_ids(session: CPMSession) -> dict[tuple[int, int], int]:
+    """The session's live wire words decoded to ``(a, b) -> k_act``."""
     return {
-        frozenset((members[a], members[b])): k_act
-        for (a, b), k_act in session._pair_kact.items()
+        (word >> 32, word & 0xFFFFFFFF): k_act
+        for k_act, words in session._wire.items()
+        for word in words
     }
+
+
+def session_pairs(session: CPMSession) -> dict[frozenset, int]:
+    """The session's retained pair state, keyed by member sets.
+
+    Decodes the live wire buckets; a word with a retired endpoint
+    raises ``KeyError``, and a duplicated word fails the count check.
+    """
+    members = session._members
+    ids = _pair_ids(session)
+    assert len(ids) == session.n_overlap_pairs
+    pairs = {frozenset((members[a], members[b])): k_act for (a, b), k_act in ids.items()}
+    assert len(pairs) == len(ids)
+    return pairs
 
 
 #: The TestDeltaFuzz graphs, built on demand.
@@ -411,27 +440,44 @@ class TestPersistence:
         )
 
     def test_parent_layout_session_is_refused(self, tmp_path, capsys):
-        """A session saved before checkpoint schema 3 (META schema 2, a
-        ``session:<kernel>`` tag, a payload carrying ``kernel``) fails
-        with the schema-naming error, and the CLI exits 2 on it."""
-        from repro.runner.checkpoint import FRAME, atomic_bytes_dump, frame_digest
-
-        graph = ring_of_cliques(5, 5)
-        CPMSession(graph).save(tmp_path / "sess")
+        """A session saved at session schema 2 (a ``pair_kact`` dict of
+        id pairs in place of the ``wire`` buckets) fails with the
+        schema-naming error, not the generic payload one, and the CLI
+        exits 2 on it."""
+        session = CPMSession(random_graph(28, 0.22, seed=0))
+        session.save(tmp_path / "sess")
         store = CheckpointStore(tmp_path / "sess")
-        payload = {**store.load_phase("session"), "schema": 1, "kernel": "blocks"}
-        meta = {**store.meta(), "schema": 2, "kernel": "session:blocks"}
-        store.meta_path.write_text(json.dumps(meta), encoding="utf-8")
-        body = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-        atomic_bytes_dump(
-            store.phase_path("session"), FRAME.pack(b"RQCKP", 2, frame_digest(body)) + body
-        )
-        with pytest.raises(CheckpointMismatchError, match="checkpoint schema 2.*re-open and save"):
+        payload = store.load_phase("session")
+        del payload["wire"]
+        store.store_phase("session", {**payload, "schema": 2, "pair_kact": _pair_ids(session)})
+        with pytest.raises(CheckpointMismatchError, match="uses schema 2, this build expects 3"):
             load_session(tmp_path / "sess")
         capsys.readouterr()
         assert main(["session", "apply", str(tmp_path / "sess"), "--insert", "0,10"]) == 2
         err = capsys.readouterr().err
-        assert "checkpoint schema 2" in err and "Traceback" not in err
+        assert "uses schema 2" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("bucket", ["ragged", "out-of-range"])
+    def test_corrupt_wire_is_refused(self, tmp_path, capsys, bucket):
+        """A bucket that is not whole <i8 words, or pairs an id at or
+        above ``next_id``, is a named CheckpointError (not an
+        IndexError), and the CLI exits 2 without a traceback."""
+        CPMSession(random_graph(28, 0.22, seed=0)).save(tmp_path / "sess")
+        store = CheckpointStore(tmp_path / "sess")
+        payload = store.load_phase("session")
+        k_act, blob = max(payload["wire"].items())
+        if bucket == "ragged":
+            blob = blob[:7]
+        else:
+            blob += payload["next_id"].to_bytes(8, "little")  # the pair (0, next_id)
+        store.store_phase("session", {**payload, "wire": {**payload["wire"], k_act: blob}})
+        match = "not <i8 words" if bucket == "ragged" else "not saved below next_id"
+        with pytest.raises(CheckpointError, match=match):
+            load_session(tmp_path / "sess")
+        capsys.readouterr()
+        assert main(["session", "status", str(tmp_path / "sess")]) == 2
+        err = capsys.readouterr().err
+        assert match in err and "Traceback" not in err
 
     def test_missing_directory_fails_cleanly(self, tmp_path):
         with pytest.raises(CheckpointError, match="META.json is missing"):
@@ -485,13 +531,17 @@ class TestPersistence:
         with pytest.raises(CheckpointError, match="payload"):
             load_session(tmp_path / "sess")
 
-    def test_old_schema_directory_is_named(self, tmp_path):
+    def test_old_schema_directory_is_named(self, tmp_path, capsys):
         CPMSession(ring_of_cliques(3, 4)).save(tmp_path / "sess")
         store = CheckpointStore(tmp_path / "sess")
         meta = store.meta()
         store.meta_path.write_text(json.dumps({**meta, "schema": 1}), encoding="utf-8")
-        with pytest.raises(CheckpointMismatchError, match="checkpoint schema 1"):
+        with pytest.raises(CheckpointMismatchError, match="checkpoint schema 1.*re-open and save"):
             load_session(tmp_path / "sess")
+        capsys.readouterr()
+        assert main(["session", "apply", str(tmp_path / "sess"), "--insert", "0,5"]) == 2
+        err = capsys.readouterr().err
+        assert "checkpoint schema 1" in err and "Traceback" not in err
 
 
 class TestFacade:
