@@ -107,6 +107,23 @@ class AnalysisContext:
             tracer=tracer,
             metrics=metrics,
         )
+        return cls.from_result(
+            dataset, result, analysis_engine=analysis_engine, tracer=tracer, metrics=metrics
+        )
+
+    @classmethod
+    def from_result(
+        cls,
+        dataset: ASDataset,
+        result,
+        *,
+        analysis_engine: str = "bitset",
+        tracer: Tracer | None = None,
+        metrics: MetricsRegistry | None = None,
+    ) -> "AnalysisContext":
+        """Wrap a finished :class:`~repro.api.CPMResult` of
+        ``dataset.graph``: build the tree and keep the run's stats, CSR
+        snapshot and fingerprint (so no consumer hashes the graph again)."""
         return cls(
             dataset=dataset,
             hierarchy=result.hierarchy,

@@ -177,6 +177,7 @@ class CPMSession:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.graph = graph.copy()
+        self._fingerprint: dict | None = None
         self._groups: dict[int, list[list[int]]] = {}
         self._applied = 0
         self._hierarchy: CommunityHierarchy | None = None
@@ -216,7 +217,7 @@ class CPMSession:
         entry = None
         if cache is not None:
             with self.tracer.span("graph.fingerprint"):
-                checksum = graph_fingerprint(self.graph)["checksum"]
+                checksum = self.fingerprint()["checksum"]
             entry = cache.held(checksum, self.kernel)
             payload = entry.load_phase("overlap") if entry is not None else None
             self.cache_hit = PHASE_SHAPES["overlap"](payload)
@@ -303,8 +304,15 @@ class CPMSession:
         return self._hierarchy
 
     def fingerprint(self) -> dict:
-        """The current graph's fingerprint (nodes, edges, checksum)."""
-        return graph_fingerprint(self.graph)
+        """The current graph's fingerprint (nodes, edges, checksum).
+
+        Hashed once per graph state: :meth:`apply` drops it when it
+        changes the graph, so the cache key, :meth:`save`,
+        :meth:`describe` and a CLI manifest share one hash.
+        """
+        if self._fingerprint is None:
+            self._fingerprint = graph_fingerprint(self.graph)
+        return dict(self._fingerprint)
 
     def describe(self) -> dict:
         """A JSON-friendly status snapshot (the CLI's ``session status``)."""
@@ -384,6 +392,7 @@ class CPMSession:
             born = retired = 0
             k_aff = 0
             with self.tracer.span("incr.mutate"):
+                self._fingerprint = None
                 steps = [(self._delete_edge, edge) for edge in delta.deletions]
                 steps += [(self._insert_edge, edge) for edge in delta.insertions]
                 for step, (u, v) in steps:
@@ -634,8 +643,7 @@ class CPMSession:
         """
         store = path if isinstance(path, CheckpointStore) else CheckpointStore(path)
         with self.tracer.span("incr.save") as span:
-            checksum = graph_fingerprint(self.graph)["checksum"]
-            store.open(checksum=checksum, kernel=_KERNEL_TAG, resume=False)
+            store.open(checksum=self.fingerprint()["checksum"], kernel=_KERNEL_TAG, resume=False)
             payload = {
                 "schema": SESSION_SCHEMA_VERSION,
                 "nodes": list(self.graph.nodes()),
@@ -657,6 +665,7 @@ class CPMSession:
         payload: dict,
         graph: Graph,
         wire: dict[int, array],
+        fingerprint: dict,
         *,
         tracer: Tracer | None = None,
         metrics: MetricsRegistry | None = None,
@@ -667,6 +676,7 @@ class CPMSession:
         session.tracer = tracer if tracer is not None else NULL_TRACER
         session.metrics = metrics if metrics is not None else MetricsRegistry()
         session.graph = graph
+        session._fingerprint = fingerprint
         session._members = dict(payload["members"])
         session._wire = wire
         session._groups = {k: list(v) for k, v in payload["groups"].items()}
@@ -734,7 +744,8 @@ def load_session(
         graph = Graph()
         graph.add_nodes_from(payload["nodes"])
         graph.add_edges_from(payload["edges"])
-        checksum = graph_fingerprint(graph)["checksum"]
+        fingerprint = graph_fingerprint(graph)
+        checksum = fingerprint["checksum"]
         if checksum != meta.get("checksum"):
             raise CheckpointMismatchError(
                 f"saved session at {store.root} fails its integrity check: stored "
@@ -742,7 +753,7 @@ def load_session(
             )
         wire = _saved_wire(payload, store.root)
         span.set("n_cliques", len(payload["members"]))
-    return CPMSession._restore(payload, graph, wire, tracer=tracer, metrics=metrics)
+    return CPMSession._restore(payload, graph, wire, fingerprint, tracer=tracer, metrics=metrics)
 
 
 def _saved_wire(payload: dict, root: Path) -> dict[int, array]:
