@@ -216,9 +216,10 @@ def run_cpm(
     removed — they now raise ``TypeError`` like any unknown keyword;
     see ``docs/api.md`` for the migration table.
     """
-    min_k, max_k = k_range if isinstance(k_range, tuple) else (k_range, k_range)
-    cpm = LightweightParallelCPM(
+    return _extract(
         graph,
+        k_range,
+        None,
         workers=workers,
         kernel=kernel,
         shards=shards,
@@ -230,6 +231,16 @@ def run_cpm(
         tracer=tracer,
         metrics=metrics,
     )
+
+
+def _extract(graph: Graph, k_range, fingerprint: dict | None, **options) -> CPMResult:
+    """:func:`run_cpm`'s body over coerced :class:`LightweightParallelCPM`
+    keywords.  A ``fingerprint`` the caller already took (the CLI's
+    stale-artifact guard) must be ``graph_fingerprint(graph)``: it keys
+    the run's stores unchecked, in place of a second hash."""
+    min_k, max_k = k_range if isinstance(k_range, tuple) else (k_range, k_range)
+    cpm = LightweightParallelCPM(graph, **options)
+    cpm.fingerprint = fingerprint
     hierarchy = cpm.run(min_k=min_k, max_k=max_k)
     return CPMResult(hierarchy=hierarchy, stats=cpm.stats, csr=cpm.csr, fingerprint=cpm.fingerprint)
 

@@ -872,6 +872,27 @@ class TestObsCLI:
         assert main(["obs", "view", str(manifest_path)]) == 0
         assert "cpm.run" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["view", "{trace}"],
+            ["view", "{manifest}"],
+            ["export", "{trace}", "--out", "{out}"],
+            ["export", "{manifest}", "--out", "{out}"],
+            ["export", "{manifest}", "--format", "prometheus"],
+        ],
+        ids=["view-trace", "view-manifest", "export-trace", "export-manifest", "prometheus"],
+    )
+    def test_obs_commands_leave_their_input_alone(self, artifacts, tmp_path, capsys, argv):
+        """The positional ``trace`` of ``obs view``/``obs export`` is an
+        input, not a ``--trace`` output: the command must not rewrite it."""
+        trace, manifest_path = artifacts
+        paths = {"trace": trace, "manifest": manifest_path, "out": tmp_path / "out.json"}
+        before = {path: path.read_bytes() for path in (trace, manifest_path)}
+        assert main(["obs"] + [arg.format(**paths) for arg in argv]) == 0
+        assert "wrote trace" not in capsys.readouterr().out
+        assert {path: path.read_bytes() for path in before} == before
+
     def test_obs_diff(self, artifacts, tmp_path, capsys):
         _, manifest_path = artifacts
         assert main(["obs", "diff", str(manifest_path), str(manifest_path)]) == 0
