@@ -11,13 +11,17 @@ numbers.)  The two phases where batching wins are whole-array passes:
 
 * **Overlap counting** (:func:`count_overlaps_blocks`, called through
   :func:`~repro.core.overlap.count_overlaps`) — clique memberships
-  are flattened and lex-sorted into per-node runs, run prefixes are
-  truncated to the counting-eligible (size >= 3) cliques, every
-  within-prefix pair is emitted as a packed ``(i << shift) | j`` word
-  by one ragged repeat/cumsum gather (no per-run Python loop), and
-  ``np.unique(..., return_counts=True)`` produces the exact overlap
-  multiset.  Activation-order bucketing and the k=2 chain pairs are
-  plain array arithmetic.
+  are flattened and lex-sorted into per-node runs, and run prefixes
+  are truncated to the counting-eligible (size >= 3) cliques.  Every
+  within-prefix pair is a packed ``(i << shift) | j`` word with
+  ``i < j``; all co-occurrences of a pair share its smaller id ``i``
+  (its "owner").  So the prefix positions are ordered by owner and cut
+  at owner boundaries into chunks of at most :data:`CHUNK_WORDS` words;
+  each chunk emits its words by one ragged repeat/cumsum gather (no
+  per-run Python loop) and ``np.unique(..., return_counts=True)``
+  gives those pairs' exact overlaps.  Memory is bounded by one chunk
+  plus the wire, not by the whole pair multiset.  Activation-order
+  bucketing and the k=2 chain pairs are plain array arithmetic.
 * **Percolation** (:func:`percolate_orders_blocks`, called through
   :func:`~repro.core.percolation.percolate_wire`) — min-label
   propagation over the packed pair arrays: hook each endpoint's *root*
@@ -47,6 +51,14 @@ __all__ = [
 ]
 
 
+#: The most pair words the co-occurrence pass holds at once; an owner
+#: with more partner words than this is a chunk by itself.  2^15 to
+#: 2^17 time alike (2^14 pays per-chunk overhead, 2^20 loses cache
+#: locality in ``np.unique``'s sort); ``docs/performance.md`` has the
+#: numbers.
+CHUNK_WORDS = 1 << 16
+
+
 def count_overlaps_blocks(
     dense: list[tuple[int, ...]],
     sizes: list[int],
@@ -62,7 +74,8 @@ def count_overlaps_blocks(
     stats)`` where ``n_counted`` is the number of distinct co-occurring
     pairs and ``stats`` reports the ``pair_updates`` (pair words
     emitted before ``np.unique``).  ``tracer`` times the pass as
-    ``cpm.blocks.count``.
+    ``cpm.blocks.count``, with the ``chunks`` it counted in and their
+    ``max_chunk_words``.
 
     Counting semantics: pairs are counted over the per-node id lists
     truncated to the eligible prefix, nodes with fewer than two
@@ -72,9 +85,9 @@ def count_overlaps_blocks(
     """
     with tracer.span("cpm.blocks.count", cliques=len(dense)) as span:
         n_cliques = len(dense)
-        # Pair words are (id << shift) | id; on every graph this
-        # pipeline meets they fit int32, which halves the sort traffic
-        # of the np.unique below.  The wire stays '<i8' regardless.
+        # Pair words are (id << shift) | id; up to 32,767 cliques they
+        # fit int32, which halves the sort traffic of the np.unique
+        # below.  The wire stays '<i8' regardless.
         word_dtype = (
             np.int32
             if (n_cliques << shift) | ((1 << shift) - 1) < 2**31
@@ -95,60 +108,74 @@ def count_overlaps_blocks(
         starts = np.flatnonzero(np.concatenate(([total > 0], ~same)))
         eligible_len = np.add.reduceat((cids_s < n_counting).astype(np.int64), starts)
         keep = eligible_len >= 2
-        kept_starts = starts[keep]
         kept_len = eligible_len[keep].astype(word_dtype)
-        # All pairs within each eligible prefix, in one ragged gather:
-        # each prefix position q > 0 contributes q pairs as the larger
-        # endpoint, partnered with every earlier position of its run.
-        # Ids ascend within a run, so position order is id order and the
-        # packed word is (smaller id << shift) | larger id.
+        # Each prefix position is the smaller id (the "owner") of a pair
+        # with every later position of its run: ids ascend within a run,
+        # so the packed word is (owner << shift) | partner.
         n_incident = int(kept_len.sum())
         within = np.arange(n_incident, dtype=word_dtype) - np.repeat(
             np.cumsum(kept_len, dtype=word_dtype) - kept_len, kept_len
         )
-        pos = np.repeat(kept_starts.astype(word_dtype), kept_len) + within
-        pair_updates = int(within.sum())
-        if pair_updates:
-            j_pos = np.repeat(pos, within)
-            grp_starts = np.cumsum(within, dtype=word_dtype) - within
-            delta = (
-                np.arange(pair_updates, dtype=word_dtype)
-                - np.repeat(grp_starts, within)
-                + word_dtype(1)
+        pos = np.repeat(starts[keep].astype(word_dtype), kept_len) + within
+        partners = np.repeat(kept_len, kept_len) - word_dtype(1) - within
+        owning = partners > 0
+        pos, partners = pos[owning], partners[owning]
+        owners = cids_s[pos]
+        by_owner = np.argsort(owners, kind="stable")
+        pos, partners, owners = pos[by_owner], partners[by_owner], owners[by_owner]
+        pair_updates = int(partners.sum())
+        # Every co-occurrence of a pair has the same owner, so chunks cut
+        # at owner boundaries each count their pairs exactly; chunks come
+        # in ascending owner order, so each bucket's pieces concatenate
+        # to ascending words.
+        owner_ends = np.flatnonzero(np.append(owners[1:] != owners[:-1], len(owners) > 0)) + 1
+        words_done = np.cumsum(partners, dtype=np.int64)[owner_ends - 1]
+        sizes_a = np.asarray(sizes, dtype=np.int64)
+        mask = (1 << shift) - 1
+        parts: dict[int, list[bytes]] = {}
+        n_counted = n_chunks = max_chunk_words = 0
+        group = lo = lo_done = 0
+        while group < len(owner_ends):
+            group = max(
+                group + 1,
+                int(np.searchsorted(words_done, lo_done + CHUNK_WORDS, side="right")),
             )
-            i_pos = j_pos - delta
-            words = (cids_s[i_pos] << shift) | cids_s[j_pos]
+            hi, hi_done = int(owner_ends[group - 1]), int(words_done[group - 1])
+            n_words = hi_done - lo_done
+            counts_c = partners[lo:hi]
+            offset = np.arange(n_words, dtype=word_dtype) - np.repeat(
+                np.cumsum(counts_c, dtype=word_dtype) - counts_c, counts_c
+            )
+            j_pos = np.repeat(pos[lo:hi] + word_dtype(1), counts_c) + offset
+            words = (np.repeat(owners[lo:hi], counts_c) << shift) | cids_s[j_pos]
             unique_words, counts = np.unique(words, return_counts=True)
-        else:
-            unique_words = counts = np.empty(0, np.int64)
-        n_counted = len(unique_words)
-        # Activation-order bucketing over the overlap >= 2 pairs.
-        strong = counts > 1
-        kept_words = unique_words[strong]
-        kept_counts = counts[strong]
-        sizes_j = np.asarray(sizes, dtype=np.int64)[kept_words & ((1 << shift) - 1)]
-        k_act = np.minimum(sizes_j, kept_counts + 1)
-        by_k = np.argsort(k_act, kind="stable")
-        words_sorted = kept_words[by_k]
-        k_sorted = k_act[by_k]
-        if len(k_sorted):
-            bounds = np.flatnonzero(np.diff(k_sorted)) + 1
-            bucket_starts = np.concatenate(([0], bounds))
-            bucket_ends = np.concatenate((bounds, [len(k_sorted)]))
-        else:
-            bucket_starts = bucket_ends = ()
+            n_counted += len(unique_words)
+            n_chunks += 1
+            max_chunk_words = max(max_chunk_words, n_words)
+            # Activation-order bucketing over the overlap >= 2 pairs.
+            strong = counts > 1
+            kept_words = unique_words[strong]
+            k_act = np.minimum(sizes_a[kept_words & mask], counts[strong] + 1)
+            by_k = np.argsort(k_act, kind="stable")
+            k_sorted = k_act[by_k]
+            if len(k_sorted):
+                cuts = np.flatnonzero(np.diff(k_sorted)) + 1
+                runs = np.split(kept_words[by_k], cuts)
+                for k, run in zip(k_sorted[np.append(0, cuts)].tolist(), runs):
+                    parts.setdefault(k, []).append(run.astype("<i8").tobytes())
+            lo, lo_done = hi, hi_done
+        buckets = {k: b"".join(parts.pop(k)) for k in sorted(parts)}
         wire = OverlapWire(
             n_cliques=n_cliques,
             shift=shift,
-            n_pairs=len(words_sorted),
+            n_pairs=sum(len(blob) // 8 for blob in buckets.values()),
             n_chain_pairs=len(chains),
-            buckets={
-                int(k_sorted[s]): words_sorted[s:e].astype("<i8", copy=False).tobytes()
-                for s, e in zip(bucket_starts, bucket_ends)
-            },
+            buckets=buckets,
             chains=chains.astype("<i8", copy=False).tobytes(),
         )
         span.set("pairs", n_counted)
+        span.set("chunks", n_chunks)
+        span.set("max_chunk_words", max_chunk_words)
     return wire, n_counted, {"pair_updates": pair_updates}
 
 

@@ -26,7 +26,8 @@ Pairs are packed as ``(i << shift) | j`` words whose little-endian
 instead of a pickled list of tuples.  :class:`OverlapWire` is that
 bundle; :func:`count_overlaps`, the one counter both the batch
 pipeline and :class:`~repro.incremental.CPMSession` open through,
-builds it in one numpy pass (:func:`~.blocks.count_overlaps_blocks`).
+builds it in numpy passes over bounded chunks of pair words
+(:func:`~.blocks.count_overlaps_blocks`).
 """
 
 from __future__ import annotations

@@ -14,8 +14,10 @@ module pins everything around the kernel:
 * enumeration without numpy: a ``numpy``-blocked interpreter emits the
   same cliques as this one;
 * the numpy overlap counter against a reference built from the set
-  oracle's overlaps, and its wire bytes against digests recorded
-  before the pure-Python counter was deleted;
+  oracle's overlaps at three chunk budgets, its traced memory against
+  a bound one chunk keeps and the one-pass count did not, and its wire
+  bytes against digests recorded before the pure-Python counter was
+  deleted;
 * the min-label percolation sweep against a union-find reference,
   group for group;
 * the resolved kernel + numpy version stamped into manifest settings,
@@ -24,11 +26,14 @@ module pins everything around the kernel:
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +41,7 @@ import pytest
 
 from repro.api import open_session, run_cpm
 from repro.cli import main
+from repro.core import blocks
 from repro.core.cliques import maximal_cliques_bitset
 from repro.core.lightweight import KERNELS, LightweightParallelCPM, resolve_kernel
 from repro.core.overlap import count_overlaps
@@ -43,6 +49,7 @@ from repro.core.percolation import percolate_wire
 from repro.graph import CSRGraph, Graph, ring_of_cliques
 from repro.incremental import CPMSession
 from repro.obs.inspect import diff_manifests
+from repro.obs.tracing import Tracer
 from repro.shard.pipeline import sharded_enumerate_dense
 from repro.shard.plan import prefix_count
 from repro.topology.generator import GeneratorConfig, generate_topology
@@ -319,23 +326,128 @@ def _words(blob: bytes) -> list[int]:
     return np.sort(np.frombuffer(blob, dtype="<i8")).tolist()
 
 
+def _strip(size: int, count: int, step: int, base: int) -> list[tuple[int, ...]]:
+    """``count`` cliques of ``size`` nodes, each ``step`` nodes past the last."""
+    return [tuple(range(base + step * t, base + step * t + size)) for t in range(count)]
+
+
+def _int64_cliques() -> list[tuple[int, ...]]:
+    """33,000 size-descending cliques: shift 16, so pair words overflow
+    int32.  Strips of 5-, 4- and 3-cliques overlap their neighbours, 200
+    triangles share one hub (the largest owner, 200 partner words), and
+    edges hang off the triangle strip for the chains."""
+    hub = [(10**6, 900_000 + t, 900_001 + t) for t in range(200)]
+    edges = [(500_000 + t, 700_000 + t) for t in range(5_800)]
+    return (
+        _strip(5, 4_000, 2, 0)
+        + _strip(4, 8_000, 2, 100_000)
+        + hub
+        + _strip(3, 15_000, 1, 500_000)
+        + edges
+    )
+
+
+#: Size-descending cliques (the pipeline's dense tuples) the counter is
+#: checked on against the reference.
+WIRE_CASES = {
+    "11": lambda: _pipeline_wire(random_graph(55, 0.25, seed=11))[0],
+    "23": lambda: _pipeline_wire(random_graph(55, 0.25, seed=23))[0],
+    "no-triangle": lambda: [(0, 1), (1, 2), (2, 3), (1, 4)],
+    "single-clique": lambda: [(0, 1, 2, 3, 4)],
+    "int64-words": _int64_cliques,
+}
+
+
+@functools.cache
+def _wire_case(name: str) -> tuple[list, dict, list[int]]:
+    """A case's cliques, its reference wire, and the partner words each
+    counting clique owns as a pair's smaller id (the chunks' unit)."""
+    dense = WIRE_CASES[name]()
+    runs: dict[int, list[int]] = {}
+    for cid, clique in enumerate(dense[: prefix_count([len(c) for c in dense], 3)]):
+        for node in clique:
+            runs.setdefault(node, []).append(cid)
+    owned = Counter()
+    for cids in runs.values():
+        for q, cid in enumerate(cids):
+            owned[cid] += len(cids) - 1 - q
+    return dense, reference_wire(dense), [n for n in owned.values() if n]
+
+
 class TestWireEquivalence:
     """The numpy overlap/percolation passes vs the references."""
 
-    @pytest.mark.parametrize("seed", [11, 23])
-    def test_overlap_wire_matches_reference(self, seed):
-        graph = random_graph(55, 0.25, seed=seed)
-        dense, cliques, (wire, counted, stats) = _pipeline_wire(graph)
-        reference = reference_wire(cliques)
-        assert reference["buckets"], "the graph should count some pairs"
+    @pytest.mark.parametrize(
+        ("case", "budget"),
+        [
+            pytest.param(case, budget, id=case if budget == "default" else f"{case}-{budget}")
+            for case in sorted(WIRE_CASES)
+            for budget in ("default", "one-word", "below-largest-owner")
+        ],
+    )
+    def test_overlap_wire_matches_reference(self, case, budget, monkeypatch):
+        """Every chunk budget gives the reference's wire: the default
+        (the id without a suffix), one word per chunk, and a budget the
+        largest owner overruns alone."""
+        dense, reference, owned = _wire_case(case)
+        largest = max(owned, default=0)
+        chunk_words = {
+            "one-word": 1,
+            "below-largest-owner": max(1, largest - 1),
+            "default": blocks.CHUNK_WORDS,
+        }[budget]
+        monkeypatch.setattr(blocks, "CHUNK_WORDS", chunk_words)
+        sizes = [len(c) for c in dense]
+        tracer = Tracer()
+        wire, counted, stats = count_overlaps(
+            dense, sizes, max(1, len(sizes).bit_length()), tracer
+        )
         assert counted == reference["counted"]
         assert stats["pair_updates"] == reference["pair_updates"]
         assert wire.n_cliques == len(dense)
         assert wire.shift == reference["shift"]
         assert {k: _words(blob) for k, blob in wire.buckets.items()} == reference["buckets"]
+        assert list(wire.buckets) == sorted(wire.buckets)
         assert wire.n_pairs == sum(map(len, reference["buckets"].values()))
         assert _words(wire.chains) == reference["chains"]
         assert wire.n_chain_pairs == len(reference["chains"])
+        # Each bucket is already ascending: the chunks come in owner order.
+        for blob in wire.buckets.values():
+            words = np.frombuffer(blob, dtype="<i8")
+            assert (np.diff(words) > 0).all()
+        (span,) = tracer.find("cpm.blocks.count")
+        assert span.attrs["pairs"] == counted
+        assert (span.attrs["chunks"] == 0) == (not owned)
+        assert largest <= span.attrs["max_chunk_words"] <= max(chunk_words, largest)
+        if chunk_words == 1:
+            assert span.attrs["chunks"] == len(owned)
+        if case == "int64-words":
+            assert (len(dense) << wire.shift) >= 2**31
+        if case in ("11", "23", "int64-words"):
+            assert reference["buckets"], "the case should count some pairs"
+
+    def test_counter_memory_is_bounded_by_the_chunk(self, default_dataset, monkeypatch):
+        """The co-occurrence pass holds one chunk of pair words, not the
+        whole multiset.  On the default profile with 2^14-word chunks
+        the traced peak reads 2.8 MiB (1.1 MiB of it is the wire); the
+        one-pass count it replaced peaked at 22.5 MiB."""
+        dense, _cliques = sharded_enumerate_dense(
+            LightweightParallelCPM(default_dataset.graph), None
+        )
+        sizes = [len(c) for c in dense]
+        monkeypatch.setattr(blocks, "CHUNK_WORDS", 1 << 14)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            count_overlaps(dense, sizes, max(1, len(sizes).bit_length()))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak < 8 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
 
     @pytest.mark.parametrize("seed", [5, 23])
     def test_percolation_groups_match_union_find(self, seed):
