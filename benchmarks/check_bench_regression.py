@@ -71,10 +71,10 @@ def committed_manifests(ref: str) -> dict[str, dict]:
 #: per-batch and too small/noisy to gate one-by-one);
 #: ``query_throughput_rps`` (higher-is-better) and
 #: ``query_p99_seconds_*`` gate the live server's concurrent serving
-#: path (``bench_query_service.py``'s HTTP load section) — removing
-#: the global request lock must not silently give the throughput back,
-#: and per-endpoint tail latency rides in the same table (sub-ms p99s
-#: fall under the tiny-baseline skip but stay visible per run).
+#: path (``bench_query_service.py``'s HTTP load section) — served
+#: throughput must not silently drop, and per-endpoint tail latency
+#: rides in the same table (sub-ms p99s fall under the tiny-baseline
+#: skip but stay visible per run).
 SPAN_PREFIXES = ("cpm.", "analysis.", "query.")
 SCALAR_PREFIXES = (
     "cpm_seconds",

@@ -392,17 +392,17 @@ def make_query_server(
     tracer: Tracer | None = None,
     metrics: MetricsRegistry | None = None,
     monitor=None,
-    serialize_requests: bool = False,
 ):
     """Bind a threaded JSON lookup server over a query artifact.
 
     Facade over :func:`repro.query.server.make_server`: ``artifact``
     is a loaded :class:`~repro.query.artifact.QueryArtifact` or an
     existing :class:`~repro.query.engine.LookupEngine`.  Requests run
-    concurrently (no global lock) with per-endpoint latency histograms
-    and a Prometheus ``/metrics`` endpoint; ``monitor`` attaches a
-    running :class:`~repro.obs.resources.ResourceMonitor` whose
-    samples surface as process gauges on scrapes.  The caller drives
+    concurrently, one handler thread per connection, with
+    per-endpoint latency histograms and a Prometheus ``/metrics``
+    endpoint; ``monitor`` attaches a running
+    :class:`~repro.obs.resources.ResourceMonitor` whose samples
+    surface as process gauges on scrapes.  The caller drives
     ``serve_forever()`` / ``shutdown()``.
     """
     from .query.server import make_server
@@ -414,7 +414,6 @@ def make_query_server(
         tracer=tracer,
         metrics=metrics,
         monitor=monitor,
-        serialize_requests=serialize_requests,
     )
 
 

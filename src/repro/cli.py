@@ -802,7 +802,6 @@ def _cmd_query_serve(args: argparse.Namespace, run: _Run) -> int:
         tracer=tracer,
         metrics=metrics,
         monitor=monitor,
-        serialize_requests=args.serialize_requests,
     )
     server.max_requests = args.max_requests
     print(
@@ -816,7 +815,6 @@ def _cmd_query_serve(args: argparse.Namespace, run: _Run) -> int:
         artifact=str(args.artifact),
         communities=artifact.n_communities,
         max_requests=args.max_requests,
-        serialize_requests=args.serialize_requests,
     )
     try:
         server.serve_forever()
@@ -1079,13 +1077,6 @@ def _configure_query_serve(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--max-requests", type=int, default=None, metavar="N",
         help="shut down after N requests (smoke tests; default: serve forever)",
-    )
-    p.add_argument(
-        "--serialize-requests", action="store_true",
-        help=(
-            "legacy mode: serve one request at a time under a global lock "
-            "(benchmark baseline / concurrency bisection; not for production)"
-        ),
     )
 
 

@@ -28,9 +28,12 @@ raw string for string-labelled graphs.
 Concurrency model (the artifact is immutable, so reads need no
 coordination at all):
 
-* requests run **concurrently** — there is no global request lock;
-  the threaded listener hands each connection its own handler thread
-  and the handler reads the shared mmap directly;
+* requests run **concurrently**: the threaded listener hands each
+  connection its own handler thread, and the handler reads the shared
+  mmap directly;
+* an idle connection is closed after ``_QueryRequestHandler.timeout``
+  seconds, so a client that opens a socket and sends nothing does not
+  pin a handler thread forever;
 * shared telemetry is safe by construction: the
   :class:`~repro.obs.metrics.MetricsRegistry` takes fine-grained
   per-instrument locks, and spans are captured on a **per-request**
@@ -46,10 +49,7 @@ coordination at all):
 * ``max_requests`` draining is an :class:`~repro.obs.metrics
   .AtomicCounter`: the *add-and-get* that lands exactly on the limit
   owns the shutdown, so N concurrent final requests trigger exactly
-  one shutdown and smoke tests stay deterministic;
-* ``serialize_requests=True`` restores the old global-lock behaviour
-  — kept as the *baseline* arm of the concurrency benchmark and for
-  bisecting concurrency bugs, not for production use.
+  one shutdown and smoke tests stay deterministic.
 
 Access logging: the default stderr log stays silenced, but when the
 process has a configured :mod:`repro.obs.logging` logger (``--log-json``)
@@ -128,7 +128,6 @@ class QueryServer(ThreadingHTTPServer):
         tracer: Tracer | None = None,
         metrics: MetricsRegistry | None = None,
         monitor: ResourceMonitor | None = None,
-        serialize_requests: bool = False,
     ) -> None:
         super().__init__(address, _QueryRequestHandler)
         self.engine = engine
@@ -138,11 +137,6 @@ class QueryServer(ThreadingHTTPServer):
         #: starts one for ``repro query serve``) its latest sample
         #: surfaces as ``process_*`` gauges on ``/metrics``.
         self.monitor = monitor
-        #: Legacy serialization (pre-concurrency behaviour): one
-        #: request at a time under a global lock.  The benchmark's
-        #: baseline arm; never the default.
-        self.serialize_requests = serialize_requests
-        self._serial_lock = threading.Lock()
         #: When set, the server shuts itself down after this many
         #: requests — a deterministic stop for smoke tests and CI.
         self.max_requests: int | None = None
@@ -188,22 +182,18 @@ class QueryServer(ThreadingHTTPServer):
 class _QueryRequestHandler(BaseHTTPRequestHandler):
     server_version = "repro-query"
     protocol_version = "HTTP/1.1"
+    #: Seconds a connection may sit idle before the handler closes it.
+    timeout = 30
     server: QueryServer
 
     # ------------------------------------------------------------------
     # Routing
     # ------------------------------------------------------------------
     def do_GET(self) -> None:  # noqa: N802 (http.server API)
-        server = self.server
-        if server.serialize_requests:
-            with server._serial_lock:
-                drained = self._handle_request()
-        else:
-            drained = self._handle_request()
-        if drained:
+        if self._handle_request():
             # shutdown() blocks until serve_forever exits; hop threads
             # so this response finishes first.
-            threading.Thread(target=server.shutdown, daemon=True).start()
+            threading.Thread(target=self.server.shutdown, daemon=True).start()
 
     def _handle_request(self) -> bool:
         """Serve one request; True when this request drained the server."""
@@ -257,10 +247,7 @@ class _QueryRequestHandler(BaseHTTPRequestHandler):
         if tracer is not NULL_TRACER:
             server.tracer.absorb(tracer.to_dicts(), request_id=request_id)
 
-        if isinstance(payload, str):
-            self._reply_text(status, payload)
-        else:
-            self._reply(status, payload)
+        self._reply(status, payload)
 
         _LOG.info(
             "query.access",
@@ -275,18 +262,16 @@ class _QueryRequestHandler(BaseHTTPRequestHandler):
         served = server._served.next()
         return server.max_requests is not None and served == server.max_requests
 
-    def _reply(self, status: int, payload: dict | list) -> None:
-        body = json.dumps(payload).encode("utf-8")
+    def _reply(self, status: int, payload: dict | list | str) -> None:
+        """Send one reply: JSON, or Prometheus text for a ``str`` payload."""
+        if isinstance(payload, str):
+            body = payload.encode("utf-8")
+            content_type = "text/plain; version=0.0.4; charset=utf-8"
+        else:
+            body = json.dumps(payload).encode("utf-8")
+            content_type = "application/json"
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _reply_text(self, status: int, payload: str) -> None:
-        body = payload.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+        self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
         self.wfile.write(body)
@@ -355,18 +340,16 @@ def make_server(
     tracer: Tracer | None = None,
     metrics: MetricsRegistry | None = None,
     monitor: ResourceMonitor | None = None,
-    serialize_requests: bool = False,
 ) -> QueryServer:
     """Bind a :class:`QueryServer` (``port=0`` picks a free port).
 
     ``artifact`` may be a loaded :class:`QueryArtifact` or an existing
     :class:`LookupEngine`.  ``monitor`` attaches a running
     :class:`ResourceMonitor` whose samples surface as ``process_*``
-    gauges on ``/metrics``; ``serialize_requests`` restores the legacy
-    one-at-a-time global lock (benchmark baseline only).  The caller
-    drives ``serve_forever()`` / ``shutdown()``; the server is also a
-    context manager (from ``socketserver``), closing its socket on
-    exit.
+    gauges on ``/metrics``.  Requests run concurrently, one handler
+    thread per connection.  The caller drives ``serve_forever()`` /
+    ``shutdown()``; the server is also a context manager (from
+    ``socketserver``), closing its socket on exit.
     """
     if isinstance(artifact, LookupEngine):
         engine = artifact
@@ -382,5 +365,4 @@ def make_server(
         tracer=tracer,
         metrics=metrics,
         monitor=monitor,
-        serialize_requests=serialize_requests,
     )

@@ -15,10 +15,12 @@ import http.client
 import io
 import json
 import os
+import socket
 import subprocess
 import sys
 import textwrap
 import threading
+import time
 import urllib.error
 import urllib.request
 from pathlib import Path
@@ -41,6 +43,7 @@ from repro.query import (
     build_artifact,
     make_server,
 )
+from repro.query.server import _QueryRequestHandler
 
 
 # ----------------------------------------------------------------------
@@ -601,24 +604,40 @@ class TestConcurrentServing:
         assert metrics.counter("query.requests").value == limit
         assert all(s == 200 for s in statuses)
 
-    def test_serialize_requests_legacy_mode(self, loaded):
-        server, thread, tracer, metrics = _fresh_server(loaded, serialize_requests=True)
-        failures: list = []
+    def test_blocked_request_does_not_stall_others(self, loaded, monkeypatch):
+        """A handler stuck inside a lookup leaves other connections served."""
+        entered, release = threading.Event(), threading.Event()
+        band = LookupEngine.band
+
+        def blocking_band(self, node):
+            entered.set()
+            release.wait(timeout=30)
+            return band(self, node)
+
+        monkeypatch.setattr(LookupEngine, "band", blocking_band)
+        server, thread, tracer, metrics = _fresh_server(loaded)
+        statuses: list = []
+
+        def blocked_client():
+            url = server.url + f"/band?as={loaded.nodes[0]}"
+            with urllib.request.urlopen(url, timeout=30) as r:
+                statuses.append(r.status)
+
+        client = threading.Thread(target=blocked_client)
         try:
-            clients = [
-                threading.Thread(target=self._hammer, args=(server, loaded, failures))
-                for _ in range(2)
-            ]
-            for c in clients:
-                c.start()
-            for c in clients:
-                c.join()
+            client.start()
+            assert entered.wait(timeout=10)
+            # A global request lock would hold this until the timeout.
+            with urllib.request.urlopen(server.url + "/health", timeout=5) as r:
+                assert r.status == 200
         finally:
+            release.set()
+            client.join(timeout=10)
             server.shutdown()
             server.server_close()
             thread.join(timeout=5)
-        assert failures == []
-        assert metrics.counter("query.requests").value == 2 * 3 * PER_CLIENT
+        assert not client.is_alive()
+        assert statuses == [200]
 
     def test_access_log_events(self, loaded):
         stream = io.StringIO()
@@ -648,6 +667,23 @@ class TestConcurrentServing:
             assert event["status"] == 200
             assert event["seconds"] >= 0.0
             assert event["component"] == "query.server"
+
+    def test_idle_connection_is_closed(self, loaded, monkeypatch):
+        """A connection that sends nothing is closed after the handler's timeout."""
+        timeout = _QueryRequestHandler.timeout
+        assert timeout is not None and 0 < timeout <= 300
+        monkeypatch.setattr(_QueryRequestHandler, "timeout", 0.5)
+        server, thread, tracer, metrics = _fresh_server(loaded)
+        try:
+            with socket.create_connection(server.server_address[:2], timeout=10) as sock:
+                start = time.perf_counter()
+                assert sock.recv(1) == b""  # EOF: the server hung up
+                assert time.perf_counter() - start < 5
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5)
+        assert not thread.is_alive()
 
 
 # ----------------------------------------------------------------------
