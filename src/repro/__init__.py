@@ -31,71 +31,29 @@ checkpoint/resume and fault tolerance, and ``docs/incremental.md`` for
 edge-delta sessions.
 """
 
-from .analysis import AnalysisContext
-from .api import (
-    CPMResult,
-    load_result,
-    load_session,
-    open_session,
-    run_cpm,
-    save_result,
-)
-from .compare import jaccard, match_covers, omega_index, recall_at
-from .core import (
-    Community,
-    CommunityCover,
-    CommunityHierarchy,
-    CommunityTree,
-    LightweightParallelCPM,
-    extract_hierarchy,
-    k_clique_communities,
-    maximal_cliques,
-    verify_nesting,
-)
-from .evolution import EvolutionTracker, TopologyEvolution
-from .graph import Graph, read_edgelist, write_edgelist
-from .incremental import CPMSession, CPMUpdate, EdgeDelta
-from .report import PaperRun
-from .routing import BGPSimulator, RelationshipMap, infer_relationships
-from .topology import ASDataset, GeneratorConfig, generate_topology
+from ._lazy import attach
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Graph",
-    "read_edgelist",
-    "write_edgelist",
-    "maximal_cliques",
-    "k_clique_communities",
-    "extract_hierarchy",
-    "LightweightParallelCPM",
-    "run_cpm",
-    "CPMResult",
-    "save_result",
-    "load_result",
-    "open_session",
-    "load_session",
-    "CPMSession",
-    "EdgeDelta",
-    "CPMUpdate",
-    "Community",
-    "CommunityCover",
-    "CommunityHierarchy",
-    "CommunityTree",
-    "verify_nesting",
-    "ASDataset",
-    "GeneratorConfig",
-    "generate_topology",
-    "AnalysisContext",
-    "PaperRun",
-    "TopologyEvolution",
-    "EvolutionTracker",
-    "jaccard",
-    "match_covers",
-    "recall_at",
-    "omega_index",
-    "BGPSimulator",
-    "RelationshipMap",
-    "infer_relationships",
-    "__version__",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "analysis": ["AnalysisContext"],
+        "api": [
+            "CPMResult", "load_result", "load_session", "open_session", "run_cpm", "save_result",
+        ],
+        "compare": ["jaccard", "match_covers", "omega_index", "recall_at"],
+        "core": [
+            "Community", "CommunityCover", "CommunityHierarchy", "CommunityTree",
+            "LightweightParallelCPM", "extract_hierarchy", "k_clique_communities",
+            "maximal_cliques", "verify_nesting",
+        ],
+        "evolution": ["EvolutionTracker", "TopologyEvolution"],
+        "graph": ["Graph", "read_edgelist", "write_edgelist"],
+        "incremental": ["CPMSession", "CPMUpdate", "CommunityChange", "EdgeDelta"],
+        "report": ["PaperRun"],
+        "routing": ["BGPSimulator", "RelationshipMap", "infer_relationships"],
+        "topology": ["ASDataset", "GeneratorConfig", "generate_topology"],
+    },
+)
+__all__ += ["__version__"]

@@ -2,91 +2,31 @@
 evaluation, all driven by a shared :class:`AnalysisContext`.
 """
 
-from .bands import (
-    BandBoundaries,
-    CrownReport,
-    RootReport,
-    TrunkReport,
-    crown_report,
-    derive_bands,
-    root_report,
-    trunk_report,
-)
-from .census import CensusRow, CommunityCensus
-from .community_graph import CommunityGraphStats, community_graph, community_graph_stats
-from .context import AnalysisContext
-from .density_odf import DensityOdfAnalysis, DensityOdfPoint
-from .engine import ENGINES, MetricsEngine, MetricsRow, OrderOverlap
-from .geo import CommunityGeo, GeoAnalysis, common_continents, common_countries
-from .ixp_share import CommunityIXPShare, IXPShareAnalysis
-from .kdense_compare import KDenseComparison, compare_with_kdense
-from .overlap import OverlapAnalysis, OverlapRow
-from .percolation_threshold import (
-    SweepPoint,
-    critical_probability,
-    empirical_threshold,
-    threshold_sweep,
-)
-from .robustness import (
-    BandRecall,
-    RobustnessReport,
-    community_recall,
-    uniform_edge_sample,
-)
-from .sensitivity import SeedRun, SensitivityReport, run_sensitivity
-from .sizes import SizeAnalysis, SizePoint
-from .tree_metrics import BranchRecord, TreeShape, tree_shape
-from .zp import NodeRole, ZPAnalysis, ZPRecord, classify_role
+from .._lazy import attach
 
-__all__ = [
-    "AnalysisContext",
-    "MetricsEngine",
-    "MetricsRow",
-    "OrderOverlap",
-    "ENGINES",
-    "CommunityCensus",
-    "CensusRow",
-    "SizeAnalysis",
-    "SizePoint",
-    "DensityOdfAnalysis",
-    "DensityOdfPoint",
-    "OverlapAnalysis",
-    "OverlapRow",
-    "IXPShareAnalysis",
-    "CommunityIXPShare",
-    "GeoAnalysis",
-    "CommunityGeo",
-    "common_countries",
-    "common_continents",
-    "BandBoundaries",
-    "derive_bands",
-    "CrownReport",
-    "TrunkReport",
-    "RootReport",
-    "crown_report",
-    "trunk_report",
-    "root_report",
-    "ZPAnalysis",
-    "ZPRecord",
-    "NodeRole",
-    "classify_role",
-    "RobustnessReport",
-    "BandRecall",
-    "community_recall",
-    "uniform_edge_sample",
-    "critical_probability",
-    "threshold_sweep",
-    "empirical_threshold",
-    "SweepPoint",
-    "SeedRun",
-    "SensitivityReport",
-    "run_sensitivity",
-    "KDenseComparison",
-    "compare_with_kdense",
-    "CommunityGraphStats",
-    "community_graph",
-    "community_graph_stats",
-    "TreeShape",
-    "BranchRecord",
-    "tree_shape",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "bands": [
+            "BandBoundaries", "CrownReport", "RootReport", "TrunkReport", "crown_report",
+            "derive_bands", "root_report", "trunk_report",
+        ],
+        "census": ["CensusRow", "CommunityCensus"],
+        "community_graph": ["CommunityGraphStats", "community_graph", "community_graph_stats"],
+        "context": ["AnalysisContext"],
+        "density_odf": ["DensityOdfAnalysis", "DensityOdfPoint"],
+        "engine": ["ENGINES", "MetricsEngine", "MetricsRow", "OrderOverlap"],
+        "geo": ["CommunityGeo", "GeoAnalysis", "common_continents", "common_countries"],
+        "ixp_share": ["CommunityIXPShare", "IXPShareAnalysis"],
+        "kdense_compare": ["KDenseComparison", "compare_with_kdense"],
+        "overlap": ["OverlapAnalysis", "OverlapRow"],
+        "percolation_threshold": [
+            "SweepPoint", "critical_probability", "empirical_threshold", "threshold_sweep",
+        ],
+        "robustness": ["BandRecall", "RobustnessReport", "community_recall", "uniform_edge_sample"],
+        "sensitivity": ["SeedRun", "SensitivityReport", "run_sensitivity"],
+        "sizes": ["SizeAnalysis", "SizePoint"],
+        "tree_metrics": ["BranchRecord", "TreeShape", "tree_shape"],
+        "zp": ["NodeRole", "ZPAnalysis", "ZPRecord", "classify_role"],
+    },
+)

@@ -56,6 +56,7 @@ from itertools import combinations, repeat
 from operator import sub, truediv
 from typing import NamedTuple
 
+from ..choices import ENGINES
 from ..core.communities import CommunityHierarchy
 from ..core.metrics import average_odf, link_density
 from ..core.tree import CommunityTree
@@ -65,10 +66,6 @@ from ..obs.metrics import MetricsRegistry
 from ..obs.tracing import NULL_TRACER, Tracer
 
 __all__ = ["ENGINES", "MetricsRow", "OrderOverlap", "MetricsEngine"]
-
-#: Selectable analysis engines: the popcount fast path and the
-#: set-based reference oracle it is verified against.
-ENGINES = ("bitset", "set")
 
 
 class MetricsRow(NamedTuple):

@@ -196,7 +196,7 @@ def run_cpm(
 
     ``k_range`` is ``(min_k, max_k)`` with ``max_k=None`` meaning "up
     to the largest clique" (a bare int extracts that single order).
-    ``kernel`` is one of ``repro.core.lightweight.KERNELS`` or
+    ``kernel`` is one of ``repro.choices.KERNELS`` or
     ``"auto"`` (``blocks``); any other name raises a ``ValueError``
     that names the accepted ones.  ``shards`` (an int, or the default
     ``"auto"`` — one shard per worker) fans clique enumeration out

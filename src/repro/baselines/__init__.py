@@ -3,23 +3,15 @@ rejects: k-core [26], k-dense [25], GCE [18], EAGLE [27] and a
 label-propagation partition representative.
 """
 
-from .eagle import EagleConfig, EagleResult, eagle, extended_modularity
-from .gce import GCEConfig, greedy_clique_expansion
-from .kcore import KCoreDecomposition, ShellRow
-from .kdense import KDenseDecomposition, k_dense_communities, k_dense_subgraph
-from .labelprop import label_propagation
+from .._lazy import attach
 
-__all__ = [
-    "KCoreDecomposition",
-    "ShellRow",
-    "KDenseDecomposition",
-    "k_dense_subgraph",
-    "k_dense_communities",
-    "GCEConfig",
-    "greedy_clique_expansion",
-    "EagleConfig",
-    "EagleResult",
-    "eagle",
-    "extended_modularity",
-    "label_propagation",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "eagle": ["EagleConfig", "EagleResult", "eagle", "extended_modularity"],
+        "gce": ["GCEConfig", "greedy_clique_expansion"],
+        "kcore": ["KCoreDecomposition", "ShellRow"],
+        "kdense": ["KDenseDecomposition", "k_dense_communities", "k_dense_subgraph"],
+        "labelprop": ["label_propagation"],
+    },
+)

@@ -45,37 +45,30 @@ rate/err/p99 view.  Every instrumented command also accepts
 ``run_id`` that the manifest records too.
 """
 
+# Where a command's imports belong: this module imports at its top only
+# what building the parser and main() need (the choices from
+# repro.choices and the structured log); every command body, and the
+# _Run step it calls, imports its own modules.  So `query serve` starts
+# without the CPM pipeline, the analysis layer, the report or numpy
+# (tests/test_imports.py pins that).
+
 from __future__ import annotations
 
 import argparse
 import sys
+from functools import cached_property
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .analysis.context import AnalysisContext
-from .analysis.engine import ENGINES
-from .api import CPMResult, save_result
-from .core.cache import CliqueCache
-from .core.lightweight import KERNELS, resolve_kernel
-from .graph.io import read_edgelist
-from .incremental.session import SESSION_KERNELS
-from .obs import (
-    NULL_TRACER,
-    MetricsRegistry,
-    ResourceMonitor,
-    RunManifest,
-    Tracer,
-    diff_manifests,
-    history,
-    load_trace,
-    render_tree,
-    write_perfetto,
-)
+from .choices import ENGINES, KERNELS, SESSION_KERNELS, TOP_METRICS, resolve_kernel
 from .obs import logging as obs_logging
-from .query.engine import TOP_METRICS
-from .report.paper import PaperRun
-from .runner import CheckpointStore, RunnerConfig
-from .topology.dataset import ASDataset
-from .topology.generator import GeneratorConfig, generate_topology
+
+if TYPE_CHECKING:
+    from .analysis.context import AnalysisContext
+    from .api import CPMResult
+    from .obs.metrics import MetricsRegistry
+    from .obs.tracing import Tracer
+    from .topology.dataset import ASDataset
 
 __all__ = ["main"]
 
@@ -225,12 +218,15 @@ def _run_settings(args: argparse.Namespace) -> dict:
 
 
 def _load_dataset(path: str) -> ASDataset:
+    from .topology.dataset import ASDataset
+
     target = Path(path)
     if not target.exists():
         raise FileNotFoundError(f"dataset path does not exist: {target}")
     if target.is_dir():
         return ASDataset.load(target)
     # Bare edge list: wrap it with empty side datasets.
+    from .graph.io import read_edgelist
     from .topology.geography import GeoRegistry
     from .topology.ixp import IXPRegistry
 
@@ -259,28 +255,37 @@ class _Run:
         #: True iff the command's row takes the observability flags:
         #: only then do ``--trace``/``--metrics`` name files to write.
         self.observed = observed
-        checkpoint_dir = getattr(args, "checkpoint_dir", None)
-        resume = getattr(args, "resume", False)
-        if resume and not checkpoint_dir:
+        if getattr(args, "resume", False) and not getattr(args, "checkpoint_dir", None):
             raise ValueError("--resume requires --checkpoint-dir")
-        retries = getattr(args, "max_retries", None)
-        self.keywords = {
-            "workers": getattr(args, "workers", 1),
-            "kernel": getattr(args, "kernel", "blocks"),
-            "shards": getattr(args, "shards", "auto"),
-            "cache": CliqueCache() if getattr(args, "cache", False) else None,
-            "checkpoint": CheckpointStore(checkpoint_dir) if checkpoint_dir else None,
-            "resume": resume,
-            "runner": RunnerConfig(
-                batch_timeout=getattr(args, "batch_timeout", None),
-                max_retries=RunnerConfig.max_retries if retries is None else retries,
-            ),
-        }
         self._obs: tuple | None = None
         self._fingerprint: dict | None = None
         self._dataset: ASDataset | None = None
         self._session = None
         self._artifact = None
+
+    @cached_property
+    def keywords(self) -> dict:
+        """The LP-CPM keywords of the flags (a flag's default where the
+        command does not take it)."""
+        from .core.cache import CliqueCache
+        from .runner.checkpoint import CheckpointStore
+        from .runner.supervise import RunnerConfig
+
+        args = self.args
+        checkpoint_dir = getattr(args, "checkpoint_dir", None)
+        retries = getattr(args, "max_retries", None)
+        return {
+            "workers": getattr(args, "workers", 1),
+            "kernel": getattr(args, "kernel", "blocks"),
+            "shards": getattr(args, "shards", "auto"),
+            "cache": CliqueCache() if getattr(args, "cache", False) else None,
+            "checkpoint": CheckpointStore(checkpoint_dir) if checkpoint_dir else None,
+            "resume": getattr(args, "resume", False),
+            "runner": RunnerConfig(
+                batch_timeout=getattr(args, "batch_timeout", None),
+                max_retries=RunnerConfig.max_retries if retries is None else retries,
+            ),
+        }
 
     def observe(self, *, serving: bool = False) -> tuple:
         """``(tracer, registry, sampler)``, built on the first call.
@@ -291,6 +296,10 @@ class _Run:
         always keeps a registry and sampler: ``/metrics`` serves them.
         """
         if self._obs is None:
+            from .obs.metrics import MetricsRegistry
+            from .obs.resources import ResourceMonitor
+            from .obs.tracing import NULL_TRACER, Tracer
+
             args = self.args
             tracer, metrics, monitor = NULL_TRACER, None, None
             traced = self.observed and bool(args.trace or args.metrics)
@@ -315,6 +324,8 @@ class _Run:
         """The command's dataset, loaded once (``paper`` without
         ``--dataset`` generates one from ``--seed``)."""
         if self._dataset is None:
+            from .topology.generator import generate_topology
+
             path = self.args.dataset
             self._dataset = _load_dataset(path) if path else generate_topology(seed=self.args.seed)
         return self._dataset
@@ -351,6 +362,8 @@ class _Run:
 
     def context(self) -> AnalysisContext:
         """:meth:`cpm` wrapped for the Chapter-4 analyses."""
+        from .analysis.context import AnalysisContext
+
         return AnalysisContext.from_result(
             self.dataset(),
             self.cpm(),
@@ -381,10 +394,10 @@ class _Run:
     def artifact(self):
         """The command's query artifact (observability starts first, so a
         missing artifact still leaves a trace and manifest)."""
-        from .api import load_query_artifact
+        from .query.artifact import QueryArtifact
 
         self.observe()
-        self._artifact = load_query_artifact(self.args.artifact)
+        self._artifact = QueryArtifact.load(self.args.artifact)
         return self._artifact
 
     def close(self) -> None:
@@ -407,6 +420,8 @@ class _Run:
             tracer.write_jsonl(args.trace)
             print(f"wrote trace ({len(tracer.records)} spans) to {args.trace}")
         if args.metrics:
+            from .obs.manifest import RunManifest
+
             config = {
                 key: value
                 for key, value in vars(args).items()
@@ -431,6 +446,8 @@ class _Run:
 
 
 def _cmd_generate(args: argparse.Namespace, run: _Run) -> int:
+    from .topology.generator import GeneratorConfig, generate_topology
+
     if args.config:
         from .topology.configio import load_config
 
@@ -497,6 +514,8 @@ def _cmd_graphml(args: argparse.Namespace, run: _Run) -> int:
 
 
 def _cmd_paper(args: argparse.Namespace, run: _Run) -> int:
+    from .report.paper import PaperRun
+
     paper = PaperRun(run.context())
     wrote_artifacts = False
     if args.html:
@@ -543,6 +562,7 @@ def _cmd_stats(args: argparse.Namespace, run: _Run) -> int:
 
 def _cmd_evolve(args: argparse.Namespace, run: _Run) -> int:
     from .evolution import EventKind, EvolutionTracker, TopologyEvolution
+    from .topology.generator import GeneratorConfig
 
     profile = {
         "default": GeneratorConfig.default,
@@ -668,6 +688,8 @@ def _cmd_atlas(args: argparse.Namespace, run: _Run) -> int:
 
 
 def _cmd_export(args: argparse.Namespace, run: _Run) -> int:
+    from .api import save_result
+
     result = run.cpm()
     save_result(result, args.out)
     hierarchy = result.hierarchy
@@ -691,11 +713,10 @@ def _guard_stale_artifact(out: Path, run: _Run, *, force: bool) -> None:
     """
     if force or not out.exists():
         return
-    from .api import load_query_artifact
-    from .query.artifact import ArtifactError
+    from .query.artifact import ArtifactError, QueryArtifact
 
     try:
-        existing = load_query_artifact(out, mmap=False).fingerprint
+        existing = QueryArtifact.load(out, mmap=False).fingerprint
     except ArtifactError as exc:
         raise ValueError(
             f"refusing to overwrite {out}: the existing file is not a readable "
@@ -827,6 +848,8 @@ def _cmd_query_serve(args: argparse.Namespace, run: _Run) -> int:
 
 
 def _cmd_obs_view(args: argparse.Namespace, run: _Run) -> int:
+    from .obs.inspect import load_trace, render_tree
+
     spans, _document = load_trace(args.trace)
     print(render_tree(spans, hot_count=args.hot))
     return 0
@@ -834,6 +857,8 @@ def _cmd_obs_view(args: argparse.Namespace, run: _Run) -> int:
 
 def _cmd_obs_diff(args: argparse.Namespace, run: _Run) -> int:
     import json
+
+    from .obs.inspect import diff_manifests
 
     base = json.loads(Path(args.a).read_text(encoding="utf-8"))
     fresh = json.loads(Path(args.b).read_text(encoding="utf-8"))
@@ -844,6 +869,10 @@ def _cmd_obs_diff(args: argparse.Namespace, run: _Run) -> int:
 
 
 def _cmd_obs_export(args: argparse.Namespace, run: _Run) -> int:
+    from .obs.export import write_perfetto
+    from .obs.inspect import load_trace
+    from .obs.manifest import RunManifest
+
     if args.format == "prometheus":
         import json
 
@@ -921,6 +950,8 @@ def _cmd_obs_tail(args: argparse.Namespace, run: _Run) -> int:
 
 
 def _cmd_obs_history(args: argparse.Namespace, run: _Run) -> int:
+    from .obs.inspect import history
+
     print(history(args.directory, max_commits=args.max_commits))
     return 0
 

@@ -2,6 +2,11 @@
 and the chance-corrected Omega index for overlapping covers.
 """
 
-from .covers import MatchResult, jaccard, match_covers, omega_index, recall_at
+from .._lazy import attach
 
-__all__ = ["jaccard", "match_covers", "MatchResult", "recall_at", "omega_index"]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "covers": ["MatchResult", "jaccard", "match_covers", "omega_index", "recall_at"],
+    },
+)

@@ -70,6 +70,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
+from ..choices import KERNELS, resolve_kernel
 from ..graph.csr import CSRGraph
 from ..graph.undirected import Graph
 from ..obs.manifest import graph_fingerprint
@@ -94,24 +95,6 @@ __all__ = [
     "check_oracle_options",
     "resolve_kernel",
 ]
-
-KERNELS = ("blocks", "set")
-
-
-def resolve_kernel(kernel: str, kernels: tuple[str, ...] = KERNELS) -> str:
-    """Resolve a kernel request (including ``"auto"``) to a name in ``kernels``.
-
-    The one kernel validator of the batch pipeline, the session
-    (``kernels=("blocks",)``) and the CLI: ``"auto"`` is ``blocks``,
-    any other name outside ``kernels`` raises a ``ValueError`` that
-    lists the accepted names.
-    """
-    if kernel == "auto":
-        return "blocks"
-    if kernel not in kernels:
-        raise ValueError(f"kernel must be one of {kernels} or 'auto', got {kernel!r}")
-    return kernel
-
 
 @dataclass
 class CPMRunStats:

@@ -2,20 +2,14 @@
 tracking (birth / growth / merge / split events across campaigns).
 """
 
-from .snapshots import TopologyEvolution
-from .tracking import (
-    STRATEGIES,
-    CommunityEvent,
-    CommunityTimeline,
-    EventKind,
-    EvolutionTracker,
-)
+from .._lazy import attach
 
-__all__ = [
-    "TopologyEvolution",
-    "EvolutionTracker",
-    "CommunityEvent",
-    "CommunityTimeline",
-    "EventKind",
-    "STRATEGIES",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "snapshots": ["TopologyEvolution"],
+        "tracking": [
+            "STRATEGIES", "CommunityEvent", "CommunityTimeline", "EventKind", "EvolutionTracker",
+        ],
+    },
+)

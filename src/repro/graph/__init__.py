@@ -2,80 +2,30 @@
 Clique Percolation Method and the paper's analysis layers are built on.
 """
 
-from .components import (
-    bfs_order,
-    connected_components,
-    is_connected,
-    largest_connected_component,
-    node_component,
-)
-from .csr import CSRGraph
-from .degeneracy import core_numbers, degeneracy, degeneracy_ordering, k_core
-from .generators import (
-    barabasi_albert,
-    complete_graph,
-    cycle_graph,
-    erdos_renyi,
-    overlapping_cliques,
-    path_graph,
-    ring_of_cliques,
-    star_graph,
-)
-from .io import format_edgelist, parse_edgelist, read_edgelist, write_edgelist
-from .nullmodel import degree_preserving_null, double_edge_swap
-from .stats import (
-    GraphSummary,
-    average_local_clustering,
-    degree_assortativity,
-    degree_ccdf,
-    degree_histogram,
-    global_clustering,
-    powerlaw_alpha_mle,
-    summarize_graph,
-    top_degree_density,
-)
-from .subgraph import containment_fraction, tag_induced_node_sets, tag_induced_subgraph
-from .undirected import Graph, GraphError
-from .weighted import WeightedGraph
+from .._lazy import attach
 
-__all__ = [
-    "Graph",
-    "GraphError",
-    "WeightedGraph",
-    "CSRGraph",
-    "bfs_order",
-    "connected_components",
-    "is_connected",
-    "largest_connected_component",
-    "node_component",
-    "core_numbers",
-    "degeneracy",
-    "degeneracy_ordering",
-    "k_core",
-    "complete_graph",
-    "cycle_graph",
-    "path_graph",
-    "star_graph",
-    "erdos_renyi",
-    "barabasi_albert",
-    "ring_of_cliques",
-    "overlapping_cliques",
-    "parse_edgelist",
-    "read_edgelist",
-    "format_edgelist",
-    "write_edgelist",
-    "tag_induced_subgraph",
-    "GraphSummary",
-    "summarize_graph",
-    "degree_histogram",
-    "degree_ccdf",
-    "powerlaw_alpha_mle",
-    "global_clustering",
-    "average_local_clustering",
-    "degree_assortativity",
-    "top_degree_density",
-    "double_edge_swap",
-    "degree_preserving_null",
-    "tag_induced_node_sets",
-    "containment_fraction",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "components": [
+            "bfs_order", "connected_components", "is_connected", "largest_connected_component",
+            "node_component",
+        ],
+        "csr": ["CSRGraph"],
+        "degeneracy": ["core_numbers", "degeneracy", "degeneracy_ordering", "k_core"],
+        "generators": [
+            "barabasi_albert", "complete_graph", "cycle_graph", "erdos_renyi",
+            "overlapping_cliques", "path_graph", "ring_of_cliques", "star_graph",
+        ],
+        "io": ["format_edgelist", "parse_edgelist", "read_edgelist", "write_edgelist"],
+        "nullmodel": ["degree_preserving_null", "double_edge_swap"],
+        "stats": [
+            "GraphSummary", "average_local_clustering", "degree_assortativity", "degree_ccdf",
+            "degree_histogram", "global_clustering", "powerlaw_alpha_mle", "summarize_graph",
+            "top_degree_density",
+        ],
+        "subgraph": ["containment_fraction", "tag_induced_node_sets", "tag_induced_subgraph"],
+        "undirected": ["Graph", "GraphError"],
+        "weighted": ["WeightedGraph"],
+    },
+)

@@ -13,16 +13,12 @@ on the facade, or :class:`CPMSession` directly.  See
 format.
 """
 
-from .delta import CHANGE_KINDS, CommunityChange, CPMUpdate, EdgeDelta, diff_covers
-from .session import SESSION_SCHEMA_VERSION, CPMSession, load_session
+from .._lazy import attach
 
-__all__ = [
-    "CHANGE_KINDS",
-    "CommunityChange",
-    "CPMUpdate",
-    "EdgeDelta",
-    "diff_covers",
-    "CPMSession",
-    "load_session",
-    "SESSION_SCHEMA_VERSION",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "delta": ["CHANGE_KINDS", "CommunityChange", "CPMUpdate", "EdgeDelta", "diff_covers"],
+        "session": ["SESSION_SCHEMA_VERSION", "CPMSession", "load_session"],
+    },
+)

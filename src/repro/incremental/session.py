@@ -58,10 +58,11 @@ from collections.abc import Hashable
 from os import PathLike
 from pathlib import Path
 
+from ..choices import SESSION_KERNELS, resolve_kernel
 from ..core.cache import CliqueCache
 from ..core.cliques import local_maximal_cliques, maximal_cliques_bitset
 from ..core.communities import CommunityHierarchy
-from ..core.lightweight import PHASE_SHAPES, resolve_kernel
+from ..core.lightweight import PHASE_SHAPES
 from ..core.overlap import OverlapWire, chain_pairs, count_overlaps
 from ..core.percolation import HierarchyLevel, build_hierarchy, percolate_wire
 from ..graph.csr import CSRGraph
@@ -84,9 +85,6 @@ from .delta import CPMUpdate, EdgeDelta, diff_covers
 _LOG = get_logger(component="incremental")
 
 __all__ = ["CPMSession", "load_session", "SESSION_KERNELS", "SESSION_SCHEMA_VERSION"]
-
-#: The kernels a session runs on (plus ``"auto"``): the batch pipeline's.
-SESSION_KERNELS = ("blocks",)
 
 #: Bump on any change to the persisted session payload layout; stale
 #: saves then fail :func:`load_session` loudly instead of deserialising

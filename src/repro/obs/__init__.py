@@ -46,57 +46,22 @@ The serving plane adds the live-telemetry layers:
 Schema and metric-name reference: ``docs/observability.md``.
 """
 
-from .export import to_perfetto, validate_trace_events, write_perfetto
-from .exposition import parse_exposition, render_exposition, sanitize_metric_name
-from .inspect import diff_manifests, history, load_trace, render_tree
-from .logging import JsonLogger, configure, get_logger, log_event, new_run_id
-from .manifest import RunManifest, graph_fingerprint, library_versions
-from .metrics import AtomicCounter, Counter, Gauge, Histogram, MetricsRegistry
-from .resources import ResourceMonitor
-from .tracing import NULL_TRACER, NullTracer, Span, SpanRecord, Tracer
-from .worker import (
-    TelemetryEnvelope,
-    WorkerTelemetry,
-    capture,
-    current_metrics,
-    current_tracer,
-    worker_span,
-)
+from .._lazy import attach
 
-__all__ = [
-    "Span",
-    "SpanRecord",
-    "Tracer",
-    "NullTracer",
-    "NULL_TRACER",
-    "AtomicCounter",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "render_exposition",
-    "parse_exposition",
-    "sanitize_metric_name",
-    "JsonLogger",
-    "configure",
-    "get_logger",
-    "log_event",
-    "new_run_id",
-    "RunManifest",
-    "graph_fingerprint",
-    "library_versions",
-    "ResourceMonitor",
-    "WorkerTelemetry",
-    "TelemetryEnvelope",
-    "capture",
-    "current_metrics",
-    "current_tracer",
-    "worker_span",
-    "to_perfetto",
-    "validate_trace_events",
-    "write_perfetto",
-    "load_trace",
-    "render_tree",
-    "diff_manifests",
-    "history",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "export": ["to_perfetto", "validate_trace_events", "write_perfetto"],
+        "exposition": ["parse_exposition", "render_exposition", "sanitize_metric_name"],
+        "inspect": ["diff_manifests", "history", "load_trace", "render_tree"],
+        "logging": ["JsonLogger", "configure", "get_logger", "log_event", "new_run_id"],
+        "manifest": ["RunManifest", "graph_fingerprint", "library_versions"],
+        "metrics": ["AtomicCounter", "Counter", "Gauge", "Histogram", "MetricsRegistry"],
+        "resources": ["ResourceMonitor"],
+        "tracing": ["NULL_TRACER", "NullTracer", "Span", "SpanRecord", "Tracer"],
+        "worker": [
+            "TelemetryEnvelope", "WorkerTelemetry", "capture", "current_metrics", "current_tracer",
+            "worker_span",
+        ],
+    },
+)

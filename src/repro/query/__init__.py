@@ -20,18 +20,15 @@ CLI: ``repro query build | lookup | serve`` (see
 .build_query_artifact` / :func:`repro.api.load_query_artifact`.
 """
 
-from .artifact import ARTIFACT_VERSION, ArtifactError, BandSpec, QueryArtifact, build_artifact
-from .engine import TOP_METRICS, LookupEngine
-from .server import QueryServer, make_server
+from .._lazy import attach
 
-__all__ = [
-    "ARTIFACT_VERSION",
-    "ArtifactError",
-    "BandSpec",
-    "QueryArtifact",
-    "build_artifact",
-    "LookupEngine",
-    "TOP_METRICS",
-    "QueryServer",
-    "make_server",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "artifact": [
+            "ARTIFACT_VERSION", "ArtifactError", "BandSpec", "QueryArtifact", "build_artifact",
+        ],
+        "engine": ["TOP_METRICS", "LookupEngine"],
+        "server": ["QueryServer", "make_server"],
+    },
+)

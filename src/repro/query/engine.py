@@ -27,14 +27,12 @@ counters, so a served artifact's traffic shows up in the standard
 
 from __future__ import annotations
 
+from ..choices import TOP_METRICS
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracing import NULL_TRACER, Tracer
 from .artifact import QueryArtifact
 
 __all__ = ["LookupEngine", "TOP_METRICS"]
-
-#: Metrics :meth:`LookupEngine.top` can rank by.
-TOP_METRICS = ("density", "odf", "size")
 
 
 class LookupEngine:

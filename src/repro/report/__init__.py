@@ -1,26 +1,16 @@
 """Reporting: text renderings of the paper's tables and figures."""
 
-from .atlas import Atlas, CountryProfile, IXPProfile, build_atlas
-from .csvdata import figure_csvs, write_figure_csvs
-from .figures import ascii_scatter, ascii_table, format_number
-from .graphml import graphml_document, write_graphml
-from .html import render_html_report
-from .paper import PaperRun
-from .svg import svg_scatter
+from .._lazy import attach
 
-__all__ = [
-    "PaperRun",
-    "ascii_scatter",
-    "ascii_table",
-    "format_number",
-    "render_html_report",
-    "svg_scatter",
-    "graphml_document",
-    "write_graphml",
-    "figure_csvs",
-    "write_figure_csvs",
-    "Atlas",
-    "IXPProfile",
-    "CountryProfile",
-    "build_atlas",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "atlas": ["Atlas", "CountryProfile", "IXPProfile", "build_atlas"],
+        "csvdata": ["figure_csvs", "write_figure_csvs"],
+        "figures": ["ascii_scatter", "ascii_table", "format_number"],
+        "graphml": ["graphml_document", "write_graphml"],
+        "html": ["render_html_report"],
+        "paper": ["PaperRun"],
+        "svg": ["svg_scatter"],
+    },
+)

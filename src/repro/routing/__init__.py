@@ -2,29 +2,16 @@
 routing, with path-inflation and traffic-locality analyses.
 """
 
-from .analysis import PathInflation, measure_locality, measure_path_inflation
-from .bgp import BGPSimulator, Route, RouteKind
-from .inference import GaoInference, InferenceScore, infer_from_paths, score_inference
-from .observation import PathCollection, collect_policy_paths
-from .relationships import Relationship, RelationshipMap, infer_relationships
-from .resilience import FailureImpact, simulate_as_failure
+from .._lazy import attach
 
-__all__ = [
-    "Relationship",
-    "RelationshipMap",
-    "infer_relationships",
-    "BGPSimulator",
-    "Route",
-    "RouteKind",
-    "PathInflation",
-    "measure_path_inflation",
-    "measure_locality",
-    "PathCollection",
-    "collect_policy_paths",
-    "GaoInference",
-    "InferenceScore",
-    "infer_from_paths",
-    "score_inference",
-    "FailureImpact",
-    "simulate_as_failure",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "analysis": ["PathInflation", "measure_locality", "measure_path_inflation"],
+        "bgp": ["BGPSimulator", "Route", "RouteKind"],
+        "inference": ["GaoInference", "InferenceScore", "infer_from_paths", "score_inference"],
+        "observation": ["PathCollection", "collect_policy_paths"],
+        "relationships": ["Relationship", "RelationshipMap", "infer_relationships"],
+        "resilience": ["FailureImpact", "simulate_as_failure"],
+    },
+)

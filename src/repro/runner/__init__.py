@@ -22,27 +22,16 @@ degradation policy, and the observability surface (``runner.*``
 counters and spans).
 """
 
-from .checkpoint import (
-    CHECKPOINT_SCHEMA_VERSION,
-    PHASES,
-    CheckpointError,
-    CheckpointMismatchError,
-    CheckpointStore,
-)
-from .faults import FAULT_PLAN_ENV, FaultPlan, FaultRule, InjectedFault
-from .supervise import BatchRetryExhausted, PoolSupervisor, RunnerConfig
+from .._lazy import attach
 
-__all__ = [
-    "CheckpointStore",
-    "CheckpointError",
-    "CheckpointMismatchError",
-    "CHECKPOINT_SCHEMA_VERSION",
-    "PHASES",
-    "FaultPlan",
-    "FaultRule",
-    "InjectedFault",
-    "FAULT_PLAN_ENV",
-    "PoolSupervisor",
-    "RunnerConfig",
-    "BatchRetryExhausted",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "checkpoint": [
+            "CHECKPOINT_SCHEMA_VERSION", "PHASES", "CheckpointError", "CheckpointMismatchError",
+            "CheckpointStore",
+        ],
+        "faults": ["FAULT_PLAN_ENV", "FaultPlan", "FaultRule", "InjectedFault"],
+        "supervise": ["BatchRetryExhausted", "PoolSupervisor", "RunnerConfig"],
+    },
+)

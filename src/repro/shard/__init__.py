@@ -12,6 +12,11 @@ and :mod:`.pipeline` for the reassembly argument; docs/performance.md
 covers when sharding wins (and when it loses at small scale).
 """
 
-from .plan import ShardPlan, plan_shards, resolve_shards
+from .._lazy import attach
 
-__all__ = ["ShardPlan", "plan_shards", "resolve_shards"]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "plan": ["ShardPlan", "plan_shards", "resolve_shards"],
+    },
+)

@@ -3,64 +3,25 @@ geography), the synthetic Internet generator and the measurement
 merge pipeline that stands in for the paper's data sources.
 """
 
-from .configio import config_from_dict, config_to_dict, load_config, save_config
-from .dataset import ASDataset
-from .generator import (
-    CrownBlockSpec,
-    GeneratorConfig,
-    InternetTopologyGenerator,
-    MediumIXPSpec,
-    SmallIXPSpec,
-    generate_topology,
-)
-from .geography import COUNTRY_CONTINENT, Continent, GeoRegistry, GeoTag, continent_of
-from .ixp import IXP, IXPRegistry, IXPShare
-from .merge import MergePolicy, MergeReport, merge_observations
-from .realdata import (
-    parse_as_links,
-    parse_as_relationships,
-    read_as_links,
-    read_as_relationships,
-)
-from .sources import MeasurementSource, ObservedDataset, default_sources, observe_all
-from .tags import GeoTagSummary, IXPTagSummary, TagSummary, summarize_tags
-from .whatif import add_ixp, remove_ixp_fabric
+from .._lazy import attach
 
-__all__ = [
-    "ASDataset",
-    "GeneratorConfig",
-    "InternetTopologyGenerator",
-    "generate_topology",
-    "CrownBlockSpec",
-    "MediumIXPSpec",
-    "SmallIXPSpec",
-    "GeoRegistry",
-    "GeoTag",
-    "Continent",
-    "COUNTRY_CONTINENT",
-    "continent_of",
-    "IXP",
-    "IXPRegistry",
-    "IXPShare",
-    "MergePolicy",
-    "MergeReport",
-    "merge_observations",
-    "MeasurementSource",
-    "ObservedDataset",
-    "default_sources",
-    "observe_all",
-    "TagSummary",
-    "IXPTagSummary",
-    "GeoTagSummary",
-    "summarize_tags",
-    "parse_as_links",
-    "read_as_links",
-    "parse_as_relationships",
-    "read_as_relationships",
-    "config_to_dict",
-    "config_from_dict",
-    "save_config",
-    "load_config",
-    "add_ixp",
-    "remove_ixp_fabric",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "configio": ["config_from_dict", "config_to_dict", "load_config", "save_config"],
+        "dataset": ["ASDataset"],
+        "generator": [
+            "CrownBlockSpec", "GeneratorConfig", "InternetTopologyGenerator", "MediumIXPSpec",
+            "SmallIXPSpec", "generate_topology",
+        ],
+        "geography": ["COUNTRY_CONTINENT", "Continent", "GeoRegistry", "GeoTag", "continent_of"],
+        "ixp": ["IXP", "IXPRegistry", "IXPShare"],
+        "merge": ["MergePolicy", "MergeReport", "merge_observations"],
+        "realdata": [
+            "parse_as_links", "parse_as_relationships", "read_as_links", "read_as_relationships",
+        ],
+        "sources": ["MeasurementSource", "ObservedDataset", "default_sources", "observe_all"],
+        "tags": ["GeoTagSummary", "IXPTagSummary", "TagSummary", "summarize_tags"],
+        "whatif": ["add_ixp", "remove_ixp_fabric"],
+    },
+)

@@ -18,9 +18,11 @@ import json
 import os
 import time
 from array import array
+from pathlib import Path
 
 import pytest
 
+from repro.choices import KERNELS
 from repro.cli import main
 from repro.core.lightweight import LightweightParallelCPM
 from repro.core.overlap import OverlapWire
@@ -238,6 +240,18 @@ class TestRunManifest:
         assert fp["edges"] == 44
         again = graph_fingerprint(ring_graph)
         assert fp == again
+
+    def test_committed_manifests_name_a_current_kernel(self):
+        """A committed BENCH manifest records a kernel this build runs, so
+        ``repro obs diff`` against a fresh run warns only on a real switch."""
+        output = Path(__file__).parents[1] / "benchmarks" / "output"
+        manifests = sorted(output.glob("BENCH_*.json"))
+        assert manifests
+        for path in manifests:
+            document = json.loads(path.read_text(encoding="utf-8"))
+            for block in ("config", "settings"):
+                kernel = document.get(block, {}).get("kernel")
+                assert kernel is None or kernel in KERNELS, (path.name, block, kernel)
 
 
 class TestInstrumentedRun:
